@@ -224,6 +224,23 @@ def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
     return QuantumChannel(_filter_kraus(weighted))
 
 
+def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
+    """(p1, p2) as floats, if they are the one- and two-point hit
+    probabilities of a burst mixture; ValueError otherwise.
+
+    Feasible iff p1^2 <= p2 <= p1 within [0, 1]. The lower bound is
+    checked to a relative 1e-12, so it holds for small p1 as well, where
+    an absolute slack would admit any p2 and break the moments.
+    """
+    p1 = float(p1)
+    p2 = float(p2)
+    if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
+        raise ValueError("probabilities must lie in [0, 1]")
+    if p2 > p1 + 1e-15 or p1 * p1 > p2 * (1.0 + 1e-12) + 1e-300:
+        raise ValueError(f"moments (p1={p1}, p2={p2}) violate p1^2 <= p2 <= p1")
+    return p1, p2
+
+
 def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") -> QuantumChannel:
     """Correlated flips with prescribed one- and two-point hit probabilities.
 
@@ -235,14 +252,9 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     n = check_register_size(n)
     if n < 1:
         raise ValueError("register must be non-empty")
-    p1 = float(p1)
-    p2 = float(p2)
+    p1, p2 = check_burst_moments(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
-    if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    if p2 > p1 + 1e-15 or p1 * p1 > p2 + 1e-15:
-        raise ValueError(f"moments (p1={p1}, p2={p2}) violate p1^2 <= p2 <= p1")
     eye = np.eye(2**n, dtype=complex)
     if p1 == 0.0 or p2 == 0.0:
         return QuantumChannel((eye,))
@@ -258,10 +270,6 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
             op = np.kron(op, flip if bit else PAULI_I)
         weighted.append((w, op))
     return QuantumChannel(_filter_kraus(weighted))
-
-
-def fit_mixture_feasible(p1: float, p2: float) -> bool:
-    return 0.0 <= p2 <= p1 <= 1.0 and p1 * p1 <= p2 + 1e-15
 
 
 def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:

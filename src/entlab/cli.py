@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,6 +102,17 @@ def _amplitude(x) -> complex:
     return complex(float(x), 0.0)
 
 
+def _logical(amps, field: str) -> tuple[complex, complex]:
+    """Two logical amplitudes, scaled to unit norm."""
+    if not isinstance(amps, (list, tuple)) or len(amps) != 2:
+        raise ConfigError("logical amplitudes must be two numbers", field=field)
+    a, b = (_amplitude(x) for x in amps)
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if norm < 1e-12:
+        raise ConfigError("logical amplitudes are all zero", field=field)
+    return a / norm, b / norm
+
+
 def _spec_field(spec: dict, key: str, owner: str, cast=None):
     if key not in spec:
         raise ConfigError(f"{owner} needs '{key}'", field=f"{owner}.{key}")
@@ -143,14 +155,7 @@ def build_state(spec: dict, seeds: SeedStream, owner: str = "state"):
         seed = int(spec["seed"]) if "seed" in spec else seeds.derive(f"{owner}.random_circuit")
         return random_circuit_state(n, depth, seed)
     if family == "bitflip_code":
-        amps = spec.get("logical", [1.0, 0.0])
-        if not isinstance(amps, (list, tuple)) or len(amps) != 2:
-            raise ConfigError("'logical' must be two amplitudes", field=f"{owner}.logical")
-        a, b = (_amplitude(x) for x in amps)
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        if norm < 1e-12:
-            raise ConfigError("logical amplitudes are all zero", field=f"{owner}.logical")
-        return bitflip_code_encode(a / norm, b / norm)
+        return bitflip_code_encode(*_logical(spec.get("logical", [1.0, 0.0]), f"{owner}.logical"))
     raise ConfigError(f"unknown state family '{family}'", field=f"{owner}.family")
 
 
@@ -218,10 +223,9 @@ def build_channel(spec: dict, seeds: SeedStream, owner: str = "channel") -> Quan
 
 
 def load_spec(text, field: str):
-    """Parse inline JSON, or read a JSON file when given a path."""
-    if text is None:
-        return None
-    if isinstance(text, dict):
+    """Parse inline JSON, or read a JSON file when given a path; a value
+    that is not a string is already a spec and is returned as given."""
+    if not isinstance(text, str):
         return text
     s = text.strip()
     if s.startswith("{"):
@@ -261,13 +265,15 @@ def _measure_entry(name, value, qubits, diagnostics):
     }
 
 
+def _search_budget(params: dict) -> dict:
+    return {key: params[key] for key in ("restarts", "sweeps") if params[key] is not None}
+
+
 def measure_results(params: dict, seeds: SeedStream) -> list:
-    name = params.get("name")
-    state_spec = params.get("state")
-    channel_spec = params.get("channel")
-    state = build_state(state_spec, seeds) if state_spec else None
-    channel = build_channel(channel_spec, seeds) if channel_spec else None
-    qubits = _parse_qubits(params.get("qubits"))
+    name = params["name"]
+    state = build_state(params["state"], seeds) if params["state"] else None
+    channel = build_channel(params["channel"], seeds) if params["channel"] else None
+    qubits = _parse_qubits(params["qubits"])
 
     def need_channel():
         if channel is None:
@@ -289,11 +295,9 @@ def measure_results(params: dict, seeds: SeedStream) -> list:
             raise ConfigError(f"measure '{name}' needs a qubit set", field="qubits")
         return qubits
 
-    if name == "leak":
-        value = information_leak(need_channel(), need_set(), input_state=state)
-        return [_measure_entry(name, value, qubits, {})]
-    if name == "environment-info":
-        value = environment_information(need_channel(), need_set(), input_state=state)
+    if name in ("leak", "environment-info"):
+        measure = information_leak if name == "leak" else environment_information
+        value = measure(need_channel(), need_set(), input_state=state)
         return [_measure_entry(name, value, qubits, {})]
     if name == "mutual-information":
         a, b = need_pair()
@@ -304,38 +308,29 @@ def measure_results(params: dict, seeds: SeedStream) -> list:
         return [_measure_entry(name, value, qubits, {})]
     if name == "assisted":
         a, b = need_pair()
-        kwargs = {"seed": seeds.derive("measure.assisted")}
-        if params.get("restarts") is not None:
-            kwargs["restarts"] = int(params["restarts"])
-        if params.get("sweeps") is not None:
-            kwargs["sweeps"] = int(params["sweeps"])
-        res = assisted_mutual_information(need_state(), a, b, **kwargs)
+        res = assisted_mutual_information(
+            need_state(), a, b, seed=seeds.derive("measure.assisted"), **_search_budget(params)
+        )
         diag = dict(res.diagnostics)
         diag["search_value"] = res.search_value
         diag["floor"] = res.floor
         return [_measure_entry(name, res.value, qubits, diag)]
-    if name == "set-defect":
-        res = max_entropy_defect(need_state(), need_set())
-        diag = dict(res.diagnostics)
-        diag["constrained_entropy"] = res.constrained_entropy
-        diag["subset_entropy"] = res.subset_entropy
-        return [_measure_entry(name, res.value, qubits, diag)]
-    if name == "set-excess-leak":
-        res = excess_leak_set(need_channel(), need_set(), input_state=state)
+    if name in ("set-defect", "set-excess-leak"):
+        if name == "set-defect":
+            res = max_entropy_defect(need_state(), need_set())
+        else:
+            res = excess_leak_set(need_channel(), need_set(), input_state=state)
         diag = dict(res.diagnostics)
         diag["constrained_entropy"] = res.constrained_entropy
         diag["subset_entropy"] = res.subset_entropy
         return [_measure_entry(name, res.value, qubits, diag)]
     if name == "total-defect":
         kwargs = {}
-        if params.get("truncate") is not None:
-            kwargs["max_subset_size"] = int(params["truncate"])
-        mode = params.get("include_full", "auto")
-        if mode not in _INCLUDE_FULL:
-            raise ConfigError(
-                f"include_full must be one of {sorted(_INCLUDE_FULL)}", field="include_full"
-            )
-        res = total_defect(need_state(), include_full=_INCLUDE_FULL[mode], **kwargs)
+        if params["truncate"] is not None:
+            kwargs["max_subset_size"] = params["truncate"]
+        res = total_defect(
+            need_state(), include_full=_INCLUDE_FULL[params["include_full"]], **kwargs
+        )
         diag = dict(res.diagnostics)
         diag.update(
             {
@@ -350,50 +345,30 @@ def measure_results(params: dict, seeds: SeedStream) -> list:
 
 
 def relation_results(params: dict, seeds: SeedStream) -> list:
-    rid = int(params.get("id", 0))
-    state_spec = params.get("state")
-    channel_spec = params.get("channel")
-    if state_spec is None:
-        raise ConfigError("relation evaluation needs a state spec", field="state")
-    if channel_spec is None:
-        raise ConfigError("relation evaluation needs a channel spec", field="channel")
-    state = build_state(state_spec, seeds)
-    channel = build_channel(channel_spec, seeds)
-    qubits = _parse_qubits(params.get("qubits"))
-    level = float(params.get("level", 1.0))
-    budget = {}
-    if params.get("restarts") is not None:
-        budget["restarts"] = int(params["restarts"])
-    if params.get("sweeps") is not None:
-        budget["sweeps"] = int(params["sweeps"])
+    rid = params["id"]
+    state = build_state(params["state"], seeds)
+    channel = build_channel(params["channel"], seeds)
+    qubits = _parse_qubits(params["qubits"])
+    level = params["level"]
+    budget = _search_budget(params)
 
-    if rid in (1, 2):
-        if qubits is None or len(qubits) != 2:
-            raise ConfigError("relations 1 and 2 need exactly two qubits", field="qubits")
-        a, b = qubits
-        if rid == 1:
-            verdict = eval_relation1(state, channel, a, b, level)
-        else:
-            verdict = eval_relation2(
-                state, channel, a, b, level, seed=seeds.derive("relation.2"), **budget
-            )
-    elif rid in (3, 4):
-        if not qubits or len(qubits) < 2:
-            raise ConfigError("relations 3 and 4 need a qubit set", field="qubits")
-        if rid == 3:
-            verdict = eval_relation34(state, channel, qubits, level, mode="marginal")
-        else:
-            verdict = eval_relation34(
-                state,
-                channel,
-                qubits,
-                level,
-                mode="decomposed",
-                seed=seeds.derive("relation.4"),
-                **budget,
-            )
+    if rid in (1, 2) and len(qubits) != 2:
+        raise ConfigError("relations 1 and 2 need exactly two qubits", field="qubits")
+    if rid in (3, 4) and len(qubits) < 2:
+        raise ConfigError("relations 3 and 4 need a qubit set", field="qubits")
+    if rid == 1:
+        verdict = eval_relation1(state, channel, *qubits, level)
+    elif rid == 2:
+        verdict = eval_relation2(
+            state, channel, *qubits, level, seed=seeds.derive("relation.2"), **budget
+        )
+    elif rid == 3:
+        verdict = eval_relation34(state, channel, qubits, level, mode="marginal")
     else:
-        raise ConfigError(f"relation id must be 1..4, got {rid}", field="id")
+        seed = seeds.derive("relation.4")
+        verdict = eval_relation34(
+            state, channel, qubits, level, mode="decomposed", seed=seed, **budget
+        )
     return [verdict.to_dict()]
 
 
@@ -403,28 +378,23 @@ _FAMILY_BUILDERS = {
     "cluster-line": lambda n, params, seeds: cluster_state(n, line_edges(n)),
     "dicke-half": lambda n, params, seeds: dicke_state(n, n // 2),
     "random-circuit": lambda n, params, seeds: random_circuit_state(
-        n, int(params.get("depth", 2)), seeds.derive("censorship.family", n)
+        n, params["depth"], seeds.derive("censorship.family", n)
     ),
 }
 
 
 def censorship_results(params: dict, seeds: SeedStream) -> list:
-    family = params.get("family")
-    if family not in _FAMILY_BUILDERS:
-        raise ConfigError(
-            f"unknown family '{family}'; choose from {sorted(_FAMILY_BUILDERS)}",
-            field="family",
-        )
-    n_min = int(params.get("n_min", 2))
-    n_max = int(params.get("n_max", 6))
+    family = params["family"]
+    n_min = params["n_min"]
+    n_max = params["n_max"]
     if n_min < 2 or n_max < n_min:
         raise ConfigError(f"bad size range [{n_min}, {n_max}]", field="n_min")
     builder = _FAMILY_BUILDERS[family]
     report = censorship_scan(
         lambda n: builder(n, params, seeds),
         range(n_min, n_max + 1),
-        truncation=int(params.get("truncate", 3)),
-        include_full=str(params.get("include_full", "never")),
+        truncation=params["truncate"],
+        include_full=params["include_full"],
     )
     results = [
         _measure_entry("family-total-defect", value, None, {"n": n, "family": family})
@@ -448,39 +418,33 @@ def censorship_results(params: dict, seeds: SeedStream) -> list:
 
 def sync_results(params: dict, seeds: SeedStream) -> list:
     results = []
-    p1 = params.get("p1")
-    p2 = params.get("p2")
+    p1 = params["p1"]
+    p2 = params["p2"]
     if (p1 is None) != (p2 is None):
         raise ConfigError("p1 and p2 must be given together", field="p1")
     if p1 is not None:
-        model = fit_mixture(float(p1), float(p2))
-        base_diag = {"p1": float(p1), "p2": float(p2), "in_burst_rate": model.h}
+        model = fit_mixture(p1, p2)
+        base_diag = {"p1": p1, "p2": p2, "in_burst_rate": model.h}
         results.append(
             _measure_entry("mixture-burst-probability", model.pi, None, dict(base_diag))
         )
-        n = params.get("n")
-        threshold = params.get("threshold")
+        n = params["n"]
+        threshold = params["threshold"]
         if (n is None) != (threshold is None):
             raise ConfigError("n and threshold must be given together", field="n")
         if n is not None:
-            diag = dict(base_diag, n=int(n), threshold=int(threshold))
+            diag = dict(base_diag, n=n, threshold=threshold)
             results.append(
                 _measure_entry(
-                    "correlated-tail",
-                    tail_probability(model, int(n), int(threshold)),
-                    None,
-                    diag,
+                    "correlated-tail", tail_probability(model, n, threshold), None, diag
                 )
             )
             results.append(
                 _measure_entry(
-                    "independent-tail",
-                    binomial_tail(int(n), int(threshold), float(p1)),
-                    None,
-                    dict(diag),
+                    "independent-tail", binomial_tail(n, threshold, p1), None, dict(diag)
                 )
             )
-        tm = triple_moment(model, params.get("p3"))
+        tm = triple_moment(model, params["p3"])
         results.append(
             _measure_entry(
                 "triple-moment-ratio",
@@ -494,9 +458,8 @@ def sync_results(params: dict, seeds: SeedStream) -> list:
                 },
             )
         )
-    channel_spec = params.get("channel")
-    if channel_spec is not None:
-        dist = weight_distribution(build_channel(channel_spec, seeds))
+    if params["channel"] is not None:
+        dist = weight_distribution(build_channel(params["channel"], seeds))
         results.append(
             _measure_entry(
                 "mean-error-weight",
@@ -513,32 +476,21 @@ def sync_results(params: dict, seeds: SeedStream) -> list:
     return results
 
 
+_NAMED_LOGICAL = {
+    "zero": [1.0, 0.0],
+    "one": [0.0, 1.0],
+    "plus": [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
+}
+
+
 def qec_results(params: dict, seeds: SeedStream) -> list:
-    eps = params.get("epsilon")
-    if eps is None:
-        raise ConfigError("qec demo needs --epsilon", field="epsilon")
-    logical = params.get("logical", [1.0, 0.0])
-    named = {
-        "zero": [1.0, 0.0],
-        "one": [0.0, 1.0],
-        "plus": [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-    }
+    logical = params["logical"]
     if isinstance(logical, str):
-        if logical in named:
-            logical = named[logical]
-        else:
-            logical = [part for part in logical.split(",") if part.strip() != ""]
-    if len(logical) != 2:
-        raise ConfigError("logical amplitudes must be two numbers", field="logical")
-    a, b = (_amplitude(x) for x in logical)
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if norm < 1e-12:
-        raise ConfigError("logical amplitudes are all zero", field="logical")
-    demo = quantum_randomization_demo(float(eps), (a / norm, b / norm))
-    diag = {
-        "epsilon": demo.epsilon,
-        "logical": [[(a / norm).real, (a / norm).imag], [(b / norm).real, (b / norm).imag]],
-    }
+        named = _NAMED_LOGICAL.get(logical)
+        logical = named or [part for part in logical.split(",") if part.strip() != ""]
+    a, b = _logical(logical, "logical")
+    demo = quantum_randomization_demo(params["epsilon"], (a, b))
+    diag = {"epsilon": demo.epsilon, "logical": [[a.real, a.imag], [b.real, b.imag]]}
     return [
         _measure_entry("decoded-fidelity", demo.fidelity_after_decode, None, dict(diag)),
         _measure_entry(
@@ -547,35 +499,121 @@ def qec_results(params: dict, seeds: SeedStream) -> list:
     ]
 
 
-_KINDS = {
-    "measure": measure_results,
-    "relation": relation_results,
-    "censorship": censorship_results,
-    "sync": sync_results,
-    "qec_demo": qec_results,
+class Param(NamedTuple):
+    """One subcommand parameter: flag ``--name`` (underscores spelled as
+    dashes) on the command line, key ``name`` in a ``run`` evaluation.
+
+    ``type`` casts a given value; None keeps it as given and ``load_spec``
+    reads a JSON spec. A missing or null value takes ``default``.
+    """
+
+    name: str
+    type: Callable | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+
+
+class Subcommand(NamedTuple):
+    reader: Callable[[dict, SeedStream], list]
+    help: str
+    params: tuple
+
+
+# the one declaration of every subcommand parameter; a run evaluation's
+# kind is the subcommand name with "-" spelled "_"
+SUBCOMMANDS = {
+    "measure": Subcommand(measure_results, "evaluate one measure", (
+        Param("name", required=True, help="which measure to evaluate"),
+        Param("state", load_spec, help="state spec (inline JSON or a path)"),
+        Param("channel", load_spec, help="channel spec (inline JSON or a path)"),
+        Param("qubits", help="comma-separated register positions"),
+        Param("truncate", int, help="subset-size cap for total-defect"),
+        Param("include_full", default="auto", choices=tuple(_INCLUDE_FULL)),
+        Param("restarts", int, help="search restarts for assisted"),
+        Param("sweeps", int, help="search sweeps for assisted"),
+    )),
+    "relation": Subcommand(relation_results, "check one relation at a level", (
+        Param("id", int, required=True, choices=(1, 2, 3, 4)),
+        Param("level", float, default=1.0),
+        Param("state", load_spec, required=True, help="state spec (inline JSON or a path)"),
+        Param("channel", load_spec, required=True, help="channel spec (inline JSON or a path)"),
+        Param("qubits", required=True, help="comma-separated register positions"),
+        Param("restarts", int, help="search restarts for relations 2 and 4"),
+        Param("sweeps", int, help="search sweeps for relations 2 and 4"),
+    )),
+    "censorship": Subcommand(censorship_results, "total-defect growth over a family", (
+        Param("family", required=True, choices=tuple(sorted(_FAMILY_BUILDERS))),
+        Param("n_min", int, default=2),
+        Param("n_max", int, default=6),
+        Param("truncate", int, default=3),
+        Param("include_full", default="never", choices=tuple(_INCLUDE_FULL)),
+        Param("depth", int, default=2, help="depth for random-circuit"),
+    )),
+    "sync": Subcommand(sync_results, "classical tails and error-weight statistics", (
+        Param("p1", float, help="single-bit hit probability"),
+        Param("p2", float, help="pair hit probability"),
+        Param("n", int, help="number of bits for the tail"),
+        Param("threshold", int, help="tail cut: P(hits > threshold)"),
+        Param("p3", float, help="optional observed triple moment"),
+        Param("channel", load_spec, help="channel spec for the weight distribution"),
+    )),
+    "qec-demo": Subcommand(qec_results, "repetition code under randomizing noise", (
+        Param("epsilon", float, required=True, help="survival probability"),
+        Param("logical", default="1,0", help="a,b amplitudes or zero/one/plus"),
+    )),
 }
+
+
+def _resolve(param: Param, value, field: str):
+    """``value`` with the default filled in, cast and checked; a missing
+    required or a bad value raises ConfigError."""
+    if value is None:
+        if param.required:
+            raise ConfigError(f"'{param.name}' is required", field=field)
+        value = param.default
+    elif param.type is load_spec:
+        value = load_spec(value, field)
+    elif param.type is not None:
+        try:
+            value = param.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value {value!r} for '{param.name}': {exc}", field=field)
+    if param.choices is not None and value not in param.choices:
+        raise ConfigError(f"'{param.name}' must be one of {list(param.choices)}", field=field)
+    return value
+
+
+def resolve_params(command: str, values: dict, owner: str = "") -> dict:
+    """The table's parameters of ``command`` taken from ``values``, in
+    table order; other keys of ``values`` are ignored."""
+    return {
+        param.name: _resolve(param, values.get(param.name), owner + param.name)
+        for param in SUBCOMMANDS[command].params
+    }
 
 
 def run_experiment(config: dict, seeds: SeedStream) -> list:
     evaluations = config.get("evaluations")
     if not isinstance(evaluations, list) or not evaluations:
         raise ConfigError("config needs a non-empty 'evaluations' list", field="evaluations")
+    commands = {command.replace("-", "_"): command for command in SUBCOMMANDS}
+    # top-level specs are defaults; an evaluation may override them
+    shared = {key: config[key] for key in ("state", "channel") if key in config}
     results = []
     for i, entry in enumerate(evaluations):
         if not isinstance(entry, dict):
             raise ConfigError(f"evaluation {i} is not an object", field=f"evaluations[{i}]")
         kind = entry.get("kind")
-        if kind not in _KINDS:
+        if kind not in commands:
             raise ConfigError(
-                f"evaluation {i} has unknown kind {kind!r}; choose from {sorted(_KINDS)}",
+                f"evaluation {i} has unknown kind {kind!r}; choose from {sorted(commands)}",
                 field=f"evaluations[{i}].kind",
             )
-        params = dict(entry)
-        # top-level specs are defaults; an evaluation may override them
-        for key in ("state", "channel"):
-            if key not in params and key in config:
-                params[key] = config[key]
-        results.extend(_KINDS[kind](params, seeds))
+        command = commands[kind]
+        params = resolve_params(command, {**shared, **entry}, f"evaluations[{i}].")
+        results.extend(SUBCOMMANDS[command].reader(params, seeds))
     return results
 
 
@@ -642,11 +680,11 @@ def assemble_report(config: dict, results: list, seeds: SeedStream) -> dict:
     }
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+def _u64(value) -> int:
+    # bools and floats would pass int() and derive seeds from another value
+    if isinstance(value, (bool, float)) or not 0 <= int(value) < 2**64:
+        raise argparse.ArgumentTypeError("seed must be an integer that fits in 64 unsigned bits")
+    return int(value)
 
 
 def _add_common(parser):
@@ -665,56 +703,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entlab",
         description="Noise correlation measures, relation checks, and scans.",
     )
-    parser.add_argument("--seed", type=_u64, default=None, help="root seed (u64)")
-    parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    _add_common(parser)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("measure", help="evaluate one measure")
-    _add_common(p)
-    p.add_argument("--name", required=True, help="which measure to evaluate")
-    p.add_argument("--state", help="state spec (inline JSON or a file path)")
-    p.add_argument("--channel", help="channel spec (inline JSON or a file path)")
-    p.add_argument("--qubits", help="comma-separated register positions")
-    p.add_argument("--truncate", type=int, help="subset-size cap for total-defect")
-    p.add_argument("--include-full", dest="include_full", default="auto",
-                   choices=("never", "auto", "always"))
-    p.add_argument("--restarts", type=int, help="search restarts for assisted")
-    p.add_argument("--sweeps", type=int, help="search sweeps for assisted")
-
-    p = sub.add_parser("relation", help="check one relation at a level")
-    _add_common(p)
-    p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--level", type=float, default=1.0)
-    p.add_argument("--state", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--qubits", required=True)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--sweeps", type=int)
-
-    p = sub.add_parser("censorship", help="total-defect growth over a family")
-    _add_common(p)
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
-    p.add_argument("--n-min", dest="n_min", type=int, default=2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--truncate", type=int, default=3)
-    p.add_argument("--include-full", dest="include_full", default="never",
-                   choices=("never", "auto", "always"))
-    p.add_argument("--depth", type=int, default=2, help="depth for random-circuit")
-
-    p = sub.add_parser("sync", help="classical tails and error-weight statistics")
-    _add_common(p)
-    p.add_argument("--p1", type=float, help="single-bit hit probability")
-    p.add_argument("--p2", type=float, help="pair hit probability")
-    p.add_argument("--n", type=int, help="number of bits for the tail")
-    p.add_argument("--threshold", type=int, help="tail cut: P(hits > threshold)")
-    p.add_argument("--p3", type=float, help="optional observed triple moment")
-    p.add_argument("--channel", help="channel spec for the weight distribution")
-
-    p = sub.add_parser("qec-demo", help="repetition code under randomizing noise")
-    _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True, help="survival probability")
-    p.add_argument("--logical", default="1,0", help="a,b amplitudes or zero/one/plus")
+    for command, spec in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        _add_common(p)
+        for param in spec.params:
+            # specs are read after parsing, so their errors name the field
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                dest=param.name,
+                type=None if param.type is load_spec else param.type,
+                required=param.required,
+                choices=param.choices,
+                help=param.help,
+            )
 
     p = sub.add_parser("run", help="run an experiment config file")
     _add_common(p)
@@ -724,72 +727,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, seeds: SeedStream):
     command = args.command
-    if command == "measure":
-        params = {
-            "name": args.name,
-            "state": load_spec(args.state, "state"),
-            "channel": load_spec(args.channel, "channel"),
-            "qubits": args.qubits,
-            "truncate": args.truncate,
-            "include_full": args.include_full,
-            "restarts": args.restarts,
-            "sweeps": args.sweeps,
-        }
+    if command != "run":
+        params = resolve_params(command, vars(args))
         config = {"command": command, "seed": seeds.root, **params}
-        return config, measure_results(params, seeds)
-    if command == "relation":
-        params = {
-            "id": args.id,
-            "level": args.level,
-            "state": load_spec(args.state, "state"),
-            "channel": load_spec(args.channel, "channel"),
-            "qubits": args.qubits,
-            "restarts": args.restarts,
-            "sweeps": args.sweeps,
-        }
-        config = {"command": command, "seed": seeds.root, **params}
-        return config, relation_results(params, seeds)
-    if command == "censorship":
-        params = {
-            "family": args.family,
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "truncate": args.truncate,
-            "include_full": args.include_full,
-            "depth": args.depth,
-        }
-        config = {"command": command, "seed": seeds.root, **params}
-        return config, censorship_results(params, seeds)
-    if command == "sync":
-        params = {
-            "p1": args.p1,
-            "p2": args.p2,
-            "n": args.n,
-            "threshold": args.threshold,
-            "p3": args.p3,
-            "channel": load_spec(args.channel, "channel"),
-        }
-        config = {"command": command, "seed": seeds.root, **params}
-        return config, sync_results(params, seeds)
-    if command == "qec-demo":
-        params = {"epsilon": args.epsilon, "logical": args.logical}
-        config = {"command": command, "seed": seeds.root, **params}
-        return config, qec_results(params, seeds)
-    if command == "run":
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config_body = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}", field="config")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}", field="config")
-        if not isinstance(config_body, dict):
-            raise ConfigError("config must be a JSON object", field="config")
-        if seeds.root is None and "seed" in config_body:
-            seeds.root = int(config_body["seed"])
-        config = {"command": command, "seed": seeds.root, **config_body}
-        return config, run_experiment(config_body, seeds)
-    raise ConfigError(f"unknown command {command!r}", field="command")
+        return config, SUBCOMMANDS[command].reader(params, seeds)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config_body = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}", field="config")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}", field="config")
+    if not isinstance(config_body, dict):
+        raise ConfigError("config must be a JSON object", field="config")
+    seed = _resolve(Param("seed", _u64), config_body.get("seed"), "seed")
+    if seeds.root is None:
+        seeds.root = seed
+    config = {"command": command, "seed": seeds.root, **config_body}
+    return config, run_experiment(config_body, seeds)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, combine, pauli_expansion, pauli_weight_table
+from .channels import (
+    QuantumChannel,
+    apply,
+    check_burst_moments,
+    combine,
+    pauli_expansion,
+    pauli_weight_table,
+)
 from .states import DensityMatrix, _hermitize
 from .zoo import bitflip_code_encode
 
@@ -46,12 +53,7 @@ def fit_mixture(p1: float, p2: float) -> ClassicalMixtureModel:
     Feasible iff p1^2 <= p2 <= p1; equality p2 = p1^2 is the independent
     case, p2 = p1 the fully synchronized one.
     """
-    p1 = float(p1)
-    p2 = float(p2)
-    if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    if p2 > p1 + 1e-15 or p1 * p1 > p2 * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"moments (p1={p1}, p2={p2}) violate p1^2 <= p2 <= p1")
+    p1, p2 = check_burst_moments(p1, p2)
     if p1 == 0.0:
         return ClassicalMixtureModel(0.0, 0.0)
     h = min(p2 / p1, 1.0)
@@ -242,24 +244,11 @@ def quantum_randomization_demo(eps: float, logical: tuple[complex, complex]) -> 
     fidelity = float(np.real(ideal.conj() @ logical_block @ ideal))
 
     # classical comparison: treat the logical Z distribution as a bit source
-    # and score majority readout of each encoded basis bit
-    success_zero = _majority_success_for_bit(eps, bit=0)
-    success_one = _majority_success_for_bit(eps, bit=1)
-    success = abs(a) ** 2 * success_zero + abs(b) ** 2 * success_one
+    # and score majority readout of each encoded basis bit; the noise flips
+    # each copy with probability (1 - eps)/2 for either bit
+    success = (abs(a) ** 2 + abs(b) ** 2) * (1.0 - repetition_majority_error(eps, 3))
     return RandomizationDemoResult(
         fidelity_after_decode=min(max(fidelity, 0.0), 1.0),
         classical_majority_success=float(success),
         epsilon=eps,
     )
-
-
-def _majority_success_for_bit(eps: float, bit: int) -> float:
-    amps = (1.0, 0.0) if bit == 0 else (0.0, 1.0)
-    encoded = bitflip_code_encode(*amps)
-    noise = combine([(_replacement_channel(eps, q), (q,)) for q in range(3)], n=3)
-    noisy = apply(noise, encoded.density_matrix())
-    diag = np.real(np.diag(noisy.matrix))
-    weights = np.array([bin(i).count("1") for i in range(8)])
-    if bit == 0:
-        return float(diag[weights <= 1].sum())
-    return float(diag[weights >= 2].sum())

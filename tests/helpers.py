@@ -6,10 +6,20 @@ the library paths they check.
 """
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.special import xlogy
 
+import entlab
+
 LOG2 = np.log(2.0)
+
+# environment for a CLI child process: it imports the same entlab as the
+# test process, installed or from the checkout's src/
+_PATH = [str(Path(entlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, _PATH)))
 
 
 def haar(rng: np.random.Generator, dim: int) -> np.ndarray:

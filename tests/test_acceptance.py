@@ -40,7 +40,7 @@ from entlab.sync import (
     weight_distribution,
 )
 from entlab.zoo import all_subsets, bell, cluster_state, dicke_state, ghz, line_edges, plus_all
-from helpers import entropy_oracle, h2, haar, random_density
+from helpers import CLI_ENV, entropy_oracle, h2, haar, random_density
 
 
 def report(num, label, ok, detail=""):
@@ -359,6 +359,7 @@ def test_11_run_determinism(tmp_path):
             [sys.executable, "-m", "entlab.cli", "run", "--config", str(config), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         bodies.append(out.read_bytes())

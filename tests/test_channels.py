@@ -11,15 +11,16 @@ from entlab.channels import (
     build_dephasing,
     build_pairwise_correlated,
     build_random_unitary_noise,
+    check_burst_moments,
     combine,
     compose,
     embed,
-    fit_mixture_feasible,
     identity_channel,
     pauli_expansion,
     pauli_string_matrix,
     pauli_weight_table,
 )
+from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
 from helpers import random_density
 
@@ -125,27 +126,50 @@ def test_compose_order():
     assert abs(got[0, 1].real - 0.5 * (1 - e1) * (1 - e2)) < 1e-12
 
 
+FEASIBLE_MOMENTS = [
+    (1e-3, 2e-5),
+    (0.1, 0.01),  # p2 = p1^2, independent flips
+    (0.1, 0.1),  # p2 = p1, fully synchronized
+    (1e-8, 1e-16),  # independent boundary at small p
+    (0.0, 0.0),
+]
+
+
 def test_pairwise_correlated_moments():
     """Single and pair flip probabilities must reproduce the inputs."""
-    n, p1, p2 = 3, 1e-3, 2e-5
-    dist = pauli_expansion(build_pairwise_correlated(n, p1, p2))
+    n = 3
     letters = ["I", "X"]
-    probs = {}
-    for i in range(2**n):
-        s = "".join(letters[(i >> (n - 1 - q)) & 1] for q in range(n))
-        probs[s] = dist.probability(s)
-    assert abs(sum(probs.values()) - 1.0) < 1e-9
-    single = sum(v for s, v in probs.items() if s[0] == "X")
-    pair = sum(v for s, v in probs.items() if s[0] == "X" and s[1] == "X")
-    assert abs(single - p1) < 1e-12
-    assert abs(pair - p2) < 1e-12
+    for p1, p2 in FEASIBLE_MOMENTS:
+        dist = pauli_expansion(build_pairwise_correlated(n, p1, p2))
+        probs = {}
+        for i in range(2**n):
+            s = "".join(letters[(i >> (n - 1 - q)) & 1] for q in range(n))
+            probs[s] = dist.probability(s)
+        assert abs(sum(probs.values()) - 1.0) < 1e-9
+        single = sum(v for s, v in probs.items() if s[0] == "X")
+        pair = sum(v for s, v in probs.items() if s[0] == "X" and s[1] == "X")
+        assert abs(single - p1) < 1e-12
+        assert abs(pair - p2) < 1e-12
 
 
 def test_fit_mixture_feasible():
-    assert fit_mixture_feasible(1e-3, 2e-5)
-    assert fit_mixture_feasible(0.1, 0.01)  # independent boundary
-    assert not fit_mixture_feasible(1e-3, 2e-3)  # p2 > p1
-    assert not fit_mixture_feasible(0.1, 0.001)  # p2 < p1^2
+    """One check of p1^2 <= p2 <= p1 serves the channel builder and fit_mixture."""
+    for p1, p2 in FEASIBLE_MOMENTS:
+        assert check_burst_moments(p1, p2) == (p1, p2)
+        fit_mixture(p1, p2)
+    infeasible = [
+        (1e-3, 2e-3),  # p2 > p1
+        (0.1, 0.001),  # p2 < p1^2
+        (1e-8, 1e-17),  # p2 < p1^2 by less than an absolute 1e-15
+        (1.5, 0.1),
+    ]
+    for p1, p2 in infeasible:
+        with pytest.raises(ValueError, match="p1|probabilities"):
+            check_burst_moments(p1, p2)
+        with pytest.raises(ValueError, match="p1|probabilities"):
+            fit_mixture(p1, p2)
+        with pytest.raises(ValueError, match="p1|probabilities"):
+            build_pairwise_correlated(2, p1, p2)
 
 
 def test_random_unitary_noise_seeded():

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import entlab
+from entlab import cli
+from helpers import CLI_ENV
 
 
 def run_cli(*args, expect=0):
@@ -14,6 +16,7 @@ def run_cli(*args, expect=0):
         [sys.executable, "-m", "entlab.cli", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
@@ -227,3 +230,37 @@ def test_run_without_seed_fails_on_stochastic_parts(tmp_path):
     config.write_text(json.dumps(body))
     proc = run_cli("run", "--config", str(config), expect=2)
     assert "seed" in proc.stderr.lower()
+
+
+def run_config(tmp_path, capsys, body):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    code = cli.main(["run", "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("seed", [-5, 7.9, 2**64, True, "abc"])
+def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
+    body = {"seed": seed, "evaluations": [{"kind": "qec_demo", "epsilon": 0.5}]}
+    code, err = run_config(tmp_path, capsys, body)
+    assert code == 2
+    assert "[seed]" in err
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({"kind": "censorship", "family": "ghz", "n_min": "x"}, "n_min"),
+        ({"kind": "censorship", "family": "ghz", "include_full": "sometimes"}, "include_full"),
+        ({"kind": "sync", "p1": [0.1], "p2": 0.01}, "p1"),
+        ({"kind": "qec_demo", "epsilon": {"value": 0.5}}, "epsilon"),
+        ({"kind": "measure", "name": "assisted", "restarts": "two"}, "restarts"),
+    ],
+)
+def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
+    body = {"evaluations": [{"kind": "qec_demo", "epsilon": 1}, entry]}
+    code, err = run_config(tmp_path, capsys, body)
+    assert code == 2
+    assert f"[evaluations[1].{field}]" in err

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import binom
 
 from entlab.channels import (
+    apply,
     build_correlated_flip,
     build_depolarizing,
     build_pairwise_correlated,
@@ -18,6 +19,7 @@ from entlab.sync import (
     triple_moment,
     weight_distribution,
 )
+from entlab.zoo import bitflip_code_encode
 
 
 def test_fit_mixture_exact_values():
@@ -136,6 +138,22 @@ def test_randomization_demo_extremes():
     assert abs(clean.classical_majority_success - 1.0) < 1e-12
     with pytest.raises(ValueError):
         quantum_randomization_demo(1.5, (1.0, 0.0))
+
+
+def test_randomization_demo_majority_matches_channel():
+    """The closed-form majority readout agrees with the noise channel applied
+    to each encoded basis bit (replacement by I/2 with probability 1 - eps is
+    depolarizing with p = 3(1 - eps)/4)."""
+    for eps in np.linspace(0.0, 1.0, 11):
+        parts = [(build_depolarizing(0.75 * (1.0 - eps), q), (q,)) for q in range(3)]
+        noise = combine(parts, n=3)
+        ones = np.array([bin(i).count("1") for i in range(8)])
+        for bit, amps in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+            noisy = apply(noise, bitflip_code_encode(*amps).density_matrix())
+            diag = np.real(np.diag(noisy.matrix))
+            want = diag[ones <= 1].sum() if bit == 0 else diag[ones >= 2].sum()
+            got = quantum_randomization_demo(eps, amps).classical_majority_success
+            assert abs(got - want) < 1e-12
 
 
 def test_randomization_demo_phase_sensitivity():
