@@ -113,8 +113,7 @@ def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     pos = ch.positions()
     if ch.n != rho.n or pos != tuple(range(rho.n)):
         ch = embed(channel, rho.n)
-    stack = np.stack(ch.kraus)
-    out = np.einsum("kij,jl,kml->im", stack, rho.matrix, stack.conj())
+    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
     return DensityMatrix(rho.n, _hermitize(out))
 
 

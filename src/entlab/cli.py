@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -606,7 +607,7 @@ def run_experiment(config: dict, seeds: SeedStream) -> list:
         if not isinstance(entry, dict):
             raise ConfigError(f"evaluation {i} is not an object", field=f"evaluations[{i}]")
         kind = entry.get("kind")
-        if kind not in commands:
+        if not isinstance(kind, str) or kind not in commands:
             raise ConfigError(
                 f"evaluation {i} has unknown kind {kind!r}; choose from {sorted(commands)}",
                 field=f"evaluations[{i}].kind",
@@ -725,6 +726,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# keys of a run config that set defaults for the flags of the same name
+_RUN_KEYS = (
+    Param("seed", _u64),
+    Param("format", default="json", choices=("json", "csv")),
+    Param("out", os.fspath),
+)
+
+
 def _dispatch(args, seeds: SeedStream):
     command = args.command
     if command != "run":
@@ -740,10 +749,12 @@ def _dispatch(args, seeds: SeedStream):
         raise ConfigError(f"config is not valid JSON: {exc}", field="config")
     if not isinstance(config_body, dict):
         raise ConfigError("config must be a JSON object", field="config")
-    seed = _resolve(Param("seed", _u64), config_body.get("seed"), "seed")
-    if seeds.root is None:
-        seeds.root = seed
-    config = {"command": command, "seed": seeds.root, **config_body}
+    for param in _RUN_KEYS:
+        value = _resolve(param, config_body.get(param.name), param.name)
+        if getattr(args, param.name, None) is None:
+            setattr(args, param.name, value)
+    seeds.root = args.seed
+    config = {"command": command, **config_body, "seed": seeds.root}
     return config, run_experiment(config_body, seeds)
 
 
@@ -758,8 +769,6 @@ def main(argv=None) -> int:
         config, results = _dispatch(args, seeds)
         report = assemble_report(config, results, seeds)
         fmt = getattr(args, "format", None)
-        if args.command == "run" and fmt is None:
-            fmt = config.get("format")
         text = render_csv(report) if fmt == "csv" else render_json(report)
     except ConfigError as exc:
         field = f" [{exc.field}]" if exc.field else ""
@@ -769,8 +778,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = getattr(args, "out", None)
-    if args.command == "run" and out is None:
-        out = config.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

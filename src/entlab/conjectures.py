@@ -23,16 +23,15 @@ from .channels import QuantumChannel
 from .errors import SizeLimitError
 from .measures import (
     MAX_SET_SIZE,
+    _noisy_output,
     assisted_mutual_information,
-    excess_leak,
-    excess_leak_set,
-    information_leak,
     max_entropy_defect,
     mutual_information,
     total_defect,
 )
 from .optim import max_avg_pure_decomposition
-from .states import DensityMatrix, PureState, as_density_matrix, partial_trace, validate_subset
+from .states import DensityMatrix, PureState, as_density_matrix, entropy_of_subset
+from .states import partial_trace, validate_subset
 
 VACUOUS_ATOL = 1e-9
 # per-term totals inherit the defect optimizer's accuracy, not machine epsilon
@@ -126,6 +125,12 @@ def _build_verdict(
     )
 
 
+def _noisy_leaks(channel: QuantumChannel, qubits: tuple) -> tuple[DensityMatrix, dict]:
+    """The channel's output on |+>^n and the one-qubit leaks of ``qubits`` read from it."""
+    out = _noisy_output(channel, None)
+    return out, {q: entropy_of_subset(out, (q,)) for q in qubits}
+
+
 def eval_relation1(
     state: PureState | DensityMatrix,
     channel: QuantumChannel,
@@ -136,9 +141,9 @@ def eval_relation1(
     """Pair relation with the plain mutual information on the right."""
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    leaks = {q: information_leak(channel, (q,)) for q in pair}
+    out, leaks = _noisy_leaks(channel, pair)
     mean_leak = float(np.mean(list(leaks.values())))
-    excess = excess_leak(channel, *pair)
+    excess = mutual_information(out, *pair)
     term = mutual_information(rho, *pair)
     return _build_verdict(
         1, pair, level, excess, term, "mutual_information", leaks, mean_leak, False
@@ -162,9 +167,9 @@ def eval_relation2(
     """
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    leaks = {q: information_leak(channel, (q,)) for q in pair}
+    out, leaks = _noisy_leaks(channel, pair)
     mean_leak = float(np.mean(list(leaks.values())))
-    excess = excess_leak(channel, *pair)
+    excess = mutual_information(out, *pair)
     assisted = assisted_mutual_information(
         rho, *pair, restarts=restarts, sweeps=sweeps, seed=seed
     )
@@ -237,9 +242,9 @@ def eval_relation34(
         raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
     if mode not in ("marginal", "decomposed"):
         raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
-    leaks = {q: information_leak(channel, (q,)) for q in keep}
+    out, leaks = _noisy_leaks(channel, keep)
     min_leak = float(min(leaks.values()))
-    excess_result = excess_leak_set(channel, keep)
+    excess_result = max_entropy_defect(out, keep)
     diagnostics = {"excess": excess_result.diagnostics}
     if mode == "marginal":
         relation = 3

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, embed
+from .channels import QuantumChannel, apply
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -52,17 +52,13 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def _resolve_register(channel: QuantumChannel, input_state: PureState | None) -> int:
-    if input_state is not None:
-        return input_state.n
-    pos = channel.positions()
-    return max(channel.n, pos[-1] + 1 if pos else channel.n)
-
-
 def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> DensityMatrix:
-    n = _resolve_register(channel, input_state)
-    psi = input_state if input_state is not None else plus_all(n)
-    return apply(embed(channel, n), psi.density_matrix())
+    """The channel applied to ``input_state``, by default |+>^n on the
+    smallest register that holds the channel."""
+    if input_state is None:
+        pos = channel.positions()
+        input_state = plus_all(max(channel.n, pos[-1] + 1 if pos else channel.n))
+    return apply(channel, input_state.density_matrix())
 
 
 def information_leak(
@@ -73,9 +69,7 @@ def information_leak(
     The input is |+>^n unless ``input_state`` overrides it; sub-register
     channels are padded with identity before application.
     """
-    out = _noisy_output(channel, input_state)
-    keep = validate_subset(subset, out.n)
-    return von_neumann_entropy(partial_trace(out, keep))
+    return entropy_of_subset(_noisy_output(channel, input_state), subset)
 
 
 def environment_information(
@@ -112,14 +106,7 @@ def excess_leak(
     channel: QuantumChannel, a: int, b: int, input_state: PureState | None = None
 ) -> float:
     """L(a) + L(b) - L({a,b}): the correlated part of two leaks."""
-    out = _noisy_output(channel, input_state)
-    pair = validate_subset((a, b), out.n)
-    if len(pair) != 2:
-        raise ValueError("qubits a and b must differ")
-    s_a = von_neumann_entropy(partial_trace(out, (pair[0],)))
-    s_b = von_neumann_entropy(partial_trace(out, (pair[1],)))
-    s_ab = von_neumann_entropy(partial_trace(out, pair))
-    return s_a + s_b - s_ab
+    return mutual_information(_noisy_output(channel, input_state), a, b)
 
 
 @dataclass

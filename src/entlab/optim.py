@@ -348,16 +348,15 @@ def max_avg_pure_decomposition(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
-    cap: int | None = None,
 ) -> DecompositionResult:
     """Best found weighted-average objective over pure decompositions of rho.
 
     ``objective`` maps a normalized member vector to a scalar; None selects
     the built-in two-qubit objective (twice the first-qubit marginal
-    entropy), which is evaluated in batch. The ensemble cardinality is
-    capped at ``cap`` (default twice the rank). The running best value is
-    monotone over sweeps and restarts; the final decomposition must
-    reconstruct rho to 1e-8 or a RuntimeError is raised.
+    entropy), which is evaluated in batch. The ensemble has twice as many
+    members as rho has rank. The running best value is monotone over
+    sweeps and restarts; the final decomposition must reconstruct rho to
+    1e-8 or a RuntimeError is raised.
     """
     d = rho.dim
     if objective is None and d != 4:
@@ -369,8 +368,7 @@ def max_avg_pure_decomposition(
     rank = int(lam.size)
     if rank == 0:
         raise ValueError("input state has no support")
-    t = 2 * rank if cap is None else int(cap)
-    t = max(t, rank)
+    t = 2 * rank
     ensemble = vecs * np.sqrt(lam)  # (d, rank) columns
 
     values_fn = _pair_member_values if objective is None else _generic_member_values(objective)

@@ -13,8 +13,26 @@ import numpy as np
 from scipy.special import xlogy
 
 import entlab
+from entlab.channels import (
+    build_cluster_noise,
+    build_correlated_flip,
+    build_depolarizing,
+    build_dephasing,
+    build_pairwise_correlated,
+    build_random_unitary_noise,
+)
 
 LOG2 = np.log(2.0)
+
+# one channel from each builder, on one to four qubits
+BUILT_CHANNELS = [
+    build_depolarizing(0.3),
+    build_dephasing(0.4),
+    build_correlated_flip(0.2, "ZZ"),
+    build_pairwise_correlated(3, 1e-3, 2e-5),
+    build_random_unitary_noise(3, 0.7, seed=5),
+    build_cluster_noise(4, [(0, 1), (1, 2), (2, 3)], 0.3, seed=9),
+]
 
 # environment for a CLI child process: it imports the same entlab as the
 # test process, installed or from the checkout's src/

@@ -22,7 +22,7 @@ from entlab.channels import (
 )
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
-from helpers import random_density
+from helpers import BUILT_CHANNELS, random_density
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,20 +34,27 @@ def kraus_sum(channel):
     return sum(k.conj().T @ k for k in channel.kraus)
 
 
-@pytest.mark.parametrize(
-    "channel",
-    [
-        build_depolarizing(0.3),
-        build_dephasing(0.4),
-        build_correlated_flip(0.2, "ZZ"),
-        build_pairwise_correlated(3, 1e-3, 2e-5),
-        build_random_unitary_noise(3, 0.7, seed=5),
-        build_cluster_noise(4, [(0, 1), (1, 2), (2, 3)], 0.3, seed=9),
-    ],
-)
+@pytest.mark.parametrize("channel", BUILT_CHANNELS)
 def test_builders_are_trace_preserving(channel):
     total = kraus_sum(channel)
     assert np.abs(total - np.eye(channel.dim)).max() < 1e-9
+
+
+@pytest.mark.parametrize("channel", BUILT_CHANNELS)
+def test_apply_is_kraus_sum(channel, rng):
+    mat = random_density(rng, channel.n)
+    want = sum(k @ mat @ k.conj().T for k in channel.kraus)
+    got = apply(channel, DensityMatrix(channel.n, mat)).matrix
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_apply_pads_sub_register_channel(rng):
+    # a one-qubit channel on qubit 2 of 3 acts as I (x) I (x) K
+    ch = QuantumChannel(build_depolarizing(0.3).kraus, qubits=(2,))
+    mat = random_density(rng, 3)
+    want = sum(np.kron(np.eye(4), k) @ mat @ np.kron(np.eye(4), k).conj().T for k in ch.kraus)
+    got = apply(ch, DensityMatrix(3, mat)).matrix
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_channel_constructor_validates():

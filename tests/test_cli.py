@@ -257,6 +257,7 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
         ({"kind": "sync", "p1": [0.1], "p2": 0.01}, "p1"),
         ({"kind": "qec_demo", "epsilon": {"value": 0.5}}, "epsilon"),
         ({"kind": "measure", "name": "assisted", "restarts": "two"}, "restarts"),
+        ({"kind": []}, "kind"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
@@ -264,3 +265,24 @@ def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
     code, err = run_config(tmp_path, capsys, body)
     assert code == 2
     assert f"[evaluations[1].{field}]" in err
+
+
+@pytest.mark.parametrize("key, value", [("format", "xml"), ("out", 2)])
+def test_run_config_bad_output_key_names_field(key, value, tmp_path, capsys):
+    body = {key: value, "evaluations": [{"kind": "qec_demo", "epsilon": 1}]}
+    code, err = run_config(tmp_path, capsys, body)
+    assert code == 2
+    assert f"[{key}]" in err
+
+
+def test_run_report_shows_the_seed_it_used(tmp_path, capsys):
+    leak = {"kind": "measure", "name": "leak", "qubits": [0],
+            "channel": {"family": "random_unitary", "n": 2, "epsilon": 0.4}}
+    reports = []
+    for seed, flags in ((7, ["--seed", "5"]), (5, [])):
+        config = tmp_path / f"config{seed}.json"
+        config.write_text(json.dumps({"seed": seed, "evaluations": [leak]}))
+        assert cli.main([*flags, "run", "--config", str(config)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert json.loads(reports[0])["config"]["seed"] == 5
+    assert reports[0] == reports[1]

@@ -170,6 +170,9 @@ RUN_EXIT_CASES = {
     "empty-evaluations": ({"evaluations": []}, 2),
     "evaluation-not-object": ({"evaluations": [3]}, 2),
     "unknown-kind": ({"evaluations": [{"kind": "mystery"}]}, 2),
+    "unhashable-kind": ({"evaluations": [{"kind": []}]}, 2),
+    "unknown-format": ({"format": "xml", "evaluations": [{"kind": "qec_demo", "epsilon": 1}]}, 2),
+    "out-not-a-path": ({"out": 2, "evaluations": [{"kind": "qec_demo", "epsilon": 1}]}, 2),
     "subcommand-spelling-of-kind": ({"evaluations": [{"kind": "qec-demo", "epsilon": 1}]}, 2),
     "measure-unknown-name": ({"evaluations": [{"kind": "measure", "name": "bogus"}]}, 2),
     "state-not-object": (

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from entlab import measures
 from entlab.channels import (
+    QuantumChannel,
     build_correlated_flip,
     build_depolarizing,
     build_dephasing,
+    build_pairwise_correlated,
     combine,
     compose,
     identity_channel,
@@ -16,8 +19,47 @@ from entlab.conjectures import (
     eval_relation34,
     fit_growth_exponent,
 )
+from entlab.measures import excess_leak, excess_leak_set, information_leak
 from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
-from helpers import h2
+from helpers import BUILT_CHANNELS, h2
+
+
+def _relations(channel):
+    """Relations 1 to 4 on the channel's register, unevaluated, with small
+    search budgets. One-qubit channels sit on qubit 1 of two; relation 4
+    takes a pair, since its nested solves on three qubits are slow."""
+    if channel.n < 2:
+        channel = QuantumChannel(channel.kraus, qubits=(1,))
+    n = max(channel.positions()) + 1
+    state, subset, budget = ghz(n), tuple(range(min(n, 3))), {"restarts": 1, "sweeps": 2}
+    return channel, subset, [
+        lambda: eval_relation1(state, channel, 0, 1),
+        lambda: eval_relation2(state, channel, 0, 1, **budget),
+        lambda: eval_relation34(state, channel, subset, mode="marginal"),
+        lambda: eval_relation34(state, channel, (0, 1), mode="decomposed", **budget),
+    ]
+
+
+def test_each_relation_builds_the_noisy_output_once(monkeypatch):
+    calls = []
+    apply = measures.apply
+    monkeypatch.setattr(measures, "apply", lambda channel, rho: calls.append(1) or apply(channel, rho))
+    for relation, evaluate in enumerate(_relations(build_pairwise_correlated(3, 0.1, 0.02))[2], 1):
+        calls.clear()
+        assert evaluate().relation == relation
+        assert len(calls) == 1, relation
+
+
+@pytest.mark.parametrize("channel", BUILT_CHANNELS)
+def test_verdicts_read_the_leak_measures(channel):
+    channel, subset, relations = _relations(channel)
+    verdicts = [evaluate() for evaluate in relations]
+    for v in verdicts:
+        assert v.leaks == {q: information_leak(channel, (q,)) for q in v.qubits}
+    for v in verdicts[:2]:
+        assert v.excess == excess_leak(channel, 0, 1)
+    for v in verdicts[2:]:
+        assert v.excess == excess_leak_set(channel, v.qubits).value
 
 
 def test_relation1_correlated_flip_threshold():
