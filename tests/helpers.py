@@ -21,6 +21,7 @@ from entlab.channels import (
     build_pairwise_correlated,
     build_random_unitary_noise,
 )
+from entlab.states import embed_operator, marginal_matrix
 
 LOG2 = np.log(2.0)
 
@@ -115,3 +116,41 @@ def env_mutual_info_oracle(kraus_ops, psi: np.ndarray, n: int, keep) -> float:
     rho_e = np.einsum("ace,acf->ef", m, m.conj())
     rho_ae = np.einsum("ace,bcf->aebf", m, m.conj()).reshape(da * ne, da * ne)
     return entropy_oracle(rho_a) + entropy_oracle(rho_e) - entropy_oracle(rho_ae)
+
+
+def reference_dual(m: int, keys, targets):
+    """The max-entropy dual as first written: one embed_operator lift and
+    one marginal_matrix reduction per constraint, in key order.
+
+    Returns x -> (value, gradient) with x laid out as Re then Im of each
+    key's multiplier block. ``optim._dual_kernel`` must match it bitwise.
+    """
+    d = 2**m
+    sizes = [2 ** len(k) for k in keys]
+    offsets = np.cumsum([0] + [2 * s * s for s in sizes])
+
+    def dual(x):
+        lams = []
+        for i in range(len(keys)):
+            s = sizes[i]
+            chunk = x[offsets[i] : offsets[i + 1]]
+            mat = chunk[: s * s].reshape(s, s) + 1j * chunk[s * s :].reshape(s, s)
+            lams.append((mat + mat.conj().T) / 2.0)
+        h = np.zeros((d, d), dtype=complex)
+        for lam, k in zip(lams, keys):
+            h += embed_operator(lam, k, m)
+        w, vecs = np.linalg.eigh(h)
+        wmax = float(w[-1])
+        z = np.exp(w - wmax)
+        val = wmax + float(np.log(z.sum()))
+        sigma = (vecs * (z / z.sum())) @ vecs.conj().T
+        grad = np.zeros_like(x)
+        for i, (lam, k) in enumerate(zip(lams, keys)):
+            val -= float(np.real(np.trace(lam @ targets[i])))
+            g = marginal_matrix(sigma, m, k) - targets[i]
+            s = sizes[i]
+            grad[offsets[i] : offsets[i] + s * s] = np.real(g).reshape(-1)
+            grad[offsets[i] + s * s : offsets[i + 1]] = np.imag(g).reshape(-1)
+        return val, grad
+
+    return dual

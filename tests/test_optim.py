@@ -1,16 +1,27 @@
+import json
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from entlab import DensityMatrix
 from entlab.errors import ConvergenceError, InfeasibleMarginalsError
+from entlab.measures import total_defect
 from entlab.optim import (
     MarginalConstraintSet,
+    _dual_kernel,
     max_avg_pure_decomposition,
     max_entropy_with_marginals,
 )
-from entlab.states import partial_trace, von_neumann_entropy
-from entlab.zoo import bell, ghz
-from helpers import entropy_oracle, h2, random_density
+from entlab.states import marginal_matrix, partial_trace, von_neumann_entropy
+from entlab.zoo import bell, cluster_state, dicke_state, ghz, line_edges, random_circuit_state
+from helpers import CLI_ENV, entropy_oracle, h2, random_density, reference_dual
+
+TRAJECTORIES = Path(__file__).parent / "data" / "solver_trajectories.json"
 
 
 def test_constraint_set_from_state_roundtrip(rng):
@@ -68,6 +79,82 @@ def test_max_entropy_reports_nonconvergence():
     with pytest.raises(ConvergenceError) as info:
         max_entropy_with_marginals(cs, max_iter=1)
     assert info.value.residual > 0
+
+
+DUAL_CASES = {
+    "pairs-of-3": (3, list(combinations(range(3), 2))),
+    "triples-of-4": (4, list(combinations(range(4), 3))),
+    "pair-and-single-of-3": (3, [(0, 1), (2,)]),
+    "triple-and-pair-of-4": (4, [(0, 1, 2), (2, 3)]),
+    "pairs-of-5": (5, list(combinations(range(5), 2))),
+}
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_dual_kernel_matches_reference_bitwise(case, rng):
+    """The compiled dual returns exactly the reference's value and gradient,
+    so the quasi-Newton iterates cannot tell the two apart."""
+    m, keys = DUAL_CASES[case]
+    rho = random_density(rng, m)
+    targets = [marginal_matrix(rho, m, k) for k in keys]
+    kernel = _dual_kernel(m, keys, targets)
+    reference = reference_dual(m, keys, targets)
+    size = sum(2 * 4 ** len(k) for k in keys)
+    points = [np.zeros(size)] + [scale * rng.normal(size=size) for scale in (0.01, 1.0, 10.0)]
+    for x in points:
+        value, grad, _, _ = kernel(x)
+        want_value, want_grad = reference(x)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+
+
+def test_max_entropy_mixed_size_targets(rng):
+    """Disjoint targets of different sizes: the maximizer is their product."""
+    rho01 = DensityMatrix(2, random_density(rng, 2))
+    rho2 = DensityMatrix(1, random_density(rng, 1))
+    cs = MarginalConstraintSet(3, {(0, 1): rho01, (2,): rho2})
+    res = max_entropy_with_marginals(cs)
+    want = von_neumann_entropy(rho01) + von_neumann_entropy(rho2)
+    assert abs(res.entropy - want) < 1e-6
+    assert np.abs(res.state.matrix - np.kron(rho01.matrix, rho2.matrix)).max() < 1e-6
+
+
+def test_solver_trajectories_are_pinned():
+    """total_defect values, iteration counts and residuals, and one
+    ConvergenceError message, exactly as the uncompiled dual gave them.
+
+    The pins were written with the numpy and scipy builds the file names;
+    eigh's last bits differ between LAPACK builds, and so would the
+    iterates, so the comparison runs only on those versions.
+    """
+    pins = json.loads(TRAJECTORIES.read_text())
+    written = pins["written_with"]
+    if (np.__version__, scipy.__version__) != (written["numpy"], written["scipy"]):
+        pytest.skip(f"pins were written with numpy {written['numpy']}, scipy {written['scipy']}")
+    states = {
+        "ghz-4": ghz(4),
+        "ghz-5": ghz(5),
+        "cluster-line-5": cluster_state(5, line_edges(5)),
+        "dicke-5-2": dicke_state(5, 2),
+    }
+    for name, state in states.items():
+        res = total_defect(state, max_subset_size=3)
+        got = {
+            "value": repr(res.value),
+            "optimizer_iterations": res.diagnostics["optimizer_iterations"],
+            "worst_residual": repr(res.diagnostics["worst_residual"]),
+        }
+        assert got == pins["total_defect_truncation_3"][name], name
+    with pytest.raises(ConvergenceError) as info:
+        total_defect(random_circuit_state(4, 2, 1), max_subset_size=3)
+    assert str(info.value) == pins["random_circuit_4_2_1_error"]
+
+
+def test_import_does_not_load_scipy():
+    """Only a max-entropy solve needs scipy.optimize, and it imports it."""
+    code = "import sys, entlab.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 def test_decomposition_reconstructs(rng):
