@@ -18,7 +18,6 @@ Two solvers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,108 +120,61 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(max(0.0, -np.sum(p * np.log2(p))))
 
 
-@dataclass(frozen=True, eq=False)
-class _SizeGroup:
-    """The constraints whose sub-registers have one size s, stacked.
-
-    lift_index[j, e, a, b] is the flat d x d position where embed_operator
-    puts lam[a, b] of member j when the dropped qubits read e, so member
-    j's marginal of sigma is the sum over e of sigma.flat[lift_index[j]].
-    """
-
-    members: np.ndarray  # their positions in the sorted key list
-    x_index: np.ndarray  # (g, 2, s, s): where x holds Re and Im of each multiplier
-    lift_index: np.ndarray  # (g, d/s, s, s)
-
-
-@dataclass(frozen=True, eq=False)
-class _SolverLayout:
-    """Index arrays of the dual for one (num_qubits, keys) pattern.
-
-    The lift terms run in key order, so each entry of h sums its terms in
-    the same order as adding one embedded multiplier after another.
-    """
-
-    groups: tuple
-    lift_src: np.ndarray  # lift term -> entry of the groups' concatenated multipliers
-    lift_dst: np.ndarray  # lift term -> flat position in h
-
-
-@lru_cache(maxsize=256)
-def _solver_layout(num_qubits: int, keys: tuple) -> _SolverLayout:
-    m = num_qubits
-    d = 2**m
-    sizes = [2 ** len(k) for k in keys]
-    offsets = np.cumsum([0] + [2 * s * s for s in sizes])
-    lift_index = []
-    for k, s in zip(keys, sizes):
-        drop = [q for q in range(m) if q not in k]
-        rows = np.arange(d).reshape((2,) * m).transpose(drop + list(k)).reshape(d // s, s)
-        lift_index.append(rows[:, :, None] * d + rows[:, None, :])
-    groups = []
-    base, filled = {}, 0  # key -> first entry of its multiplier in the concatenation
-    for s in sorted(set(sizes)):
-        members = [i for i, size in enumerate(sizes) if size == s]
-        for i in members:
-            base[i] = filled
-            filled += s * s
-        x_index = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
-        groups.append(
-            _SizeGroup(
-                members=np.array(members),
-                x_index=x_index.reshape(len(members), 2, s, s),
-                lift_index=np.stack([lift_index[i] for i in members]),
-            )
-        )
-    src = [np.tile(np.arange(base[i], base[i] + s * s), d // s) for i, s in enumerate(sizes)]
-    dst = [index.reshape(-1) for index in lift_index]
-    return _SolverLayout(tuple(groups), np.concatenate(src), np.concatenate(dst))
-
-
 def _dual_kernel(num_qubits: int, keys: Sequence[tuple], targets: Sequence[np.ndarray]):
     """The dual objective x -> (value, gradient, sigma, p) for sorted ``keys``.
 
-    x holds each key's multiplier as Re then Im of an s x s block, in key
-    order. The value is log Z - sum_k tr(lam_k t_k) and the gradient is the
-    marginal residual of sigma = exp(h) / Z; both are bitwise what lifting
-    each multiplier with embed_operator and reducing with marginal_matrix
-    gives, so solver iterates do not depend on which is used.
+    x holds each key's s x s multiplier as its real then its imaginary
+    part, key after key. The value is log Z - sum_k tr(lam_k t_k) and the
+    gradient is the marginal residual of sigma = exp(h) / Z. Both are
+    bitwise what lifting each multiplier with embed_operator and reducing
+    with marginal_matrix gives, so solver iterates do not depend on which
+    is used.
     """
-    layout = _solver_layout(num_qubits, tuple(keys))
-    d = 2**num_qubits
-    stacked = [np.stack([targets[i] for i in g.members]) for g in layout.groups]
-    num_keys = len(keys)
+    m = num_qubits
+    d = 2**m
+    # lam is every multiplier flattened row-major, key after key. Lift term
+    # j puts lam[src[j]] at flat position dst[j] of h; the terms run key by
+    # key and, within a key, over the values of its dropped qubits, so
+    # summing them in order adds the embedded multipliers one after another,
+    # and summing sigma[dst] into src adds the dropped-qubit slices in the
+    # order marginal_matrix does.
+    re_at, im_at, mirror, src, dst, blocks = [], [], [], [], [], []
+    size = 0
+    for k in keys:
+        s = 2 ** len(k)
+        block = np.arange(s * s)
+        re_at.append(2 * size + block)
+        im_at.append(2 * size + s * s + block)
+        mirror.append(size + block.reshape(s, s).T.reshape(-1))
+        drop = [q for q in range(m) if q not in k]
+        rows = np.arange(d).reshape((2,) * m).transpose(drop + list(k)).reshape(d // s, s)
+        dst.append((rows[:, :, None] * d + rows[:, None, :]).reshape(-1))
+        src.append(np.tile(size + block, d // s))
+        blocks.append((size, s))
+        size += s * s
+    re_at, im_at, mirror, src, dst = map(np.concatenate, (re_at, im_at, mirror, src, dst))
+    flat_targets = np.concatenate([t.reshape(-1) for t in targets])
 
     def dual(x: np.ndarray):
-        lams = []
-        traces = np.empty(num_keys)
-        for g, t in zip(layout.groups, stacked):
-            chunk = x[g.x_index]
-            mat = chunk[:, 0] + 1j * chunk[:, 1]
-            lam = (mat + mat.conj().transpose(0, 2, 1)) / 2.0
-            lams.append(lam.reshape(-1))
-            traces[g.members] = np.real(np.trace(lam @ t, axis1=1, axis2=2))
-        terms = np.concatenate(lams)[layout.lift_src]
-        h = np.empty((d, d), dtype=complex)
-        h.real = np.bincount(layout.lift_dst, terms.real, d * d).reshape(d, d)
-        h.imag = np.bincount(layout.lift_dst, terms.imag, d * d).reshape(d, d)
-        w, vecs = np.linalg.eigh(h)
+        mat = x[re_at] + 1j * x[im_at]
+        lam = (mat + mat[mirror].conj()) / 2.0
+        h = np.zeros(d * d, dtype=complex)
+        np.add.at(h, dst, lam[src])
+        w, vecs = np.linalg.eigh(h.reshape(d, d))
         wmax = float(w[-1])
         z = np.exp(w - wmax)
         logz = wmax + float(np.log(z.sum()))
         p = z / z.sum()
         sigma = (vecs * p) @ vecs.conj().T
         val = logz
-        for tr in traces.tolist():
-            val -= tr
+        for (start, s), t in zip(blocks, targets):
+            val -= float(np.real(np.trace(lam[start : start + s * s].reshape(s, s) @ t)))
+        marginals = np.zeros(size, dtype=complex)
+        np.add.at(marginals, src, sigma.reshape(-1)[dst])
+        gap = marginals - flat_targets
         grad = np.empty_like(x)
-        for g, t in zip(layout.groups, stacked):
-            picked = sigma.reshape(-1)[g.lift_index]
-            marginal = picked[:, 0]
-            for e in range(1, picked.shape[1]):  # in order, as marginal_matrix sums
-                marginal = marginal + picked[:, e]
-            gap = marginal - t
-            grad[g.x_index] = np.stack([gap.real, gap.imag], axis=1)
+        grad[re_at] = gap.real
+        grad[im_at] = gap.imag
         return val, grad, sigma, p
 
     return dual

@@ -87,6 +87,7 @@ DUAL_CASES = {
     "pair-and-single-of-3": (3, [(0, 1), (2,)]),
     "triple-and-pair-of-4": (4, [(0, 1, 2), (2, 3)]),
     "pairs-of-5": (5, list(combinations(range(5), 2))),
+    "singles-of-6": (6, [(q,) for q in range(6)]),
 }
 
 
@@ -123,14 +124,14 @@ def test_solver_trajectories_are_pinned():
     """total_defect values, iteration counts and residuals, and one
     ConvergenceError message, exactly as the uncompiled dual gave them.
 
-    The pins were written with the numpy and scipy builds the file names;
+    The pins were written with the numpy and scipy builds the file names.
     eigh's last bits differ between LAPACK builds, and so would the
-    iterates, so the comparison runs only on those versions.
+    iterates, so elsewhere only the values are compared, to the solver's
+    tolerance.
     """
     pins = json.loads(TRAJECTORIES.read_text())
     written = pins["written_with"]
-    if (np.__version__, scipy.__version__) != (written["numpy"], written["scipy"]):
-        pytest.skip(f"pins were written with numpy {written['numpy']}, scipy {written['scipy']}")
+    exact = (np.__version__, scipy.__version__) == (written["numpy"], written["scipy"])
     states = {
         "ghz-4": ghz(4),
         "ghz-5": ghz(5),
@@ -139,15 +140,20 @@ def test_solver_trajectories_are_pinned():
     }
     for name, state in states.items():
         res = total_defect(state, max_subset_size=3)
+        want = pins["total_defect_truncation_3"][name]
+        if not exact:
+            assert abs(res.value - float(want["value"])) < 1e-5, name
+            continue
         got = {
             "value": repr(res.value),
             "optimizer_iterations": res.diagnostics["optimizer_iterations"],
             "worst_residual": repr(res.diagnostics["worst_residual"]),
         }
-        assert got == pins["total_defect_truncation_3"][name], name
-    with pytest.raises(ConvergenceError) as info:
-        total_defect(random_circuit_state(4, 2, 1), max_subset_size=3)
-    assert str(info.value) == pins["random_circuit_4_2_1_error"]
+        assert got == want, name
+    if exact:
+        with pytest.raises(ConvergenceError) as info:
+            total_defect(random_circuit_state(4, 2, 1), max_subset_size=3)
+        assert str(info.value) == pins["random_circuit_4_2_1_error"]
 
 
 def test_import_does_not_load_scipy():
