@@ -138,43 +138,56 @@ def _dual_kernel(num_qubits: int, keys: Sequence[tuple], targets: Sequence[np.nd
     # summing them in order adds the embedded multipliers one after another,
     # and summing sigma[dst] into src adds the dropped-qubit slices in the
     # order marginal_matrix does.
-    re_at, im_at, mirror, src, dst, blocks = [], [], [], [], [], []
+    # x_at reads x as (real, imaginary) pairs, so x[x_at] viewed as complex
+    # is lam before it is made Hermitian; the gradient is read back from
+    # the residual's pairs through the inverse permutation.
+    x_at, mirror, src, dst, starts = [], [], [], [], []
     size = 0
     for k in keys:
         s = 2 ** len(k)
         block = np.arange(s * s)
-        re_at.append(2 * size + block)
-        im_at.append(2 * size + s * s + block)
+        x_at.append(2 * size + np.stack([block, s * s + block], axis=1).reshape(-1))
         mirror.append(size + block.reshape(s, s).T.reshape(-1))
         drop = [q for q in range(m) if q not in k]
         rows = np.arange(d).reshape((2,) * m).transpose(drop + list(k)).reshape(d // s, s)
         dst.append((rows[:, :, None] * d + rows[:, None, :]).reshape(-1))
         src.append(np.tile(size + block, d // s))
-        blocks.append((size, s))
+        starts.append(size)
         size += s * s
-    re_at, im_at, mirror, src, dst = map(np.concatenate, (re_at, im_at, mirror, src, dst))
+    x_at, mirror, src, dst = map(np.concatenate, (x_at, mirror, src, dst))
+    grad_at = np.argsort(x_at)
     flat_targets = np.concatenate([t.reshape(-1) for t in targets])
+    # The tr(lam_k t_k) terms take one batched matmul per block size, whose
+    # slices are bitwise the single-block matmuls, and are subtracted from
+    # log Z in key order.
+    sizes = np.array([2 ** len(k) for k in keys])
+    trace_groups = []
+    for s in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == s)
+        at = (np.array(starts)[which][:, None] + np.arange(s * s)).reshape(-1)
+        trace_groups.append((which, at, s, np.stack([targets[i] for i in which])))
 
     def dual(x: np.ndarray):
-        mat = x[re_at] + 1j * x[im_at]
+        mat = x[x_at].view(complex)
         lam = (mat + mat[mirror].conj()) / 2.0
         h = np.zeros(d * d, dtype=complex)
         np.add.at(h, dst, lam[src])
         w, vecs = np.linalg.eigh(h.reshape(d, d))
         wmax = float(w[-1])
         z = np.exp(w - wmax)
-        logz = wmax + float(np.log(z.sum()))
-        p = z / z.sum()
+        zsum = z.sum()
+        logz = wmax + float(np.log(zsum))
+        p = z / zsum
         sigma = (vecs * p) @ vecs.conj().T
+        traces = np.empty(len(sizes))
+        for which, at, s, t in trace_groups:
+            traces[which] = np.trace(lam[at].reshape(-1, s, s) @ t, axis1=1, axis2=2).real
         val = logz
-        for (start, s), t in zip(blocks, targets):
-            val -= float(np.real(np.trace(lam[start : start + s * s].reshape(s, s) @ t)))
+        for term in traces.tolist():
+            val -= term
         marginals = np.zeros(size, dtype=complex)
         np.add.at(marginals, src, sigma.reshape(-1)[dst])
-        gap = marginals - flat_targets
-        grad = np.empty_like(x)
-        grad[re_at] = gap.real
-        grad[im_at] = gap.imag
+        grad = (marginals - flat_targets).view(np.float64)[grad_at]
         return val, grad, sigma, p
 
     return dual

@@ -86,6 +86,7 @@ DUAL_CASES = {
     "triples-of-4": (4, list(combinations(range(4), 3))),
     "pair-and-single-of-3": (3, [(0, 1), (2,)]),
     "triple-and-pair-of-4": (4, [(0, 1, 2), (2, 3)]),
+    "pair-single-pair-of-4": (4, [(0, 1), (1,), (2, 3)]),
     "pairs-of-5": (5, list(combinations(range(5), 2))),
     "singles-of-6": (6, [(q,) for q in range(6)]),
 }
