@@ -283,10 +283,8 @@ class DecompositionResult:
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    mask = x > EIGENVALUE_CLIP
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
+    """x log2 x, with 0 at and below EIGENVALUE_CLIP; x must be >= 0."""
+    return x * np.log2(x, out=np.zeros_like(x), where=x > EIGENVALUE_CLIP)
 
 
 def _pair_member_values(vectors: np.ndarray) -> np.ndarray:
@@ -296,14 +294,15 @@ def _pair_member_values(vectors: np.ndarray) -> np.ndarray:
     runs inside grid searches and avoids per-matrix LAPACK calls.
     """
     r = vectors.reshape(-1, 2, 2)
-    top = np.einsum("bj,bj->b", r[:, 0, :], r[:, 0, :].conj()).real
-    bot = np.einsum("bj,bj->b", r[:, 1, :], r[:, 1, :].conj()).real
-    off = np.einsum("bj,bj->b", r[:, 0, :], r[:, 1, :].conj())
+    rc = r.conj()
+    top, bot = np.einsum("bij,bij->ib", r, rc).real
+    off = np.einsum("bj,bj->b", r[:, 0, :], rc[:, 1, :])
     trace = top + bot
-    disc = np.sqrt(np.clip((top - bot) ** 2 + 4.0 * np.abs(off) ** 2, 0.0, None))
-    lam_hi = np.clip((trace + disc) / 2.0, 0.0, None)
-    lam_lo = np.clip((trace - disc) / 2.0, 0.0, None)
-    return 2.0 * (_xlog2x(trace) - _xlog2x(lam_hi) - _xlog2x(lam_lo))
+    disc = np.sqrt(np.maximum((top - bot) ** 2 + 4.0 * np.abs(off) ** 2, 0.0))
+    # the trace and both eigenvalues, through one x log2 x
+    parts = np.concatenate([trace, (trace + disc) / 2.0, (trace - disc) / 2.0])
+    terms = _xlog2x(np.maximum(parts, 0.0)).reshape(3, -1)
+    return 2.0 * (terms[0] - terms[1] - terms[2])
 
 
 def _generic_member_values(objective: Callable[[np.ndarray], float]):
@@ -345,25 +344,42 @@ def _align_pair_phase(a, b):
     return b * (g.conjugate() / abs(g))
 
 
-def _optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
-    """Best U(2) mix of two member rows; returns (gain achieved, new rows)."""
-    b = _align_pair_phase(a, b)
-    base = float(values_fn(np.stack([a, b])).sum())
-    t0, f0 = 0.0, 0.0
+def _grid_plan(grid, zoom_rounds, zoom_grid):
+    """Flattened (theta, phi) offsets of each round of the pair search.
+
+    Round 0 is the coarse grid and each zoom round a finer grid around the
+    best point so far, so a round's candidates are ``best + offsets``. The
+    spans shrink by a fixed sequence, so the offsets are built once per
+    search rather than once per pair.
+    """
     span_t, span_f = np.pi, 2 * np.pi
     nt, nf = grid
-    best_val, best_t, best_f = base, 0.0, 0.0
-    for round_idx in range(zoom_rounds + 1):
-        if round_idx == 0:
-            ts = np.linspace(0.0, span_t, nt, endpoint=False)
-            fs = np.linspace(0.0, span_f, nf, endpoint=False)
-        else:
-            nt, nf = zoom_grid
-            ts = best_t + np.linspace(-span_t, span_t, nt)
-            fs = best_f + np.linspace(-span_f, span_f, nf)
-        tt, ff = np.meshgrid(ts, fs, indexing="ij")
-        tt = tt.reshape(-1)
-        ff = ff.reshape(-1)
+    ts = np.linspace(0.0, span_t, nt, endpoint=False)
+    fs = np.linspace(0.0, span_f, nf, endpoint=False)
+    plan = [(np.repeat(ts, nf), np.tile(fs, nt))]
+    for _ in range(zoom_rounds):
+        span_t /= max(nt // 2, 2)
+        span_f /= max(nf // 2, 2)
+        nt, nf = zoom_grid
+        ts = np.linspace(-span_t, span_t, nt)
+        fs = np.linspace(-span_f, span_f, nf)
+        plan.append((np.repeat(ts, nf), np.tile(fs, nt)))
+    return plan
+
+
+def _optimize_pair(a, b, value_a, values_fn, plan):
+    """Best U(2) mix of two member rows, given the value of row a.
+
+    Returns the gain achieved and, when positive, the new rows and their
+    values, taken from the grid round that found them.
+    """
+    b = _align_pair_phase(a, b)
+    base = float(value_a + values_fn(b[None, :])[0])
+    best_val, best_t, best_f, best = base, 0.0, 0.0, None
+    for dt, df in plan:
+        # round 0 starts from 0.0, and 0.0 + offset is the offset itself
+        tt = best_t + dt
+        ff = best_f + df
         ca, cb = _pair_candidates(a, b, tt, ff)
         vals = values_fn(np.concatenate([ca, cb]))
         totals = vals[: tt.size] + vals[tt.size :]
@@ -372,12 +388,10 @@ def _optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
             best_val = float(totals[idx])
             best_t = float(tt[idx])
             best_f = float(ff[idx])
-        span_t /= max(nt // 2, 2)
-        span_f /= max(nf // 2, 2)
+            best = ca[idx], cb[idx], vals[idx], vals[tt.size + idx]
     if best_val <= base + 1e-10:
-        return 0.0, a, b
-    na, nb = _pair_candidates(a, b, np.array([best_t]), np.array([best_f]))
-    return best_val - base, na[0], nb[0]
+        return 0.0, None
+    return best_val - base, best
 
 
 def max_avg_pure_decomposition(
@@ -414,6 +428,7 @@ def max_avg_pure_decomposition(
         grid, zoom_coarse, zoom_fine, zoom_grid = (12, 8), 2, 6, (9, 9)
     else:
         grid, zoom_coarse, zoom_fine, zoom_grid = (8, 5), 1, 3, (5, 5)
+    plan = _grid_plan(grid, zoom_fine, zoom_grid)
 
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(max(restarts, 1))
@@ -436,7 +451,7 @@ def max_avg_pure_decomposition(
         polishing = False
         for sweep in range(sweeps):
             sweeps_used += 1
-            rounds = zoom_fine if polishing else zoom_coarse
+            rounds = plan[: (zoom_fine if polishing else zoom_coarse) + 1]
             improved = 0.0
             for k in range(t):
                 for l in range(k + 1, t):
@@ -445,15 +460,11 @@ def max_avg_pure_decomposition(
                         + np.real(np.vdot(rows[l], rows[l]))
                     ) < 1e-14:
                         continue
-                    gain, na, nb = _optimize_pair(
-                        rows[k], rows[l], values_fn, grid, rounds, zoom_grid
+                    gain, best = _optimize_pair(
+                        rows[k], rows[l], member_vals[k], values_fn, rounds
                     )
                     if gain > 0.0:
-                        rows[k] = na
-                        rows[l] = nb
-                        pair_vals = values_fn(np.stack([na, nb]))
-                        member_vals[k] = pair_vals[0]
-                        member_vals[l] = pair_vals[1]
+                        rows[k], rows[l], member_vals[k], member_vals[l] = best
                         total = float(member_vals.sum())
                         improved += gain
             if polishing:

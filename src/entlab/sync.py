@@ -8,6 +8,7 @@ Binomial tails are summed exactly in log space.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lgamma, log, log1p
@@ -27,6 +28,9 @@ from .states import DensityMatrix, _hermitize
 from .zoo import bitflip_code_encode
 
 MAX_TAIL_TRIALS = 10**6
+# exp() of anything below -745.13 is exactly 0.0, so a tail term this far
+# below the largest one adds nothing to the sum
+_LOG_TAIL_WINDOW = -800.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,19 @@ def binomial_tail(n: int, k: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    ks = np.arange(k + 1, n + 1, dtype=float)
-    logs = _log_binom_pmf(n, ks, p)
+    # The log-pmf is concave in k, so the terms within _LOG_TAIL_WINDOW of
+    # its peak on [k+1, n] are one window around the peak, found by
+    # bisection on each side; the rest stay -inf, which exp() also maps to 0.
+    peak = min(max(int((n + 1) * p), k + 1), n)
+    floor = _log_binom_pmf(n, np.array([float(peak)]), p)[0] + _LOG_TAIL_WINDOW
+
+    def kept(j: int) -> bool:
+        return _log_binom_pmf(n, np.array([float(j)]), p)[0] >= floor
+
+    first = k + 1 + bisect_left(range(k + 1, peak), True, key=kept)
+    last = peak + bisect_left(range(peak + 1, n + 1), True, key=lambda j: not kept(j))
+    logs = np.full(n - k, -np.inf)
+    logs[first - k - 1 : last - k] = _log_binom_pmf(n, np.arange(first, last + 1, dtype=float), p)
     top = float(np.max(logs))
     return float(min(1.0, np.exp(top) * np.sum(np.exp(logs - top))))
 

@@ -7,6 +7,7 @@ the library paths they check.
 from __future__ import annotations
 
 import os
+from math import lgamma, log, log1p
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from entlab.channels import (
     build_pairwise_correlated,
     build_random_unitary_noise,
 )
-from entlab.states import embed_operator, marginal_matrix
+from entlab.optim import _align_pair_phase
+from entlab.states import EIGENVALUE_CLIP, embed_operator, marginal_matrix
 
 LOG2 = np.log(2.0)
 
@@ -154,3 +156,88 @@ def reference_dual(m: int, keys, targets):
         return val, grad
 
     return dual
+
+
+# The pair-rotation search as first written. ``optim``'s grid plan, stacked
+# member values and passed-through values must reproduce it bitwise.
+
+
+def _reference_xlog2x(x):
+    out = np.zeros_like(x)
+    mask = x > EIGENVALUE_CLIP
+    out[mask] = x[mask] * np.log2(x[mask])
+    return out
+
+
+def reference_pair_member_values(vectors):
+    """2 * norm^2 * S(tr_b) of unnormalized 2-qubit rows, three row einsums."""
+    r = vectors.reshape(-1, 2, 2)
+    top = np.einsum("bj,bj->b", r[:, 0, :], r[:, 0, :].conj()).real
+    bot = np.einsum("bj,bj->b", r[:, 1, :], r[:, 1, :].conj()).real
+    off = np.einsum("bj,bj->b", r[:, 0, :], r[:, 1, :].conj())
+    trace = top + bot
+    disc = np.sqrt(np.clip((top - bot) ** 2 + 4.0 * np.abs(off) ** 2, 0.0, None))
+    lam_hi = np.clip((trace + disc) / 2.0, 0.0, None)
+    lam_lo = np.clip((trace - disc) / 2.0, 0.0, None)
+    return 2.0 * (
+        _reference_xlog2x(trace) - _reference_xlog2x(lam_hi) - _reference_xlog2x(lam_lo)
+    )
+
+
+def reference_pair_candidates(a, b, theta, phi):
+    ca = np.cos(theta)[:, None]
+    sa = np.sin(theta)
+    wneg = (sa * np.exp(-1j * phi))[:, None]
+    wpos = (sa * np.exp(1j * phi))[:, None]
+    return ca * a[None, :] - wneg * b[None, :], wpos * a[None, :] + ca * b[None, :]
+
+
+def reference_optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
+    """Best U(2) mix of two rows by a per-pair linspace/meshgrid zoom."""
+    b = _align_pair_phase(a, b)
+    base = float(values_fn(np.stack([a, b])).sum())
+    span_t, span_f = np.pi, 2 * np.pi
+    nt, nf = grid
+    best_val, best_t, best_f = base, 0.0, 0.0
+    for round_idx in range(zoom_rounds + 1):
+        if round_idx == 0:
+            ts = np.linspace(0.0, span_t, nt, endpoint=False)
+            fs = np.linspace(0.0, span_f, nf, endpoint=False)
+        else:
+            nt, nf = zoom_grid
+            ts = best_t + np.linspace(-span_t, span_t, nt)
+            fs = best_f + np.linspace(-span_f, span_f, nf)
+        tt, ff = np.meshgrid(ts, fs, indexing="ij")
+        tt = tt.reshape(-1)
+        ff = ff.reshape(-1)
+        ca, cb = reference_pair_candidates(a, b, tt, ff)
+        vals = values_fn(np.concatenate([ca, cb]))
+        totals = vals[: tt.size] + vals[tt.size :]
+        idx = int(np.argmax(totals))
+        if totals[idx] > best_val:
+            best_val = float(totals[idx])
+            best_t = float(tt[idx])
+            best_f = float(ff[idx])
+        span_t /= max(nt // 2, 2)
+        span_f /= max(nf // 2, 2)
+    if best_val <= base + 1e-10:
+        return 0.0, a, b
+    na, nb = reference_pair_candidates(a, b, np.array([best_t]), np.array([best_f]))
+    return best_val - base, na[0], nb[0]
+
+
+def reference_binomial_tail(n: int, k: int, p: float) -> float:
+    """P(Bin(n, p) > k) from lgamma at every k in k+1..n (validation left out)."""
+    if k >= n:
+        return 0.0
+    if k < 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    ks = np.arange(k + 1, n + 1, dtype=float)
+    logc = lgamma(n + 1) - np.array([lgamma(x + 1) + lgamma(n - x + 1) for x in ks])
+    logs = logc + ks * log(p) + (n - ks) * log1p(-p)
+    top = float(np.max(logs))
+    return float(min(1.0, np.exp(top) * np.sum(np.exp(logs - top))))

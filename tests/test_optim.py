@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,20 +9,34 @@ import numpy as np
 import pytest
 import scipy
 
-from entlab import DensityMatrix
+from entlab import DensityMatrix, PureState
 from entlab.errors import ConvergenceError, InfeasibleMarginalsError
-from entlab.measures import total_defect
+from entlab.measures import assisted_mutual_information, total_defect
 from entlab.optim import (
     MarginalConstraintSet,
     _dual_kernel,
+    _generic_member_values,
+    _grid_plan,
+    _optimize_pair,
+    _pair_member_values,
     max_avg_pure_decomposition,
     max_entropy_with_marginals,
 )
 from entlab.states import marginal_matrix, partial_trace, von_neumann_entropy
 from entlab.zoo import bell, cluster_state, dicke_state, ghz, line_edges, random_circuit_state
-from helpers import CLI_ENV, entropy_oracle, h2, random_density, reference_dual
+from helpers import (
+    CLI_ENV,
+    entropy_oracle,
+    h2,
+    random_density,
+    reference_dual,
+    reference_optimize_pair,
+    reference_pair_candidates,
+    reference_pair_member_values,
+)
 
 TRAJECTORIES = Path(__file__).parent / "data" / "solver_trajectories.json"
+DECOMPOSITIONS = Path(__file__).parent / "data" / "decomposition_trajectories.json"
 
 
 def test_constraint_set_from_state_roundtrip(rng):
@@ -184,16 +199,19 @@ def test_decomposition_of_pure_state_is_trivial():
     assert abs(res.value - 2.0) < 1e-10
 
 
+PROJ = np.zeros(4, dtype=complex)
+PROJ[0] = 1.0
+
+
+def overlap(v):
+    """|<00|v>|^2: a linear member objective."""
+    return float(np.abs(np.vdot(PROJ, v)) ** 2)
+
+
 def test_linear_objective_is_decomposition_invariant(rng):
     # for a linear objective every decomposition averages to tr(rho P),
     # so the search must return that value no matter the budget
     rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
-    proj = np.zeros(4, dtype=complex)
-    proj[0] = 1.0
-
-    def overlap(v):
-        return float(np.abs(np.vdot(proj, v)) ** 2)
-
     small = max_avg_pure_decomposition(rho, objective=overlap, restarts=1, sweeps=2, seed=0)
     large = max_avg_pure_decomposition(rho, objective=overlap, restarts=4, sweeps=10, seed=3)
     assert abs(small.value - 0.25) < 1e-9
@@ -221,3 +239,132 @@ def test_mixed_state_search_certifies_two_bits():
 def test_default_objective_needs_two_qubits():
     with pytest.raises(ValueError):
         max_avg_pure_decomposition(DensityMatrix(1, np.eye(2, dtype=complex) / 2))
+
+
+# The benchmark's assisted inputs: (seed of a Gaussian 4-qubit vector, pair,
+# search seed), each searched at 3 restarts and 12 sweeps.
+ASSISTED_INPUTS = ((0, (0, 1), 0), (1, (1, 2), 1), (2, (0, 3), 2))
+
+
+def _sha256(x):
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+
+
+def pinned_searches():
+    """Name -> (value, decomposition, diagnostics) of each pinned search."""
+    out = {}
+    for state_seed, (a, b), seed in ASSISTED_INPUTS:
+        rng = np.random.default_rng(state_seed)
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        state = PureState(4, amps / np.linalg.norm(amps))
+        res = assisted_mutual_information(state, a, b, restarts=3, sweeps=12, seed=seed)
+        out[f"assisted-{state_seed}"] = (res.search_value, res.decomposition, res.diagnostics)
+    flat = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
+    dicke_pair = partial_trace(dicke_state(3, 1).density_matrix(), (0, 1))
+    for name, rho, objective, restarts, sweeps, seed in (
+        ("bell", bell().density_matrix(), None, 2, 8, 0),
+        ("dicke-3-1-pair", dicke_pair, None, 4, 12, 1),
+        ("flat", flat, None, 4, 12, 2),
+        ("flat-overlap", flat, overlap, 4, 10, 3),
+    ):
+        res = max_avg_pure_decomposition(rho, objective, restarts, sweeps, seed)
+        out[name] = (res.value, res.decomposition, res.diagnostics)
+    return out
+
+
+def pin_record(value, decomposition, diagnostics) -> dict:
+    """A search result as JSON: repr floats and SHA-256 of the ensemble."""
+    return {
+        "value": repr(value),
+        "states_sha256": _sha256(decomposition.states),
+        "weights_sha256": _sha256(decomposition.weights),
+        "diagnostics": {k: repr(v) if isinstance(v, float) else v for k, v in diagnostics.items()},
+    }
+
+
+def test_decomposition_trajectories_are_pinned():
+    """Values, ensembles and diagnostics of seven searches, exactly as the
+    per-pair linspace/meshgrid search gave them.
+
+    As with the solver pins, the exact comparison runs only with the numpy
+    and scipy builds the file names; elsewhere only the values are compared.
+    """
+    pins = json.loads(DECOMPOSITIONS.read_text())
+    written = pins["written_with"]
+    exact = (np.__version__, scipy.__version__) == (written["numpy"], written["scipy"])
+    got = pinned_searches()
+    assert sorted(got) == sorted(pins["searches"])
+    for name, (value, decomposition, diagnostics) in got.items():
+        want = pins["searches"][name]
+        if exact:
+            assert pin_record(value, decomposition, diagnostics) == want, name
+        else:
+            assert abs(value - float(want["value"])) < 1e-9, name
+
+
+# The search's grid settings: (grid, coarse zoom rounds, fine zoom rounds,
+# zoom grid) for the built-in objective and for a generic one.
+SEARCH_GRIDS = {"pair": ((12, 8), 2, 6, (9, 9)), "generic": ((8, 5), 1, 3, (5, 5))}
+
+
+def pair_rows(rng):
+    """Seeded member-row pairs: generic, a zero b row, rows orthogonal to
+    working precision (which reach _align_pair_phase's tiebreak), a
+    product-state a and a near-copy pair."""
+    def row():
+        return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    pairs = [(row(), row()) for _ in range(6)]
+    pairs.append((row(), np.zeros(4, dtype=complex)))
+    a, b = row(), row()
+    pairs.append((a, b - a * (np.vdot(a, b) / np.vdot(a, a))))
+    pairs.append((np.array([1, 1, 0, 0], dtype=complex), np.array([1, -1, 0, 0], dtype=complex)))
+    pairs.append((np.array([0.6, 0, 0, 0], dtype=complex), row()))
+    a = row()
+    pairs.append((a, a * np.exp(0.3j) + 1e-6 * row()))
+    return pairs
+
+
+def test_pair_member_values_match_reference_bitwise(rng):
+    pairs = pair_rows(rng)
+    rows = np.concatenate([np.array(p) for p in pairs])
+    batches = [rows, rows[:1], rows[3:5], np.zeros((2, 4), dtype=complex)]
+    a, b = pairs[0]
+    tt, ff = np.meshgrid(np.linspace(0, np.pi, 12), np.linspace(0, 2 * np.pi, 8))
+    batches.append(np.concatenate(reference_pair_candidates(a, b, tt.ravel(), ff.ravel())))
+    for batch in batches:
+        want = reference_pair_member_values(batch)
+        assert np.array_equal(_pair_member_values(batch), want)
+        # a row's value does not depend on the batch it is computed in
+        for i in range(0, len(batch), 7):
+            assert np.array_equal(_pair_member_values(batch[i : i + 1]), want[i : i + 1])
+
+
+def _member_defect_2q(vec):
+    """A nonlinear generic objective: 1 - |<00|v>|^4 - |<11|v>|^4."""
+    return 1.0 - abs(vec[0]) ** 4 - abs(vec[3]) ** 4
+
+
+@pytest.mark.parametrize("kind", ["pair", "generic"])
+@pytest.mark.parametrize("depth", ["coarse", "fine"])
+def test_optimize_pair_matches_reference_bitwise(kind, depth, rng):
+    """Gain, new rows and their values equal the per-pair linspace/meshgrid
+    search's, which recomputed both rows' values; so do no-gain results."""
+    grid, coarse, fine, zoom = SEARCH_GRIDS[kind]
+    rounds = coarse if depth == "coarse" else fine
+    if kind == "pair":
+        new_fn, ref_fn = _pair_member_values, reference_pair_member_values
+    else:
+        new_fn = ref_fn = _generic_member_values(_member_defect_2q)
+    plan = _grid_plan(grid, fine, zoom)[: rounds + 1]
+    gains = 0
+    for a, b in pair_rows(rng):
+        want_gain, want_a, want_b = reference_optimize_pair(a, b, ref_fn, grid, rounds, zoom)
+        gain, best = _optimize_pair(a, b, new_fn(a[None, :])[0], new_fn, plan)
+        assert gain == want_gain
+        if gain > 0.0:
+            gains += 1
+            na, nb, va, vb = best
+            assert np.array_equal(na, want_a) and np.array_equal(nb, want_b)
+            assert np.array_equal([va, vb], ref_fn(np.stack([want_a, want_b])))
+    assert gains >= 5  # the comparison covers accepted rotations

@@ -20,6 +20,7 @@ from entlab.sync import (
     weight_distribution,
 )
 from entlab.zoo import bitflip_code_encode
+from helpers import reference_binomial_tail
 
 
 def test_fit_mixture_exact_values():
@@ -56,6 +57,24 @@ def test_binomial_tail_matches_scipy():
     for n, k, p in cases:
         want = float(binom.sf(k, n, p))
         assert abs(binomial_tail(n, k, p) - want) < 1e-12 * max(want, 1e-30) + 1e-15
+
+
+def test_binomial_tail_matches_full_sum_bitwise():
+    """Summing only the terms that survive exp() gives the full sum's bits."""
+    rng = np.random.default_rng(5)
+    cases = [(0, 0, 0.3), (7, -1, 0.3), (7, 7, 0.3), (7, 9, 0.3), (7, 2, 0.0), (7, 2, 1.0)]
+    for n in (1, 2, 10, 57, 400, 3000):
+        for p in (1e-9, 1e-3, 0.05, 0.5, 0.97, 1 - 1e-9):
+            for k in {-1, 0, int(n * p) - 5, int(n * p), int(n * p) + 5, n // 2, n - 1, n}:
+                cases.append((n, k, p))
+    # the cli thresholds: n = 10^5 trials and k = n * p1 * u with u in [1, 1.5],
+    # so the mode lies below k+1 for p = p1 and may lie above it for p = h
+    for _ in range(20):
+        p1 = float(10 ** rng.uniform(-4, -2))
+        k = int(10**5 * p1 * rng.uniform(1.0, 1.5))
+        cases += [(10**5, k, p1), (10**5, k, min(1.0, p1 * rng.uniform(1.0, 100.0)))]
+    for n, k, p in cases:
+        assert binomial_tail(n, k, p) == reference_binomial_tail(n, k, p), (n, k, p)
 
 
 def test_tail_probability_burst_versus_independent():
