@@ -10,6 +10,9 @@ scaled by a reference leak and a level c:
 
 Relation 2 and 4 right-hand sides are best-found lower bounds, so their
 "satisfied" verdicts are flagged conditional; "violated" is definitive.
+A pure (rank-1) marginal has a unique decomposition, so there the term is
+exact; its verdict keeps the conditional flag and note all the same, so
+that reports differ from a searched term's only in the search diagnostics.
 """
 
 from __future__ import annotations

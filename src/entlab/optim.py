@@ -12,7 +12,8 @@ Two solvers live here:
   objective. Decompositions are parameterized by isometries acting on the
   spectral ensemble and improved by sweeps of two-member U(2) rotations
   with seeded random restarts. Values are certified lower bounds: the best
-  decomposition is returned and checked to reconstruct the input.
+  decomposition is returned and checked to reconstruct the input. A
+  rank-1 input has one decomposition up to phases, so its value is exact.
 """
 
 from __future__ import annotations
@@ -409,6 +410,10 @@ def max_avg_pure_decomposition(
     members as rho has rank. The running best value is monotone over
     sweeps and restarts; the final decomposition must reconstruct rho to
     1e-8 or a RuntimeError is raised.
+
+    A rank-1 rho = lam |psi><psi| has a unique decomposition up to phases,
+    so no restart runs: the value is the exact lam * objective(psi), and
+    the diagnostics read 0 restarts, 0 sweeps and cardinality 1.
     """
     d = rho.dim
     if objective is None and d != 4:
@@ -432,11 +437,15 @@ def max_avg_pure_decomposition(
 
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(max(restarts, 1))
-    best_value = -np.inf
-    best_rows = None
+    # Every decomposition of a rank-1 rho = lam |psi><psi| is made of phase
+    # multiples of psi (Hughston, Jozsa and Wootters 1993), so the one
+    # ensemble row is exact and no restart runs.
+    best_rows = ensemble.T
+    best_value = float(values_fn(best_rows)[0]) if rank == 1 else -np.inf
+    restarts_run = 0
     sweeps_used = 0
     since_improved = 0
-    for restart in range(max(restarts, 1)):
+    for restart in range(max(restarts, 1) if rank > 1 else 0):
         rng = np.random.default_rng(children[restart])
         if restart == 0:
             iso = np.zeros((t, rank), dtype=complex)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entlab import DensityMatrix
 from entlab.channels import (
+    MAX_EXPANSION_QUBITS,
     QuantumChannel,
     apply,
     build_cluster_noise,
@@ -20,6 +23,7 @@ from entlab.channels import (
     pauli_string_matrix,
     pauli_weight_table,
 )
+from entlab.errors import SizeLimitError
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
 from helpers import BUILT_CHANNELS, random_density
@@ -208,6 +212,20 @@ def test_pauli_weight_table():
     # identity channel carries all its mass at weight zero
     dist = pauli_expansion(identity_channel(2))
     assert abs(dist.probability("II") - 1.0) < 1e-12
+
+
+def test_pauli_expansion_cap_raises_before_allocating():
+    """Over the cap, the error comes before the 4^n weight array exists."""
+    n = MAX_EXPANSION_QUBITS + 1
+    channel = identity_channel(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            pauli_expansion(channel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**n  # less than that float64 array alone
 
 
 def test_pauli_expansion_unit_flip():

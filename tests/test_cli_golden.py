@@ -68,6 +68,11 @@ CASES = {
         "--channel", '{"family": "pairwise_correlated", "n": 3, "p1": 0.1, "p2": 0.02}',
         "--qubits", "0,1,2",
     ],
+    "relation-4": [
+        "relation", "--id", "4", "--seed", "3", "--state", '{"family": "ghz", "n": 3}',
+        "--channel", '{"family": "correlated_flip", "epsilon": 0.2, "pauli": "ZZZ"}',
+        "--qubits", "0,1,2", "--restarts", "2", "--sweeps", "4",
+    ],
     "censorship-ghz": [
         "censorship", "--family", "ghz", "--n-min", "3", "--n-max", "4", "--truncate", "2",
     ],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entlab import DensityMatrix, PureState
 from entlab.channels import (
@@ -174,6 +177,35 @@ def test_assisted_certifies_classical_correlation():
     assert np.abs(res.decomposition.reconstruction() - mix).max() < 1e-8
     flat = assisted_mutual_information(DensityMatrix(2, np.eye(4) / 4), 0, 1, restarts=4, sweeps=16)
     assert flat.value >= 2.0 - 1e-9
+
+
+@st.composite
+def pair_states(draw):
+    """(rank r, rho): rho = G G^dagger / tr for a 4 x r complex G, pure
+    about half the time."""
+    rank = draw(st.one_of(st.just(1), st.integers(2, 4)))
+    parts = draw(
+        arrays(np.float64, (2, 4, rank), elements=st.floats(-1, 1, allow_subnormal=False))
+    )
+    g = parts[0] + 1j * parts[1]
+    mat = g @ g.conj().T
+    trace = float(np.trace(mat).real)
+    assume(trace > 1e-3)
+    return rank, DensityMatrix(2, mat / trace)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(pair_states())
+def test_assisted_lies_in_its_bracket(case):
+    """I(A:B) <= assisted <= 2 min(S_A, S_B), with equality to 2 S_A when
+    rho is pure (Smolin, Verstraete and Winter, PRA 72, 052317 (2005))."""
+    rank, rho = case
+    res = assisted_mutual_information(rho, 0, 1, restarts=1, sweeps=2)
+    s_a = von_neumann_entropy(partial_trace(rho, (0,)))
+    s_b = von_neumann_entropy(partial_trace(rho, (1,)))
+    assert mutual_information(rho, 0, 1) - 1e-9 <= res.value <= 2.0 * min(s_a, s_b) + 1e-9
+    if rank == 1:
+        assert abs(res.value - 2.0 * s_a) < 1e-12
 
 
 def test_assisted_is_local_unitary_invariant(rng):

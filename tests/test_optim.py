@@ -10,8 +10,9 @@ import pytest
 import scipy
 
 from entlab import DensityMatrix, PureState
+from entlab.conjectures import _decomposed_defect
 from entlab.errors import ConvergenceError, InfeasibleMarginalsError
-from entlab.measures import assisted_mutual_information, total_defect
+from entlab.measures import assisted_mutual_information, max_entropy_defect, total_defect
 from entlab.optim import (
     MarginalConstraintSet,
     _dual_kernel,
@@ -197,6 +198,68 @@ def test_decomposition_of_pure_state_is_trivial():
     # only one member, and the objective is twice the marginal entropy
     assert res.decomposition.weights.size == 1
     assert abs(res.value - 2.0) < 1e-10
+
+
+# What the pair-rotation search returned, at the default budgets, for the
+# pure pair states of test_rank_one_decomposition_is_exact (seeds 0 to 7);
+# its restarts accepted noise-level gains of up to 1.1e-15 on these.
+SEARCHED_PURE_PAIRS = (
+    0.9874054996806418, 1.3679938155225448, 1.4268960827046424, 1.1324022471922877,
+    0.4607499671098635, 0.13542230838412528, 1.0546738160430549, 0.3595111588796946,
+)
+
+
+def rank_one_value(rho, objective=None):
+    """lam * objective(psi) for rho = lam |psi><psi|, with lam and psi from eigh.
+
+    For the built-in objective this is the member mass 2 lam S(tr_b psi) of
+    the row sqrt(lam) psi.
+    """
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    row = vecs[:, -1] * np.sqrt(lam[-1])
+    if objective is None:
+        return _pair_member_values(row[None, :])[0]
+    weight = float(np.real(np.vdot(row, row)))
+    return weight * float(objective(row / np.sqrt(weight)))
+
+
+def _nested_defect(vec):
+    """Relation 4's member objective on three qubits."""
+    member = DensityMatrix(3, np.outer(vec, vec.conj()))
+    return max_entropy_defect(member, (0, 1, 2), tol=1e-5, max_iter=2000).value
+
+
+def test_rank_one_decomposition_is_exact():
+    """A rank-1 input has one decomposition up to phases, so the search
+    returns lam * objective(psi) without running a restart, and that is
+    the value the restarts used to find."""
+    rank_one = [0, 0, 1]  # diagnostics of an unsearched single member
+
+    circuit = random_circuit_state(3, 3, 0).density_matrix()
+    value, diagnostics = _decomposed_defect(circuit, (0, 1, 2), restarts=1, sweeps=1, seed=1)
+    assert value == 6.857657689535989e-08
+    assert value == rank_one_value(circuit, _nested_defect)
+    assert [diagnostics[k] for k in ("restarts", "sweeps_used", "cardinality")] == rank_one
+
+    pure_pair = bell().density_matrix()
+    res = max_avg_pure_decomposition(pure_pair, restarts=2, sweeps=8, seed=3)
+    assert res.value == 1.9999999999999991
+    assert res.value == rank_one_value(pure_pair)
+
+    for seed, searched in enumerate(SEARCHED_PURE_PAIRS):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho = PureState(2, amps / np.linalg.norm(amps)).density_matrix()
+        res = max_avg_pure_decomposition(rho)
+        assert abs(res.value - searched) < 1e-9
+        assert res.value == rank_one_value(rho)
+        assert abs(res.value - 2.0 * entropy_oracle(partial_trace(rho, (0,)).matrix)) < 1e-12
+        assert [res.diagnostics[k] for k in ("restarts", "sweeps_used", "cardinality")] == rank_one
+
+    # rank 2: the W state's pair marginal still searches
+    w_pair = partial_trace(dicke_state(3, 1).density_matrix(), (0, 1))
+    res = max_avg_pure_decomposition(w_pair, restarts=1, sweeps=2)
+    assert res.diagnostics["restarts"] >= 1 and res.diagnostics["sweeps_used"] >= 1
 
 
 PROJ = np.zeros(4, dtype=complex)
