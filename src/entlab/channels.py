@@ -25,7 +25,8 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI_LETTERS = "IXYZ"
-_PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# (-i)^k for k Y letters, k mod 4
+_Y_PHASES = (1.0, -1j, -1.0, 1j)
 
 CPTP_ATOL = 1e-9
 # Pauli expansion enumerates 4**n strings; keep that tractable
@@ -201,13 +202,33 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     return QuantumChannel(_filter_kraus(weighted), qubits=(int(qubit),))
 
 
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    mat = np.array([[1.0]], dtype=complex)
-    for ch in letters:
-        if ch not in _PAULI_BY_LETTER:
-            raise ValueError(f"unknown Pauli letter {ch!r}")
-        mat = np.kron(mat, _PAULI_BY_LETTER[ch])
+def _pauli_from_masks(n: int, x_mask: int, z_mask: int) -> np.ndarray:
+    """n-qubit Pauli string with X on the bits of ``x_mask``, Z on the bits
+    of ``z_mask`` and Y on both; bit n-1-q stands for qubit q.
+
+    Row r holds one entry, in column r ^ x_mask. Since Y = -i Z X per
+    qubit, that entry is (-i)^#Y (-1)^(number of z_mask bits set in r).
+    """
+    d = 2**n
+    rows = np.arange(d)
+    odd = np.zeros(d, dtype=bool)
+    for bit in range(n):
+        if z_mask >> bit & 1:
+            odd ^= (rows >> bit & 1).astype(bool)
+    phase = _Y_PHASES[bin(x_mask & z_mask).count("1") % 4]
+    mat = np.zeros((d, d), dtype=complex)
+    mat[rows, rows ^ x_mask] = np.where(odd, -phase, phase)
     return mat
+
+
+def pauli_string_matrix(letters: str) -> np.ndarray:
+    x_mask = z_mask = 0
+    for ch in letters:
+        if ch not in PAULI_LETTERS:
+            raise ValueError(f"unknown Pauli letter {ch!r}")
+        x_mask = 2 * x_mask + (ch in "XY")
+        z_mask = 2 * z_mask + (ch in "YZ")
+    return _pauli_from_masks(len(letters), x_mask, z_mask)
 
 
 def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
@@ -259,15 +280,13 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
         return QuantumChannel((eye,))
     h = p2 / p1
     pi = p1 * p1 / p2
-    flip = _PAULI_BY_LETTER[basis]
+    x_on, z_on = basis in "XY", basis in "YZ"
     weighted = [(1.0 - pi, eye)]
-    for pattern in iproduct((0, 1), repeat=n):
+    for mask in range(2**n):
         w = pi
-        op = np.array([[1.0]], dtype=complex)
-        for bit in pattern:
-            w *= h if bit else (1.0 - h)
-            op = np.kron(op, flip if bit else PAULI_I)
-        weighted.append((w, op))
+        for q in range(n):
+            w *= h if mask >> (n - 1 - q) & 1 else (1.0 - h)
+        weighted.append((w, _pauli_from_masks(n, mask * x_on, mask * z_on)))
     return QuantumChannel(_filter_kraus(weighted))
 
 

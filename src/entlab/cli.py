@@ -505,7 +505,8 @@ class Param(NamedTuple):
     dashes) on the command line, key ``name`` in a ``run`` evaluation.
 
     ``type`` casts a given value; None keeps it as given and ``load_spec``
-    reads a JSON spec. A missing or null value takes ``default``.
+    reads a JSON spec. A missing or null value takes ``default``. A given
+    value below ``minimum`` is a config error.
     """
 
     name: str
@@ -514,6 +515,7 @@ class Param(NamedTuple):
     required: bool = False
     choices: tuple | None = None
     help: str | None = None
+    minimum: int | None = None
 
 
 class Subcommand(NamedTuple):
@@ -532,8 +534,8 @@ SUBCOMMANDS = {
         Param("qubits", help="comma-separated register positions"),
         Param("truncate", int, help="subset-size cap for total-defect"),
         Param("include_full", default="auto", choices=tuple(_INCLUDE_FULL)),
-        Param("restarts", int, help="search restarts for assisted"),
-        Param("sweeps", int, help="search sweeps for assisted"),
+        Param("restarts", int, help="search restarts for assisted", minimum=1),
+        Param("sweeps", int, help="search sweeps for assisted", minimum=0),
     )),
     "relation": Subcommand(relation_results, "check one relation at a level", (
         Param("id", int, required=True, choices=(1, 2, 3, 4)),
@@ -541,8 +543,8 @@ SUBCOMMANDS = {
         Param("state", load_spec, required=True, help="state spec (inline JSON or a path)"),
         Param("channel", load_spec, required=True, help="channel spec (inline JSON or a path)"),
         Param("qubits", required=True, help="comma-separated register positions"),
-        Param("restarts", int, help="search restarts for relations 2 and 4"),
-        Param("sweeps", int, help="search sweeps for relations 2 and 4"),
+        Param("restarts", int, help="search restarts for relations 2 and 4", minimum=1),
+        Param("sweeps", int, help="search sweeps for relations 2 and 4", minimum=0),
     )),
     "censorship": Subcommand(censorship_results, "total-defect growth over a family", (
         Param("family", required=True, choices=tuple(sorted(_FAMILY_BUILDERS))),
@@ -583,6 +585,10 @@ def _resolve(param: Param, value, field: str):
             raise ConfigError(f"bad value {value!r} for '{param.name}': {exc}", field=field)
     if param.choices is not None and value not in param.choices:
         raise ConfigError(f"'{param.name}' must be one of {list(param.choices)}", field=field)
+    if param.minimum is not None and value is not None and value < param.minimum:
+        raise ConfigError(
+            f"'{param.name}' must be at least {param.minimum}, got {value}", field=field
+        )
     return value
 
 

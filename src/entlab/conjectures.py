@@ -32,7 +32,7 @@ from .measures import (
     mutual_information,
     total_defect,
 )
-from .optim import max_avg_pure_decomposition
+from .optim import check_search_budget, max_avg_pure_decomposition
 from .states import DensityMatrix, PureState, as_density_matrix, entropy_of_subset
 from .states import partial_trace, validate_subset
 
@@ -168,6 +168,7 @@ def eval_relation2(
     The right-hand term is a certified lower bound, so a satisfied verdict
     is conditional; a violated one is definitive.
     """
+    check_search_budget(restarts, sweeps)
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
     out, leaks = _noisy_leaks(channel, pair)
@@ -237,6 +238,7 @@ def eval_relation34(
 
     The reference leak is the minimum single-qubit leak over the subset.
     """
+    check_search_budget(restarts, sweeps)
     rho = as_density_matrix(state)
     keep = validate_subset(subset, rho.n)
     if len(keep) < 2:

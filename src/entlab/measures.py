@@ -23,6 +23,7 @@ from .optim import (
     DEFAULT_TOL,
     Decomposition,
     MarginalConstraintSet,
+    check_search_budget,
     max_avg_pure_decomposition,
     max_entropy_with_marginals,
 )
@@ -135,6 +136,7 @@ def assisted_mutual_information(
     representation); the reported value is a lower bound certified by the
     returned decomposition.
     """
+    check_search_budget(restarts, sweeps)
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
     if len(pair) != 2:

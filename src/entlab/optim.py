@@ -395,6 +395,14 @@ def _optimize_pair(a, b, value_a, values_fn, plan):
     return best_val - base, best
 
 
+def check_search_budget(restarts: int, sweeps: int) -> None:
+    """Raise ValueError unless restarts >= 1 and sweeps >= 0."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be non-negative, got {sweeps}")
+
+
 def max_avg_pure_decomposition(
     rho: DensityMatrix,
     objective: Callable[[np.ndarray], float] | None = None,
@@ -409,12 +417,14 @@ def max_avg_pure_decomposition(
     entropy), which is evaluated in batch. The ensemble has twice as many
     members as rho has rank. The running best value is monotone over
     sweeps and restarts; the final decomposition must reconstruct rho to
-    1e-8 or a RuntimeError is raised.
+    1e-8 or a RuntimeError is raised. ``restarts`` must be at least 1 and
+    ``sweeps`` non-negative, or a ValueError is raised.
 
     A rank-1 rho = lam |psi><psi| has a unique decomposition up to phases,
     so no restart runs: the value is the exact lam * objective(psi), and
     the diagnostics read 0 restarts, 0 sweeps and cardinality 1.
     """
+    check_search_budget(restarts, sweeps)
     d = rho.dim
     if objective is None and d != 4:
         raise ValueError("default pair objective requires a two-qubit state")
@@ -436,7 +446,7 @@ def max_avg_pure_decomposition(
     plan = _grid_plan(grid, zoom_fine, zoom_grid)
 
     seq = np.random.SeedSequence(seed)
-    children = seq.spawn(max(restarts, 1))
+    children = seq.spawn(restarts)
     # Every decomposition of a rank-1 rho = lam |psi><psi| is made of phase
     # multiples of psi (Hughston, Jozsa and Wootters 1993), so the one
     # ensemble row is exact and no restart runs.
@@ -445,7 +455,7 @@ def max_avg_pure_decomposition(
     restarts_run = 0
     sweeps_used = 0
     since_improved = 0
-    for restart in range(max(restarts, 1) if rank > 1 else 0):
+    for restart in range(restarts if rank > 1 else 0):
         rng = np.random.default_rng(children[restart])
         if restart == 0:
             iso = np.zeros((t, rank), dtype=complex)

@@ -7,7 +7,7 @@ most significant bit), and entropies are reported in bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,10 +77,16 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on a register."""
+    """Hermitian, unit-trace, positive-semidefinite operator on a register.
+
+    ``spectrum`` holds the ascending eigenvalues that the positivity check
+    computed, for ``von_neumann_entropy`` to reuse. It is None above
+    dimension 512, where that check is skipped.
+    """
 
     n: int
     matrix: np.ndarray
+    spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = check_register_size(self.n)
@@ -88,17 +94,22 @@ class DensityMatrix:
         d = 2**n
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for {n} qubits, got {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=HERMITIAN_ATOL):
+        # the exact test passes every _hermitize output without the tolerance pass
+        adjoint = mat.conj().T
+        if not (np.array_equal(mat, adjoint) or np.allclose(mat, adjoint, atol=HERMITIAN_ATOL)):
             raise ValueError("matrix is not Hermitian")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        if d <= _PSD_CHECK_MAX_DIM:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -PSD_ATOL:
-                raise PositivityError(f"eigenvalue {lo} below -{PSD_ATOL}")
         mat = mat.copy()
         mat.flags.writeable = False
+        if d <= _PSD_CHECK_MAX_DIM:
+            lam = np.linalg.eigvalsh(mat)
+            lo = float(lam[0])
+            if lo < -PSD_ATOL:
+                raise PositivityError(f"eigenvalue {lo} below -{PSD_ATOL}")
+            lam.flags.writeable = False
+            object.__setattr__(self, "spectrum", lam)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", mat)
 
@@ -177,7 +188,7 @@ def pure_marginal(amplitudes: np.ndarray, n: int, keep: Sequence[int]) -> Densit
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum(lam * log2(lam)) over eigenvalues above the clip floor."""
-    lam = np.linalg.eigvalsh(rho.matrix)
+    lam = rho.spectrum if rho.spectrum is not None else np.linalg.eigvalsh(rho.matrix)
     lo = float(lam[0])
     if lo < -1e-6:
         raise PositivityError(f"eigenvalue {lo} below -1e-6")

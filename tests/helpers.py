@@ -6,6 +6,7 @@ the library paths they check.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from math import lgamma, log, log1p
 from pathlib import Path
@@ -93,6 +94,49 @@ def entropy_oracle(mat: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(mat)
     lam = lam[lam > 1e-12]
     return float(-np.sum(xlogy(lam, lam)) / LOG2)
+
+
+def reference_entropy(mat: np.ndarray) -> float:
+    """``states.von_neumann_entropy`` as first written: a fresh eigvalsh of
+    the matrix, not the spectrum the constructor keeps. It must match
+    bitwise."""
+    lam = np.linalg.eigvalsh(mat)
+    lam = lam[lam > EIGENVALUE_CLIP]
+    if lam.size == 0:
+        return 0.0
+    return float(max(0.0, -np.sum(lam * np.log2(lam))))
+
+
+PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli_string(letters: str) -> np.ndarray:
+    """Pauli string as the n-step kron chain of its 2x2 letters."""
+    mat = np.array([[1.0]], dtype=complex)
+    for ch in letters:
+        mat = np.kron(mat, PAULI_2X2[ch])
+    return mat
+
+
+def kron_pairwise_kraus(n: int, p1: float, p2: float, basis: str) -> list:
+    """Kraus operators of ``build_pairwise_correlated`` built as it first
+    was: a kron chain per flip pattern, with the pattern's weight
+    multiplied qubit by qubit. Its operators must match them exactly."""
+    h = p2 / p1
+    pi = p1 * p1 / p2
+    weighted = [(1.0 - pi, np.eye(2**n, dtype=complex))]
+    for pattern in itertools.product((0, 1), repeat=n):
+        w = pi
+        for bit in pattern:
+            w *= h if bit else (1.0 - h)
+        letters = "".join(basis if bit else "I" for bit in pattern)
+        weighted.append((w, kron_pauli_string(letters)))
+    return [np.sqrt(w) * op for w, op in weighted if w > 0.0]
 
 
 def h2(p: float) -> float:

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from entlab.channels import (
 from entlab.errors import SizeLimitError
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
-from helpers import BUILT_CHANNELS, random_density
+from helpers import BUILT_CHANNELS, kron_pairwise_kraus, kron_pauli_string, random_density
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,6 +103,26 @@ def test_correlated_flip_action():
 def test_pauli_string_matrix():
     assert np.allclose(pauli_string_matrix("IX"), np.kron(I2, X))
     assert np.allclose(pauli_string_matrix("ZY"), np.kron(Z, Y))
+    # every string of up to five letters, Y phases included, equals its
+    # kron chain entry for entry
+    for n in range(6):
+        for letters in product("IXYZ", repeat=n):
+            letters = "".join(letters)
+            assert np.array_equal(pauli_string_matrix(letters), kron_pauli_string(letters))
+    with pytest.raises(ValueError, match="unknown Pauli letter 'W'"):
+        pauli_string_matrix("XW")
+
+
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+def test_pairwise_correlated_matches_kron_chains(basis):
+    """Every flip mask's Kraus operator, weight included, equals the kron
+    chain that it used to form."""
+    for n in range(1, 6):
+        for p1, p2 in ((0.1, 0.04), (0.3, 0.3)):
+            got = build_pairwise_correlated(n, p1, p2, basis).kraus
+            want = kron_pairwise_kraus(n, p1, p2, basis)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_combine_acts_locally(rng):

@@ -258,6 +258,11 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
         ({"kind": "qec_demo", "epsilon": {"value": 0.5}}, "epsilon"),
         ({"kind": "measure", "name": "assisted", "restarts": "two"}, "restarts"),
         ({"kind": []}, "kind"),
+        ({"kind": "measure", "name": "assisted", "restarts": -4}, "restarts"),
+        ({"kind": "measure", "name": "assisted", "sweeps": -1}, "sweeps"),
+        ({"kind": "relation", "id": 4, "state": {"family": "ghz", "n": 3},
+          "channel": {"family": "identity", "n": 3}, "qubits": [0, 1, 2], "restarts": 0},
+         "restarts"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
@@ -265,6 +270,16 @@ def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
     code, err = run_config(tmp_path, capsys, body)
     assert code == 2
     assert f"[evaluations[1].{field}]" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--restarts", "-4"), ("--sweeps", "-1")])
+def test_search_budget_flag_is_config_error(flag, value, capsys):
+    code = cli.main(["--seed", "1", "measure", "--name", "assisted", "--qubits", "0,1",
+                     "--state", '{"family": "bell"}', flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"config error [{flag[2:]}]" in err
 
 
 @pytest.mark.parametrize("key, value", [("format", "xml"), ("out", 2)])

@@ -20,6 +20,7 @@ from entlab.conjectures import (
     fit_growth_exponent,
 )
 from entlab.measures import excess_leak, excess_leak_set, information_leak
+from entlab.optim import max_avg_pure_decomposition
 from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
 from helpers import BUILT_CHANNELS, h2
 
@@ -139,6 +140,30 @@ def test_relation4_decomposed_mode():
     assert v.conditional
     with pytest.raises(ValueError):
         eval_relation34(ghz(3), ch, (0, 1, 2), mode="other")
+
+
+@pytest.mark.parametrize(
+    "restarts, sweeps, message",
+    [(0, 4, "restarts must be at least 1, got 0"),
+     (-2, 4, "restarts must be at least 1, got -2"),
+     (1, -1, "sweeps must be non-negative, got -1")],
+)
+def test_search_budget_is_validated(restarts, sweeps, message):
+    """A search with no restart or negative sweeps is refused, also where
+    relation 4 would have scaled the budget back into range."""
+    ch = build_correlated_flip(0.2, "ZZ")
+    budget = {"restarts": restarts, "sweeps": sweeps}
+    calls = [
+        lambda: max_avg_pure_decomposition(bell().density_matrix(), **budget),
+        lambda: measures.assisted_mutual_information(bell(), 0, 1, **budget),
+        lambda: eval_relation2(bell(), ch, 0, 1, **budget),
+        lambda: eval_relation34(ghz(3), ch, (0, 1, 2), mode="decomposed", **budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    zero_sweeps = max_avg_pure_decomposition(bell().density_matrix(), restarts=1, sweeps=0)
+    assert abs(zero_sweeps.value - 2.0) < 1e-12
 
 
 def test_fit_growth_exponent_recovers_power_laws():

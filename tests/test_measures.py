@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -57,10 +59,45 @@ def test_leak_of_dephasing_is_flip_entropy():
     assert abs(got - 0.468996) < 1e-6
 
 
-def test_leak_additive_for_product_channels():
-    ch = combine([(build_dephasing(0.3), (0,)), (build_dephasing(0.6), (1,))], n=2)
-    joint = information_leak(ch, (0, 1))
-    assert abs(joint - h2(0.15) - h2(0.3)) < 1e-9
+_ONE_QUBIT_NOISE = {"dephasing": build_dephasing, "depolarizing": build_depolarizing}
+
+
+@st.composite
+def product_noise(draw, max_qubits):
+    """Single-qubit noise per qubit of an n = 2..max_qubits register, as
+    (kind, strength) pairs; kind None leaves the qubit idle."""
+    n = draw(st.integers(2, max_qubits))
+    kind = st.sampled_from(["dephasing", "depolarizing", None])
+    return draw(st.lists(st.tuples(kind, st.floats(0.0, 1.0)), min_size=n, max_size=n))
+
+
+def product_channel(noise):
+    parts = [(_ONE_QUBIT_NOISE[kind](s), (q,)) for q, (kind, s) in enumerate(noise) if kind]
+    return combine(parts, n=len(noise))
+
+
+def plus_flip_probability(kind, strength):
+    """How often the noise flips |+> to |->: a phase flip at eps/2 for
+    dephasing, the Y and Z terms at 2p/3 for depolarizing."""
+    if kind is None:
+        return 0.0
+    return strength / 2.0 if kind == "dephasing" else 2.0 * strength / 3.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(product_noise(4))
+@example([("dephasing", 0.3), ("dephasing", 0.6)])
+def test_leak_additive_for_product_channels(noise):
+    """On |+>^n the leak of a product channel on any subset is the sum of
+    its qubits' leaks, each the entropy of one flip."""
+    ch = product_channel(noise)
+    n = len(noise)
+    singles = [information_leak(ch, (q,)) for q in range(n)]
+    for q in range(n):
+        assert abs(singles[q] - h2(plus_flip_probability(*noise[q]))) < 1e-9
+    for size in range(2, n + 1):
+        for keep in combinations(range(n), size):
+            assert abs(information_leak(ch, keep) - sum(singles[q] for q in keep)) < 1e-9
 
 
 def test_leak_accepts_custom_input():
@@ -103,9 +140,14 @@ def test_excess_leak_correlated_flip():
     assert abs(excess_leak(ch, 0, 1, input_state=bell()) - 2.0) < 1e-9
 
 
-def test_excess_leak_vanishes_for_product_noise():
-    ch = combine([(build_depolarizing(0.3), (0,)), (build_dephasing(0.5), (1,))], n=2)
-    assert abs(excess_leak(ch, 0, 1)) < 1e-10
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(product_noise(4))
+@example([("depolarizing", 0.3), ("dephasing", 0.5)])
+def test_excess_leak_vanishes_for_product_noise(noise):
+    ch = product_channel(noise)
+    for a in range(len(noise)):
+        for b in range(a + 1, len(noise)):
+            assert abs(excess_leak(ch, a, b)) < 1e-10
 
 
 def test_pair_defect_equals_mutual_information(rng):
@@ -133,10 +175,13 @@ def test_set_defect_validates_subset():
         max_entropy_defect(big, (0, 1, 2, 3, 4))
 
 
-def test_excess_leak_set_product_noise():
-    parts = [(build_depolarizing(0.2), (0,)), (build_dephasing(0.5), (1,)), (build_depolarizing(0.1), (2,))]
-    ch = combine(parts, n=3)
-    for subset in ((0, 1), (1, 2), (0, 1, 2)):
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(product_noise(3))
+@example([("depolarizing", 0.2), ("dephasing", 0.5), ("depolarizing", 0.1)])
+def test_excess_leak_set_product_noise(noise):
+    ch = product_channel(noise)
+    subsets = [(0, 1), (1, 2), (0, 1, 2)] if len(noise) == 3 else [(0, 1)]
+    for subset in subsets:
         assert abs(excess_leak_set(ch, subset).value) < 1e-6
 
 

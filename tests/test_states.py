@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entlab import DensityMatrix, PureState
+from entlab.channels import apply, build_depolarizing
 from entlab.errors import PositivityError, SizeLimitError
 from entlab.states import (
     as_density_matrix,
@@ -10,24 +14,81 @@ from entlab.states import (
     entropy_of_subset,
     fidelity,
     partial_trace,
+    pure_marginal,
     purify,
     tensor,
     trace_distance,
     validate_subset,
     von_neumann_entropy,
 )
-from helpers import entropy_oracle, h2, haar, partial_trace_oracle, random_density, random_pure
+from helpers import (
+    entropy_oracle,
+    h2,
+    haar,
+    partial_trace_oracle,
+    random_density,
+    random_pure,
+    reference_entropy,
+)
 
 
 def test_density_matrix_rejects_invalid_input():
-    with pytest.raises(PositivityError):
+    """Each check rejects with its own error and message, just past its
+    tolerance; the exact Hermitian test falls back to the tolerance one."""
+    with pytest.raises(PositivityError, match=r"^eigenvalue -0\.5 below -1e-09$"):
         DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(PositivityError, match=r"^eigenvalue -1e-08 below -1e-09$"):
+        DensityMatrix(1, np.diag([1.0 + 1e-8, -1e-8]).astype(complex))
+    DensityMatrix(1, np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
+    with pytest.raises(ValueError, match=r"^trace must be 1, got \(1\.2\+0j\)$"):
         DensityMatrix(1, np.diag([0.6, 0.6]).astype(complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian$"):
         DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+    skew = np.diag([0.5, 0.5]).astype(complex)
+    skew[0, 1] = 1e-8
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian$"):
+        DensityMatrix(1, skew)
     with pytest.raises(SizeLimitError):
         check_register_size(13)
+    near = np.diag([0.5, 0.5]).astype(complex)
+    near[0, 1] = 1e-12
+    rho = DensityMatrix(1, near)
+    assert not np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+
+
+def test_density_matrix_above_check_dimension_has_no_spectrum():
+    """Past dimension 512 positivity is not checked at construction, and
+    the entropy diagonalizes the matrix itself."""
+    d = 2**10
+    flat = DensityMatrix(10, np.eye(d, dtype=complex) / d)
+    assert flat.spectrum is None
+    assert abs(von_neumann_entropy(flat) - 10.0) < 1e-9
+    lam = np.full(d, (1.0 + 1e-3) / (d - 1))
+    lam[0] = -1e-3
+    skewed = DensityMatrix(10, np.diag(lam).astype(complex))
+    assert skewed.spectrum is None
+    with pytest.raises(PositivityError, match=r"^eigenvalue -0\.001 below -1e-6$"):
+        von_neumann_entropy(skewed)
+
+
+def test_stored_spectrum_gives_the_fresh_entropy(rng):
+    """The spectrum the positivity check keeps gives bitwise the entropy of
+    a fresh eigvalsh, on inputs and on library outputs."""
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        rho = DensityMatrix(n, random_density(rng, n))
+        keep = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)))
+        states = [
+            rho,
+            partial_trace(rho, keep),
+            pure_marginal(random_pure(rng, n), n, keep),
+            apply(build_depolarizing(0.3, qubit=n - 1), rho),
+            tensor(rho, DensityMatrix(1, random_density(rng, 1))),
+        ]
+        for state in states:
+            assert np.array_equal(state.spectrum, np.linalg.eigvalsh(state.matrix))
+            assert von_neumann_entropy(state) == reference_entropy(state.matrix)
 
 
 def test_pure_state_rejects_invalid_input():
@@ -111,14 +172,35 @@ def test_entropy_unitary_invariance(rng):
         assert abs(s0 - s1) < 1e-8
 
 
-def test_entropy_subadditivity(rng):
-    for _ in range(25):
-        rho = DensityMatrix(3, random_density(rng, 3))
-        s_ab = von_neumann_entropy(rho)
-        s_a = entropy_of_subset(rho, (0,))
-        s_b = entropy_of_subset(rho, (1, 2))
-        assert s_ab <= s_a + s_b + 1e-9
-        assert abs(s_a - s_b) <= s_ab + 1e-9  # triangle inequality
+@st.composite
+def split_states(draw):
+    """(rho, A, B): a Ginibre-induced state G G^dagger / tr on n = 2..4
+    qubits and two disjoint non-empty subsets; the rest is traced out."""
+    n = draw(st.integers(2, 4))
+    d = 2**n
+    rank = draw(st.integers(1, d))
+    elements = st.floats(-1, 1, allow_subnormal=False)
+    parts = draw(arrays(np.float64, (2, d, rank), elements=elements))
+    g = parts[0] + 1j * parts[1]
+    mat = g @ g.conj().T
+    trace = float(np.trace(mat).real)
+    assume(trace > 1e-3)
+    order = draw(st.permutations(range(n)))
+    end_a = draw(st.integers(1, n - 1))
+    end_b = draw(st.integers(end_a + 1, n))
+    return DensityMatrix(n, mat / trace), tuple(order[:end_a]), tuple(order[end_a:end_b])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(split_states())
+def test_entropy_subadditivity(case):
+    """S(AB) <= S(A) + S(B) and the Araki-Lieb triangle |S(A) - S(B)| <= S(AB)."""
+    rho, a, b = case
+    s_ab = entropy_of_subset(rho, a + b)
+    s_a = entropy_of_subset(rho, a)
+    s_b = entropy_of_subset(rho, b)
+    assert s_ab <= s_a + s_b + 1e-9
+    assert abs(s_a - s_b) <= s_ab + 1e-9
 
 
 def test_purification_roundtrip(rng):
