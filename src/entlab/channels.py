@@ -1,16 +1,19 @@
 """Quantum channels as Kraus lists, with builders for correlated noise.
 
 A channel is stored as a tuple of Kraus operators K_k with
-sum_k K_k^dagger K_k = I (checked to 1e-9). Channels may be declared on a
-sub-register via ``qubits``; application to a larger register pads the
-remaining qubits with identity. The Pauli expansion maps a channel to the
-error-probability vector of its Pauli twirl.
+sum_k K_k^dagger K_k = I (checked to 1e-9), together with the register
+positions ``qubits`` it acts on (0..n-1 unless declared). ``embed`` is the
+one place that pads Kraus operators with identity onto a larger register;
+``apply`` and ``compose`` go through it, and ``combine`` places each part
+on its qubits and folds ``compose`` over the parts in order. The Pauli
+expansion maps a channel to the error-probability vector of its Pauli
+twirl.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,8 +45,8 @@ class QuantumChannel:
     kraus : sequence of ndarray
         Square operators of a common power-of-two dimension.
     qubits : tuple of int, optional
-        Register positions the channel acts on when applied to a larger
-        register. None means positions 0..n-1.
+        Strictly increasing register positions the channel acts on when
+        applied to a larger register; positions 0..n-1 when omitted.
     """
 
     kraus: tuple
@@ -69,15 +72,14 @@ class QuantumChannel:
         for op in ops:
             op.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
-        if self.qubits is not None:
-            pos = tuple(int(q) for q in self.qubits)
-            if len(pos) != n:
-                raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
-            if sorted(set(pos)) != list(pos):
-                raise ValueError(f"positions must be strictly increasing, got {pos}")
-            if pos and pos[0] < 0:
-                raise ValueError("negative qubit position")
-            object.__setattr__(self, "qubits", pos)
+        pos = tuple(range(n)) if self.qubits is None else tuple(int(q) for q in self.qubits)
+        if len(pos) != n:
+            raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
+        if sorted(set(pos)) != list(pos):
+            raise ValueError(f"positions must be strictly increasing, got {pos}")
+        if pos and pos[0] < 0:
+            raise ValueError("negative qubit position")
+        object.__setattr__(self, "qubits", pos)
 
     @property
     def n(self) -> int:
@@ -87,88 +89,63 @@ class QuantumChannel:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def positions(self) -> tuple:
-        return self.qubits if self.qubits is not None else tuple(range(self.n))
-
 
 def identity_channel(n: int) -> QuantumChannel:
     check_register_size(n)
     return QuantumChannel((np.eye(2**n, dtype=complex),))
 
 
+def _span(channel: QuantumChannel) -> int:
+    """Size of the smallest register that holds the channel's qubits."""
+    return channel.qubits[-1] + 1 if channel.qubits else 0
+
+
 def embed(channel: QuantumChannel, n: int) -> QuantumChannel:
-    """Pad a sub-register channel with identity up to an n-qubit register."""
-    pos = channel.positions()
-    if pos and pos[-1] >= n:
+    """Pad a sub-register channel with identity up to an n-qubit register.
+
+    A channel that already sits on qubits 0..n-1 is returned as it is.
+    """
+    pos = channel.qubits
+    if _span(channel) > n:
         raise ValueError(f"channel on qubits {pos} does not fit in {n} qubits")
-    if channel.n == n and pos == tuple(range(n)):
-        return QuantumChannel(channel.kraus) if channel.qubits is not None else channel
+    if pos == tuple(range(n)):
+        return channel
     check_register_size(n)
-    ops = tuple(embed_operator(k, pos, n) for k in channel.kraus)
-    return QuantumChannel(ops)
+    return QuantumChannel(tuple(embed_operator(k, pos, n) for k in channel.kraus))
 
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Channel output sum_k K rho K^dagger, padding sub-register channels."""
-    ch = channel
-    pos = ch.positions()
-    if ch.n != rho.n or pos != tuple(range(rho.n)):
-        ch = embed(channel, rho.n)
+    ch = embed(channel, rho.n)
     out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
     return DensityMatrix(rho.n, _hermitize(out))
 
 
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """Channel running ``first`` then ``second`` (Kraus products K2 K1)."""
-    n = max(
-        second.positions()[-1] + 1 if second.positions() else 0,
-        first.positions()[-1] + 1 if first.positions() else 0,
-        second.n,
-        first.n,
-    )
+    n = max(_span(second), _span(first))
     a = embed(second, n)
     b = embed(first, n)
-    ops = tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus)
-    return QuantumChannel(ops)
+    return QuantumChannel(tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus))
 
 
 def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     """Tensor sub-register channels over disjoint qubit sets, identity elsewhere.
 
     ``parts`` is a list of (channel, qubits) pairs; ``n`` defaults to one
-    past the largest qubit named.
+    past the largest qubit named. The result is ``compose`` folded over the
+    placed parts in order, so part 0's Kraus index runs outermost.
     """
-    placed = []
-    used: set[int] = set()
-    top = -1
-    for channel, qubits in parts:
-        pos = tuple(int(q) for q in qubits)
-        if sorted(set(pos)) != list(pos):
-            raise ValueError(f"positions must be strictly increasing, got {pos}")
-        if len(pos) != channel.n:
-            raise ValueError(f"{channel.n}-qubit channel placed on {len(pos)} qubits")
-        if used & set(pos):
-            raise ValueError(f"overlapping qubit sets at {pos}")
-        used |= set(pos)
-        top = max(top, max(pos, default=-1))
-        placed.append((channel, pos))
+    placed = [QuantumChannel(channel.kraus, qubits=qubits) for channel, qubits in parts]
+    used = [q for part in placed for q in part.qubits]
+    if len(set(used)) != len(used):
+        raise ValueError(f"overlapping qubit sets in {used}")
     if n is None:
-        n = top + 1
+        n = max(used, default=-1) + 1
     check_register_size(n)
-    if top >= n:
-        raise ValueError(f"parts reference qubit {top} outside register of size {n}")
     if not placed:
         return identity_channel(n)
-    embedded = [
-        [embed_operator(k, pos, n) for k in channel.kraus] for channel, pos in placed
-    ]
-    ops = []
-    for combo in iproduct(*embedded):
-        full = combo[0]
-        for factor in combo[1:]:
-            full = full @ factor
-        ops.append(full)
-    return QuantumChannel(tuple(ops))
+    return reduce(compose, [embed(part, n) for part in placed])
 
 
 def _filter_kraus(weighted: Sequence[tuple[float, np.ndarray]]) -> tuple:

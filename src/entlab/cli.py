@@ -35,6 +35,7 @@ from .channels import (
     identity_channel,
 )
 from .conjectures import (
+    INCLUDE_FULL,
     censorship_scan,
     eval_relation1,
     eval_relation2,
@@ -254,9 +255,6 @@ def _parse_qubits(value, field="qubits"):
         raise ConfigError(f"cannot parse qubit list {value!r}", field=field)
 
 
-_INCLUDE_FULL = {"never": False, "auto": None, "always": True}
-
-
 def _measure_entry(name, value, qubits, diagnostics):
     return {
         "measure": name,
@@ -330,7 +328,7 @@ def measure_results(params: dict, seeds: SeedStream) -> list:
         if params["truncate"] is not None:
             kwargs["max_subset_size"] = params["truncate"]
         res = total_defect(
-            need_state(), include_full=_INCLUDE_FULL[params["include_full"]], **kwargs
+            need_state(), include_full=INCLUDE_FULL[params["include_full"]], **kwargs
         )
         diag = dict(res.diagnostics)
         diag.update(
@@ -533,7 +531,7 @@ SUBCOMMANDS = {
         Param("channel", load_spec, help="channel spec (inline JSON or a path)"),
         Param("qubits", help="comma-separated register positions"),
         Param("truncate", int, help="subset-size cap for total-defect"),
-        Param("include_full", default="auto", choices=tuple(_INCLUDE_FULL)),
+        Param("include_full", default="auto", choices=tuple(INCLUDE_FULL)),
         Param("restarts", int, help="search restarts for assisted", minimum=1),
         Param("sweeps", int, help="search sweeps for assisted", minimum=0),
     )),
@@ -551,7 +549,7 @@ SUBCOMMANDS = {
         Param("n_min", int, default=2),
         Param("n_max", int, default=6),
         Param("truncate", int, default=3),
-        Param("include_full", default="never", choices=tuple(_INCLUDE_FULL)),
+        Param("include_full", default="never", choices=tuple(INCLUDE_FULL)),
         Param("depth", int, default=2, help="depth for random-circuit"),
     )),
     "sync": Subcommand(sync_results, "classical tails and error-weight statistics", (

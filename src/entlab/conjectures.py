@@ -332,6 +332,10 @@ def _classify_growth(exponent: float | None, values: Sequence[float]) -> str:
     return "superquadratic"
 
 
+# censorship_scan's include_full spelling -> total_defect's include_full flag
+INCLUDE_FULL = {"never": False, "auto": None, "always": True}
+
+
 def censorship_scan(
     family: Callable[[int], PureState | DensityMatrix],
     sizes: Iterable[int],
@@ -345,19 +349,14 @@ def censorship_scan(
     default so totals stay comparable across sizes), "auto" (full-set term
     added when the register fits the optimizer cap), or "always".
     """
-    if include_full not in ("never", "auto", "always"):
+    if include_full not in tuple(INCLUDE_FULL):
         raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
+    flag = INCLUDE_FULL[include_full]
     size_list = sorted(int(n) for n in sizes)
     values = []
     details = {}
     for n in size_list:
         state = family(n)
-        if include_full == "never":
-            flag: bool | None = False
-        elif include_full == "always":
-            flag = True
-        else:
-            flag = None
         res = total_defect(state, max_subset_size=truncation, include_full=flag, tol=tol)
         values.append(res.value)
         details[n] = {

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, apply
+from .channels import QuantumChannel, _span, apply
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -57,8 +57,7 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> Den
     """The channel applied to ``input_state``, by default |+>^n on the
     smallest register that holds the channel."""
     if input_state is None:
-        pos = channel.positions()
-        input_state = plus_all(max(channel.n, pos[-1] + 1 if pos else channel.n))
+        input_state = plus_all(_span(channel))
     return apply(channel, input_state.density_matrix())
 
 
@@ -95,8 +94,6 @@ def mutual_information(state: PureState | DensityMatrix, a: int, b: int) -> floa
     """S(rho_a) + S(rho_b) - S(rho_ab) for two register positions."""
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    if len(pair) != 2:
-        raise ValueError("qubits a and b must differ")
     s_a = entropy_of_subset(rho, (pair[0],))
     s_b = entropy_of_subset(rho, (pair[1],))
     s_ab = entropy_of_subset(rho, pair)
@@ -139,8 +136,6 @@ def assisted_mutual_information(
     check_search_budget(restarts, sweeps)
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    if len(pair) != 2:
-        raise ValueError("qubits a and b must differ")
     marginal = partial_trace(rho, pair)
     floor = mutual_information(rho, a, b)
     # Search in the local eigenbasis of the one-qubit marginals. The target

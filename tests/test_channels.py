@@ -71,6 +71,50 @@ def test_channel_constructor_validates():
         QuantumChannel((I2,), qubits=(1, 0))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_channel_defaults_to_leading_qubits(n):
+    assert QuantumChannel((np.eye(2**n, dtype=complex),)).qubits == tuple(range(n))
+
+
+@pytest.mark.parametrize(
+    "place, message",
+    [
+        (lambda: combine([(build_dephasing(0.1), (1,)), (build_dephasing(0.2), (1,))]), "overlap"),
+        (lambda: combine([(build_correlated_flip(0.1, "XX"), (2, 0))]), "strictly increasing"),
+        (lambda: combine([(build_dephasing(0.1), (0, 1))], n=3), "declared on 2"),
+        (lambda: combine([(build_dephasing(0.1), (3,))], n=3), "does not fit"),
+        (lambda: embed(build_dephasing(0.1, qubit=2), 2), "does not fit"),
+    ],
+    ids=["overlap", "not-increasing", "count-mismatch", "qubit-outside", "embed-does-not-fit"],
+)
+def test_placement_rejects(place, message):
+    with pytest.raises(ValueError, match=message):
+        place()
+
+
+def test_combine_kraus_order_is_part_order():
+    # part 0's Kraus index runs outermost; identity fills the other qubits
+    a, b, c = build_depolarizing(0.3), build_dephasing(0.4), build_correlated_flip(0.2, "XY")
+    got = combine([(a, (0,)), (b, (2,))], n=3).kraus
+    want = [np.kron(np.kron(ka, I2), kb) for ka in a.kraus for kb in b.kraus]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    got = combine([(a, (0,)), (c, (1, 2)), (b, (4,))], n=5).kraus
+    want = [
+        np.kron(np.kron(np.kron(ka, kc), I2), kb)
+        for ka in a.kraus
+        for kc in c.kraus
+        for kb in b.kraus
+    ]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_embed_returns_a_placed_channel_unchanged():
+    ch = QuantumChannel(build_correlated_flip(0.2, "XZ").kraus, qubits=(0, 1))
+    assert embed(ch, 2) is ch
+
+
 def test_depolarizing_action(rng):
     p = 0.3
     ch = build_depolarizing(p)

@@ -31,7 +31,7 @@ def _relations(channel):
     takes a pair, since its nested solves on three qubits are slow."""
     if channel.n < 2:
         channel = QuantumChannel(channel.kraus, qubits=(1,))
-    n = max(channel.positions()) + 1
+    n = max(channel.qubits) + 1
     state, subset, budget = ghz(n), tuple(range(min(n, 3))), {"restarts": 1, "sweeps": 2}
     return channel, subset, [
         lambda: eval_relation1(state, channel, 0, 1),

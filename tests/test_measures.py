@@ -133,6 +133,15 @@ def test_mutual_information_values():
         mutual_information(bell(), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [lambda: mutual_information(bell(), 0, 0), lambda: assisted_mutual_information(bell(), 1, 1)],
+)
+def test_pair_measures_reject_a_repeated_qubit(measure):
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        measure()
+
+
 def test_excess_leak_correlated_flip():
     ch = build_correlated_flip(0.2, "ZZ")
     assert abs(excess_leak(ch, 0, 1) - h2(0.2)) < 1e-9
