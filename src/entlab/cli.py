@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -248,7 +249,10 @@ def _parse_qubits(value, field="qubits"):
     if value is None:
         return None
     if isinstance(value, (list, tuple)):
-        return tuple(int(q) for q in value)
+        try:
+            return tuple(operator.index(q) for q in value)
+        except TypeError:
+            raise ConfigError(f"qubit positions must be integers, got {value!r}", field=field)
     try:
         return tuple(int(part) for part in str(value).split(",") if part.strip() != "")
     except ValueError:

@@ -8,6 +8,12 @@ scaled by a reference leak and a level c:
     3: excess_leak_set(A)    >= c * min-leak  * max_entropy_defect(A)
     4: excess_leak_set(A)    >= c * min-leak  * decomposed defect of A
 
+One function builds every verdict from the relation number: it reads the
+pair (1, 2) or set (3, 4) excess and the mean or minimum one-qubit leak
+from a single noisy output, and the number alone fixes the term's name,
+the conditional flag and the note. Each public evaluator checks its
+arguments and supplies only its term.
+
 Relation 2 and 4 right-hand sides are best-found lower bounds, so their
 "satisfied" verdicts are flagged conditional; "violated" is definitive.
 A pure (rank-1) marginal has a unique decomposition, so there the term is
@@ -17,7 +23,8 @@ that reports differ from a searched term's only in the search diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,22 +68,13 @@ class RelationVerdict:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "qubits": list(self.qubits),
-            "level": self.level,
-            "excess_leak": self.excess,
-            "term": self.term,
-            "term_kind": self.term_kind,
-            "leaks": {str(k): v for k, v in self.leaks.items()},
-            "reference_leak": self.reference_leak,
-            "k_hat": self.k_hat,
-            "k_hat_per_leak": self.k_hat_per_leak,
-            "verdict": self.verdict,
-            "conditional": self.conditional,
-            "notes": self.notes,
-            "diagnostics": self.diagnostics,
+        d = {
+            "excess_leak" if f.name == "excess" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
+        d["qubits"] = list(self.qubits)
+        d["leaks"] = {str(k): v for k, v in self.leaks.items()}
+        return d
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -87,51 +85,64 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den
 
 
-def _build_verdict(
+_TERM_KINDS = {
+    1: "mutual_information",
+    2: "assisted_mutual_information",
+    3: "max_entropy_defect",
+    4: "decomposed_defect",
+}
+# relations whose term is searched for, hence a best-found lower bound
+_SEARCHED = (2, 4)
+_value_and_diagnostics = attrgetter("value", "diagnostics")
+
+
+def _verdict(
     relation: int,
+    channel: QuantumChannel,
     qubits: tuple,
     level: float,
-    excess: float,
-    term: float,
-    term_kind: str,
-    leaks: dict,
-    reference_leak: float,
-    conditional_on_satisfied: bool,
-    notes: str = "",
-    diagnostics: dict | None = None,
+    term: Callable[[], tuple[float, dict]],
 ) -> RelationVerdict:
-    k_hat = _ratio(excess, term)
-    k_hat_per_leak = _ratio(excess, term * reference_leak)
-    vacuous = excess < VACUOUS_ATOL and (term < VACUOUS_ATOL or reference_leak < VACUOUS_ATOL)
-    if vacuous:
-        verdict = "vacuous"
-        conditional = False
+    """Relation ``relation`` at ``level`` for a term given as (value, diagnostics).
+
+    The excess and the leaks come from the channel's output on |+>^n before
+    ``term`` is called, so an excess that cannot be computed fails before a
+    decomposition search starts.
+    """
+    out = _noisy_output(channel, None)
+    leaks = {q: entropy_of_subset(out, (q,)) for q in qubits}
+    if relation <= 2:
+        reference_leak = float(np.mean(list(leaks.values())))
+        excess = mutual_information(out, *qubits)
+        term_value, diagnostics = term()
     else:
-        satisfied = excess >= level * reference_leak * term - 1e-12
-        verdict = "satisfied" if satisfied else "violated"
-        conditional = conditional_on_satisfied and satisfied
+        reference_leak = float(min(leaks.values()))
+        excess, excess_diagnostics = _value_and_diagnostics(max_entropy_defect(out, qubits))
+        term_value, term_diagnostics = term()
+        diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
+    if excess < VACUOUS_ATOL and (term_value < VACUOUS_ATOL or reference_leak < VACUOUS_ATOL):
+        verdict = "vacuous"
+    elif excess >= level * reference_leak * term_value - 1e-12:
+        verdict = "satisfied"
+    else:
+        verdict = "violated"
+    searched = relation in _SEARCHED
     return RelationVerdict(
         relation=relation,
         qubits=qubits,
         level=level,
         excess=float(excess),
-        term=float(term),
-        term_kind=term_kind,
+        term=float(term_value),
+        term_kind=_TERM_KINDS[relation],
         leaks=leaks,
-        reference_leak=float(reference_leak),
-        k_hat=k_hat,
-        k_hat_per_leak=k_hat_per_leak,
+        reference_leak=reference_leak,
+        k_hat=_ratio(excess, term_value),
+        k_hat_per_leak=_ratio(excess, term_value * reference_leak),
         verdict=verdict,
-        conditional=conditional,
-        notes=notes,
-        diagnostics=diagnostics or {},
+        conditional=searched and verdict == "satisfied",
+        notes="term is a best-found lower bound" if searched else "",
+        diagnostics=diagnostics,
     )
-
-
-def _noisy_leaks(channel: QuantumChannel, qubits: tuple) -> tuple[DensityMatrix, dict]:
-    """The channel's output on |+>^n and the one-qubit leaks of ``qubits`` read from it."""
-    out = _noisy_output(channel, None)
-    return out, {q: entropy_of_subset(out, (q,)) for q in qubits}
 
 
 def eval_relation1(
@@ -144,13 +155,7 @@ def eval_relation1(
     """Pair relation with the plain mutual information on the right."""
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    out, leaks = _noisy_leaks(channel, pair)
-    mean_leak = float(np.mean(list(leaks.values())))
-    excess = mutual_information(out, *pair)
-    term = mutual_information(rho, *pair)
-    return _build_verdict(
-        1, pair, level, excess, term, "mutual_information", leaks, mean_leak, False
-    )
+    return _verdict(1, channel, pair, level, lambda: (mutual_information(rho, *pair), {}))
 
 
 def eval_relation2(
@@ -171,25 +176,13 @@ def eval_relation2(
     check_search_budget(restarts, sweeps)
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
-    out, leaks = _noisy_leaks(channel, pair)
-    mean_leak = float(np.mean(list(leaks.values())))
-    excess = mutual_information(out, *pair)
-    assisted = assisted_mutual_information(
-        rho, *pair, restarts=restarts, sweeps=sweeps, seed=seed
-    )
-    return _build_verdict(
-        2,
-        pair,
-        level,
-        excess,
-        assisted.value,
-        "assisted_mutual_information",
-        leaks,
-        mean_leak,
-        True,
-        notes="term is a best-found lower bound",
-        diagnostics=assisted.diagnostics,
-    )
+
+    def term():
+        return _value_and_diagnostics(
+            assisted_mutual_information(rho, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
+        )
+
+    return _verdict(2, channel, pair, level, term)
 
 
 def _decomposed_defect(
@@ -245,40 +238,15 @@ def eval_relation34(
         raise ValueError("subset must contain at least two qubits")
     if len(keep) > MAX_SET_SIZE:
         raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
-    if mode not in ("marginal", "decomposed"):
-        raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
-    out, leaks = _noisy_leaks(channel, keep)
-    min_leak = float(min(leaks.values()))
-    excess_result = max_entropy_defect(out, keep)
-    diagnostics = {"excess": excess_result.diagnostics}
     if mode == "marginal":
-        relation = 3
-        defect = max_entropy_defect(rho, keep)
-        term = defect.value
-        term_kind = "max_entropy_defect"
-        conditional = False
-        notes = ""
-        diagnostics["term"] = defect.diagnostics
-    else:
-        relation = 4
-        term, term_diag = _decomposed_defect(rho, keep, restarts, sweeps, seed)
-        term_kind = "decomposed_defect"
-        conditional = True
-        notes = "term is a best-found lower bound"
-        diagnostics["term"] = term_diag
-    return _build_verdict(
-        relation,
-        keep,
-        level,
-        excess_result.value,
-        term,
-        term_kind,
-        leaks,
-        min_leak,
-        conditional,
-        notes=notes,
-        diagnostics=diagnostics,
-    )
+        return _verdict(
+            3, channel, keep, level, lambda: _value_and_diagnostics(max_entropy_defect(rho, keep))
+        )
+    if mode == "decomposed":
+        return _verdict(
+            4, channel, keep, level, lambda: _decomposed_defect(rho, keep, restarts, sweeps, seed)
+        )
+    raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
 
 
 @dataclass
@@ -291,17 +259,9 @@ class CensorshipReport:
     growth: str
     truncation: int
     include_full: str
-    per_size_details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": self.sizes,
-            "values": self.values,
-            "exponent": self.exponent,
-            "growth": self.growth,
-            "truncation": self.truncation,
-            "include_full": self.include_full,
-        }
+        return asdict(self)
 
 
 def fit_growth_exponent(sizes: Sequence[int], values: Sequence[float]) -> float | None:
@@ -353,17 +313,10 @@ def censorship_scan(
         raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
     flag = INCLUDE_FULL[include_full]
     size_list = sorted(int(n) for n in sizes)
-    values = []
-    details = {}
-    for n in size_list:
-        state = family(n)
-        res = total_defect(state, max_subset_size=truncation, include_full=flag, tol=tol)
-        values.append(res.value)
-        details[n] = {
-            "value": res.value,
-            "value_without_full": res.value_without_full,
-            "included_full": res.included_full,
-        }
+    values = [
+        total_defect(family(n), max_subset_size=truncation, include_full=flag, tol=tol).value
+        for n in size_list
+    ]
     exponent = fit_growth_exponent(size_list, values)
     return CensorshipReport(
         sizes=size_list,
@@ -372,5 +325,4 @@ def censorship_scan(
         growth=_classify_growth(exponent, values),
         truncation=int(truncation),
         include_full=include_full,
-        per_size_details=details,
     )

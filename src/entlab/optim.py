@@ -30,6 +30,7 @@ from .states import (
     _hermitize,
     marginal_matrix,
     partial_trace,
+    spectrum_entropy,
     trace_distance,
     validate_subset,
 )
@@ -112,13 +113,6 @@ class MaxEntropyResult:
             "regularized": self.regularized,
             "converged": self.converged,
         }
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > EIGENVALUE_CLIP]
-    if p.size == 0:
-        return 0.0
-    return float(max(0.0, -np.sum(p * np.log2(p))))
 
 
 def _dual_kernel(num_qubits: int, keys: Sequence[tuple], targets: Sequence[np.ndarray]):
@@ -249,7 +243,7 @@ def max_entropy_with_marginals(
         residual = max(residual, gap)
     result = MaxEntropyResult(
         state=state,
-        entropy=_entropy_bits(np.asarray(p)),
+        entropy=spectrum_entropy(np.asarray(p)),
         iterations=int(res.nit),
         residual=residual,
         regularized=regularized,

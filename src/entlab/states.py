@@ -7,6 +7,7 @@ most significant bit), and entropies are reported in bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -33,9 +34,20 @@ def check_register_size(n: int) -> int:
     return int(n)
 
 
+def _position(q) -> int:
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"qubit position {q} is not an integer") from None
+
+
 def validate_subset(qubits: Iterable[int], n: int, allow_empty: bool = False) -> tuple[int, ...]:
-    """Return ``qubits`` as a strictly increasing tuple of register positions."""
-    subset = tuple(int(q) for q in qubits)
+    """Return ``qubits`` as a strictly increasing tuple of register positions.
+
+    Positions must be integers (Python or numpy); a float is refused rather
+    than truncated.
+    """
+    subset = tuple(_position(q) for q in qubits)
     if not subset and not allow_empty:
         raise ValueError("qubit subset must be non-empty")
     for q in subset:
@@ -192,10 +204,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lo = float(lam[0])
     if lo < -1e-6:
         raise PositivityError(f"eigenvalue {lo} below -1e-6")
-    lam = lam[lam > EIGENVALUE_CLIP]
-    if lam.size == 0:
+    return spectrum_entropy(lam)
+
+
+def spectrum_entropy(p: np.ndarray) -> float:
+    """-sum(p * log2(p)) in bits over entries above the clip floor, at least 0."""
+    p = p[p > EIGENVALUE_CLIP]
+    if p.size == 0:
         return 0.0
-    return float(max(0.0, -np.sum(lam * np.log2(lam))))
+    return float(max(0.0, -np.sum(p * np.log2(p))))
 
 
 def entropy_of_subset(state: "PureState | DensityMatrix", keep: Iterable[int]) -> float:

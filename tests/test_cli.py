@@ -272,6 +272,15 @@ def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
     assert f"[evaluations[1].{field}]" in err
 
 
+def test_run_config_non_integer_qubits_is_config_error(tmp_path, capsys):
+    """A float position is refused, not truncated to a register index."""
+    entry = {"kind": "relation", "id": 1, "state": {"family": "bell"},
+             "channel": {"family": "identity", "n": 2}, "qubits": [0.5, 1]}
+    code, err = run_config(tmp_path, capsys, {"evaluations": [entry]})
+    assert code == 2
+    assert "config error [qubits]: qubit positions must be integers" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--restarts", "-4"), ("--sweeps", "-1")])
 def test_search_budget_flag_is_config_error(flag, value, capsys):
     code = cli.main(["--seed", "1", "measure", "--name", "assisted", "--qubits", "0,1",

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from entlab import measures
+from entlab import PureState, measures
 from entlab.channels import (
     QuantumChannel,
     build_correlated_flip,
@@ -80,9 +83,7 @@ def test_relation1_vacuous_without_leak():
 
 
 def test_relation_verdict_serialization():
-    v = eval_relation1(bell(), build_correlated_flip(0.2, "ZZ"), 0, 1, level=0.5)
-    d = v.to_dict()
-    for key in (
+    keys = {
         "relation",
         "qubits",
         "level",
@@ -97,10 +98,45 @@ def test_relation_verdict_serialization():
         "conditional",
         "notes",
         "diagnostics",
+    }
+    for relation, evaluate in enumerate(_relations(build_correlated_flip(0.2, "ZZ"))[2], 1):
+        d = evaluate().to_dict()
+        assert set(d) == keys
+        assert d["relation"] == relation
+        assert all(isinstance(k, str) for k in d["leaks"])
+
+
+@st.composite
+def flipped_states(draw):
+    """(state, channel): a pure state on n = 2 or 3 qubits and a correlated
+    flip of a random Pauli pattern on the same register."""
+    n = draw(st.integers(2, 3))
+    parts = draw(arrays(np.float64, (2, 2**n), elements=st.floats(-1, 1, allow_subnormal=False)))
+    amplitudes = parts[0] + 1j * parts[1]
+    norm = float(np.linalg.norm(amplitudes))
+    assume(norm > 1e-3)
+    pattern = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+    return PureState(n, amplitudes / norm), build_correlated_flip(draw(st.floats(0, 1)), pattern)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(flipped_states(), st.lists(st.floats(0, 4), min_size=2, max_size=3, unique=True))
+@example((plus_all(2), build_correlated_flip(0.0, "ZZ")), [0.5, 1.0])
+@example((ghz(3), build_correlated_flip(0.2, "ZZZ")), [0.0, 1.0, 3.0])
+def test_verdict_switches_one_way_as_the_level_grows(case, levels):
+    """For c1 < c2, violated at c1 implies violated at c2, and a verdict
+    vacuous at one level is vacuous at every level."""
+    state, channel = case
+    levels = sorted(levels)
+    for relation in (
+        lambda c: eval_relation1(state, channel, 0, 1, c),
+        lambda c: eval_relation34(state, channel, tuple(range(state.n)), c),
     ):
-        assert key in d
-    assert d["relation"] == 1
-    assert all(isinstance(k, str) for k in d["leaks"])
+        verdicts = [relation(c).verdict for c in levels]
+        if "vacuous" in verdicts:
+            assert set(verdicts) == {"vacuous"}
+        if "violated" in verdicts:
+            assert "satisfied" not in verdicts[verdicts.index("violated"):]
 
 
 def test_relation2_is_conditional():

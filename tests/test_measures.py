@@ -142,6 +142,18 @@ def test_pair_measures_reject_a_repeated_qubit(measure):
         measure()
 
 
+@pytest.mark.parametrize(
+    "measure, position",
+    [
+        (lambda: information_leak(build_dephasing(0.2), [0.9]), "0.9"),
+        (lambda: mutual_information(bell(), 0, 1.2), "1.2"),
+    ],
+)
+def test_measures_refuse_non_integer_qubits(measure, position):
+    with pytest.raises(ValueError, match=f"^qubit position {position} is not an integer$"):
+        measure()
+
+
 def test_excess_leak_correlated_flip():
     ch = build_correlated_flip(0.2, "ZZ")
     assert abs(excess_leak(ch, 0, 1) - h2(0.2)) < 1e-9

@@ -104,6 +104,11 @@ def test_validate_subset_sorts_and_checks():
         validate_subset([0, 0], 3)
     with pytest.raises(ValueError):
         validate_subset([3], 3)
+    assert validate_subset([np.int64(2), np.int32(0)], 3) == (0, 2)
+    # a float position is refused, not truncated to a register index
+    for subset in ([0, 1.0], np.array([0.5])):
+        with pytest.raises(ValueError, match=f"^qubit position {subset[-1]} is not an integer$"):
+            validate_subset(subset, 3)
 
 
 def test_qubit_zero_is_most_significant():
