@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .states import DensityMatrix, check_register_size, embed_operator, _hermitize
+from .states import DensityMatrix, _hermitize, _position, check_register_size, embed_operator
 from .zoo import _validate_edges, _qubit_bits, haar_unitary
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -72,7 +72,7 @@ class QuantumChannel:
         for op in ops:
             op.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
-        pos = tuple(range(n)) if self.qubits is None else tuple(int(q) for q in self.qubits)
+        pos = tuple(range(n)) if self.qubits is None else tuple(map(_position, self.qubits))
         if len(pos) != n:
             raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
         if sorted(set(pos)) != list(pos):
@@ -163,7 +163,7 @@ def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     weighted = [(1.0 - p, PAULI_I), (p / 3.0, PAULI_X), (p / 3.0, PAULI_Y), (p / 3.0, PAULI_Z)]
-    return QuantumChannel(_filter_kraus(weighted), qubits=(int(qubit),))
+    return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
 
 
 def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
@@ -176,7 +176,7 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"strength {eps} outside [0, 1]")
     weighted = [(1.0 - eps / 2.0, PAULI_I), (eps / 2.0, PAULI_Z)]
-    return QuantumChannel(_filter_kraus(weighted), qubits=(int(qubit),))
+    return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
 
 
 def _pauli_from_masks(n: int, x_mask: int, z_mask: int) -> np.ndarray:

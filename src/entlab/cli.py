@@ -123,6 +123,11 @@ def _spec_field(spec: dict, key: str, owner: str, cast=None):
     return cast(value) if cast is not None else value
 
 
+def _spec_qubit(spec: dict, owner: str) -> int:
+    """The integer position under 'qubit', 0 when absent."""
+    return _parse_qubits([spec.get("qubit", 0)], f"{owner}.qubit")[0]
+
+
 def build_state(spec: dict, seeds: SeedStream, owner: str = "state"):
     """PureState from a declarative spec like {"family": "ghz", "n": 3}."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -174,11 +179,11 @@ def build_channel(spec: dict, seeds: SeedStream, owner: str = "channel") -> Quan
         return identity_channel(int(spec.get("n", 1)))
     if family == "depolarizing":
         return build_depolarizing(
-            _spec_field(spec, "p", owner, float), int(spec.get("qubit", 0))
+            _spec_field(spec, "p", owner, float), _spec_qubit(spec, owner)
         )
     if family == "dephasing":
         return build_dephasing(
-            _spec_field(spec, "epsilon", owner, float), int(spec.get("qubit", 0))
+            _spec_field(spec, "epsilon", owner, float), _spec_qubit(spec, owner)
         )
     if family == "correlated_flip":
         return build_correlated_flip(
@@ -211,8 +216,12 @@ def build_channel(spec: dict, seeds: SeedStream, owner: str = "channel") -> Quan
         built = []
         for i, part in enumerate(parts):
             sub_owner = f"{owner}.parts[{i}]"
-            qubits = _spec_field(part, "qubits", sub_owner, tuple)
-            built.append((build_channel(part, seeds, sub_owner), tuple(int(q) for q in qubits)))
+            qubits = _parse_qubits(_spec_field(part, "qubits", sub_owner), f"{sub_owner}.qubits")
+            if qubits is None:
+                raise ConfigError(
+                    "a part's 'qubits' must list its positions", field=f"{sub_owner}.qubits"
+                )
+            built.append((build_channel(part, seeds, sub_owner), qubits))
         return combine(built, n=int(spec["n"]) if "n" in spec else None)
     if family == "compose":
         stages = _spec_field(spec, "stages", owner, list)
@@ -622,7 +631,11 @@ def run_experiment(config: dict, seeds: SeedStream) -> list:
             )
         command = commands[kind]
         params = resolve_params(command, {**shared, **entry}, f"evaluations[{i}].")
-        results.extend(SUBCOMMANDS[command].reader(params, seeds))
+        try:
+            results.extend(SUBCOMMANDS[command].reader(params, seeds))
+        except ConfigError as exc:
+            field = f"evaluations[{i}]" + (f".{exc.field}" if exc.field else "")
+            raise ConfigError(str(exc), field=field) from None
     return results
 
 

@@ -11,7 +11,10 @@ Two solvers live here:
   a small mixed state for the largest weighted average of a per-member
   objective. Decompositions are parameterized by isometries acting on the
   spectral ensemble and improved by sweeps of two-member U(2) rotations
-  with seeded random restarts. Values are certified lower bounds: the best
+  with seeded random restarts. The restarts are independent, so they climb
+  in lockstep, a block at a time, and each pair step searches all of a
+  block's restarts in one batch; results are bitwise those of running the
+  restarts one after another. Values are certified lower bounds: the best
   decomposition is returned and checked to reconstruct the input. A
   rank-1 input has one decomposition up to phases, so its value is exact.
 """
@@ -313,12 +316,28 @@ def _generic_member_values(objective: Callable[[np.ndarray], float]):
     return values
 
 
-def _pair_candidates(a, b, theta, phi):
-    ca = np.cos(theta)[:, None]
-    sa = np.sin(theta)
-    wneg = (sa * np.exp(-1j * phi))[:, None]
-    wpos = (sa * np.exp(1j * phi))[:, None]
-    return ca * a[None, :] - wneg * b[None, :], wpos * a[None, :] + ca * b[None, :]
+def _mixes(theta, phi):
+    """cos t, sin t e^{-if} and sin t e^{if} at each angle pair (t, f).
+
+    All three are complex, so the products that mix rows with them need no
+    casting pass; a real to complex cast is exact, so the values are the
+    same as mixing with the real cos t and sin t.
+    """
+    sa = np.sin(theta).astype(complex)
+    return np.cos(theta).astype(complex), sa * np.exp(-1j * phi), sa * np.exp(1j * phi)
+
+
+def _pair_candidates(a, b, mixes):
+    """The rows cos t a - sin t e^{-if} b and sin t e^{if} a + cos t b.
+
+    Row pair i of the (R, d) arrays a and b is mixed at the G angle pairs
+    of row i of each (R, G) array of ``mixes``. Returns (R, 2, G, d): both
+    new rows of every mix.
+    """
+    ca, wneg, wpos = (m[..., None, :, None] for m in mixes)
+    a = a[:, None, None, :]
+    b = b[:, None, None, :]
+    return np.concatenate([ca * a - wneg * b, wpos * a + ca * b], axis=1)
 
 
 def _align_pair_phase(a, b):
@@ -351,42 +370,123 @@ def _grid_plan(grid, zoom_rounds, zoom_grid):
     nt, nf = grid
     ts = np.linspace(0.0, span_t, nt, endpoint=False)
     fs = np.linspace(0.0, span_f, nf, endpoint=False)
-    plan = [(np.repeat(ts, nf), np.tile(fs, nt))]
+    plan = [np.stack([np.repeat(ts, nf), np.tile(fs, nt)])]
     for _ in range(zoom_rounds):
         span_t /= max(nt // 2, 2)
         span_f /= max(nf // 2, 2)
         nt, nf = zoom_grid
         ts = np.linspace(-span_t, span_t, nt)
         fs = np.linspace(-span_f, span_f, nf)
-        plan.append((np.repeat(ts, nf), np.tile(fs, nt)))
+        plan.append(np.stack([np.repeat(ts, nf), np.tile(fs, nt)]))
     return plan
 
 
-def _optimize_pair(a, b, value_a, values_fn, plan):
-    """Best U(2) mix of two member rows, given the value of row a.
+def _optimize_pair(a, b, value_a, values_fn, plan, depth):
+    """Best U(2) mix of each row pair (a[i], b[i]), given the values of a.
 
-    Returns the gain achieved and, when positive, the new rows and their
-    values, taken from the grid round that found them.
+    Pair i runs the first depth[i] rounds of the plan. Returns each pair's
+    gain, 0 where it is not positive, and the new rows (R, 2, d) and their
+    values (R, 2), taken from the grid round that found them; rows whose
+    gain is 0 hold nothing to keep.
     """
-    b = _align_pair_phase(a, b)
-    base = float(value_a + values_fn(b[None, :])[0])
-    best_val, best_t, best_f, best = base, 0.0, 0.0, None
-    for dt, df in plan:
+    b = np.array([_align_pair_phase(x, y) for x, y in zip(a, b)])
+    base = value_a + values_fn(b)
+    n, d = a.shape
+    best_val = base.copy()
+    best_tf = np.zeros((n, 2, 1))  # (theta, phi) of each pair's best mix
+    new_rows = np.empty((n, 2, d), dtype=complex)
+    new_vals = np.empty((n, 2))
+    for i, dtf in enumerate(plan):
+        live = (depth > i).nonzero()[0]
+        if live.size == 0:
+            break
         # round 0 starts from 0.0, and 0.0 + offset is the offset itself
-        tt = best_t + dt
-        ff = best_f + df
-        ca, cb = _pair_candidates(a, b, tt, ff)
-        vals = values_fn(np.concatenate([ca, cb]))
-        totals = vals[: tt.size] + vals[tt.size :]
-        idx = int(np.argmax(totals))
-        if totals[idx] > best_val:
-            best_val = float(totals[idx])
-            best_t = float(tt[idx])
-            best_f = float(ff[idx])
-            best = ca[idx], cb[idx], vals[idx], vals[tt.size + idx]
-    if best_val <= base + 1e-10:
-        return 0.0, None
-    return best_val - base, best
+        tf = best_tf[live] + dtf
+        rows = _pair_candidates(a[live], b[live], _mixes(tf[:, 0], tf[:, 1]))
+        vals = values_fn(rows.reshape(-1, d)).reshape(live.size, 2, -1)
+        totals = vals[:, 0] + vals[:, 1]
+        idx = totals.argmax(axis=1)
+        top = totals[np.arange(live.size), idx]
+        up = (top > best_val[live]).nonzero()[0]
+        won, at = live[up], idx[up]
+        best_val[won] = top[up]
+        best_tf[won, :, 0] = tf[up, :, at]
+        new_rows[won] = rows[up, :, at]
+        new_vals[won] = vals[up, :, at]
+    gain = np.where(best_val > base + 1e-10, best_val - base, 0.0)
+    return gain, new_rows, new_vals
+
+
+def _climb(rows, values_fn, plan, depths, sweeps):
+    """Sweeps of pair rotations on a block of restarts, run in lockstep.
+
+    ``rows`` holds each restart's unnormalized members, (R, t, d), and is
+    improved in place; each (k, l) step searches every restart still
+    climbing in one batched ``_optimize_pair``. A restart searches at the
+    coarse depth ``depths[0]`` until a sweep gains under 1e-6, then at the
+    full depth ``depths[1]`` until a sweep gains under 1e-8, or its sweeps
+    run out. Returns the member values (R, t) and the sweeps each restart
+    ran. Restarts share nothing, so each one's rows, values and sweeps are
+    bitwise those of climbing it alone.
+    """
+    n_restarts, t, _ = rows.shape
+    member_vals = values_fn(rows.reshape(-1, rows.shape[2])).reshape(n_restarts, t)
+    sweeps_run = np.zeros(n_restarts, dtype=int)
+    polishing = np.zeros(n_restarts, dtype=bool)
+    climbing = np.arange(n_restarts)
+    for _ in range(sweeps):
+        if climbing.size == 0:
+            break
+        sweeps_run[climbing] += 1
+        depth = np.where(polishing, depths[1], depths[0])
+        improved = np.zeros(n_restarts)
+        for k in range(t):
+            for l in range(k + 1, t):
+                # a pair of empty rows has nothing to mix
+                empty = [
+                    np.vdot(rows[r, k], rows[r, k]).real + np.vdot(rows[r, l], rows[r, l]).real
+                    < 1e-14
+                    for r in climbing
+                ]
+                live = climbing[~np.array(empty, dtype=bool)]
+                if live.size == 0:
+                    continue
+                gain, new_rows, new_vals = _optimize_pair(
+                    rows[live, k], rows[live, l], member_vals[live, k], values_fn, plan,
+                    depth[live],
+                )
+                acc = (gain > 0.0).nonzero()[0]
+                won = live[acc]
+                rows[won[:, None], (k, l)] = new_rows[acc]
+                member_vals[won[:, None], (k, l)] = new_vals[acc]
+                improved[won] += gain[acc]
+        done = polishing[climbing] & (improved[climbing] < 1e-8)
+        polishing[climbing[improved[climbing] < 1e-6]] = True
+        climbing = climbing[~done]
+    return member_vals, sweeps_run
+
+
+# The search stops once this many restarts in a row have not beaten the
+# best by 1e-9, so never before this many have run.
+_STALL_RESTARTS = 8
+
+
+def _start_rows(ensemble, children, restart):
+    """Restart ``restart``'s (t, d) unnormalized members.
+
+    Restart 0 starts from the spectral ensemble padded with zero rows and
+    restart r > 0 from a random isometry drawn from children[r].
+    """
+    rank = ensemble.shape[1]
+    t = 2 * rank
+    if restart == 0:
+        iso = np.zeros((t, rank), dtype=complex)
+        iso[:rank, :rank] = np.eye(rank)
+    else:
+        rng = np.random.default_rng(children[restart])
+        z = rng.standard_normal((t, rank)) + 1j * rng.standard_normal((t, rank))
+        iso, _ = np.linalg.qr(z)
+    return iso @ ensemble.T
 
 
 def check_search_budget(restarts: int, sweeps: int) -> None:
@@ -414,6 +514,12 @@ def max_avg_pure_decomposition(
     1e-8 or a RuntimeError is raised. ``restarts`` must be at least 1 and
     ``sweeps`` non-negative, or a ValueError is raised.
 
+    Restarts stop early once 8 in a row have not beaten the best by 1e-9.
+    They climb in lockstep blocks of 8 less that running count, so only a
+    block's last restart can reach the stop and none runs past it: the
+    ``restarts`` and ``sweeps_used`` diagnostics count the restarts up to
+    the stop, as running them one at a time would.
+
     A rank-1 rho = lam |psi><psi| has a unique decomposition up to phases,
     so no restart runs: the value is the exact lam * objective(psi), and
     the diagnostics read 0 restarts, 0 sweeps and cardinality 1.
@@ -429,7 +535,6 @@ def max_avg_pure_decomposition(
     rank = int(lam.size)
     if rank == 0:
         raise ValueError("input state has no support")
-    t = 2 * rank
     ensemble = vecs * np.sqrt(lam)  # (d, rank) columns
 
     values_fn = _pair_member_values if objective is None else _generic_member_values(objective)
@@ -439,62 +544,35 @@ def max_avg_pure_decomposition(
         grid, zoom_coarse, zoom_fine, zoom_grid = (8, 5), 1, 3, (5, 5)
     plan = _grid_plan(grid, zoom_fine, zoom_grid)
 
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(restarts)
     # Every decomposition of a rank-1 rho = lam |psi><psi| is made of phase
     # multiples of psi (Hughston, Jozsa and Wootters 1993), so the one
     # ensemble row is exact and no restart runs.
+    children = np.random.SeedSequence(seed).spawn(restarts if rank > 1 else 0)
+    depths = (zoom_coarse + 1, zoom_fine + 1)
     best_rows = ensemble.T
     best_value = float(values_fn(best_rows)[0]) if rank == 1 else -np.inf
     restarts_run = 0
     sweeps_used = 0
     since_improved = 0
-    for restart in range(restarts if rank > 1 else 0):
-        rng = np.random.default_rng(children[restart])
-        if restart == 0:
-            iso = np.zeros((t, rank), dtype=complex)
-            iso[:rank, :rank] = np.eye(rank)
-        else:
-            z = rng.standard_normal((t, rank)) + 1j * rng.standard_normal((t, rank))
-            iso, _ = np.linalg.qr(z)
-        rows = iso @ ensemble.T  # (t, d) unnormalized members
-        member_vals = values_fn(rows)
-        total = float(member_vals.sum())
-        # Coarse zoom while climbing, full depth only for the final polish.
-        polishing = False
-        for sweep in range(sweeps):
-            sweeps_used += 1
-            rounds = plan[: (zoom_fine if polishing else zoom_coarse) + 1]
-            improved = 0.0
-            for k in range(t):
-                for l in range(k + 1, t):
-                    if (
-                        np.real(np.vdot(rows[k], rows[k]))
-                        + np.real(np.vdot(rows[l], rows[l]))
-                    ) < 1e-14:
-                        continue
-                    gain, best = _optimize_pair(
-                        rows[k], rows[l], member_vals[k], values_fn, rounds
-                    )
-                    if gain > 0.0:
-                        rows[k], rows[l], member_vals[k], member_vals[l] = best
-                        total = float(member_vals.sum())
-                        improved += gain
-            if polishing:
-                if improved < 1e-8:
-                    break
-            elif improved < 1e-6:
-                polishing = True
-        if total > best_value + 1e-9:
-            since_improved = 0
-        else:
-            since_improved += 1
-        if total > best_value:
-            best_value = total
-            best_rows = rows.copy()
-        restarts_run = restart + 1
-        if since_improved >= 8 and restart >= 7:
-            break  # further restarts have stopped helping
+    while restarts_run < len(children) and since_improved < _STALL_RESTARTS:
+        # Only a block's last restart can bring since_improved to the
+        # stop, so every restart a block climbs counts.
+        block = range(
+            restarts_run, min(restarts_run + _STALL_RESTARTS - since_improved, len(children))
+        )
+        rows = np.array([_start_rows(ensemble, children, r) for r in block])
+        member_vals, sweeps_run = _climb(rows, values_fn, plan, depths, sweeps)
+        for i in range(len(block)):
+            total = float(member_vals[i].sum())
+            sweeps_used += int(sweeps_run[i])
+            if total > best_value + 1e-9:
+                since_improved = 0
+            else:
+                since_improved += 1
+            if total > best_value:
+                best_value = total
+                best_rows = rows[i]
+        restarts_run = block.stop
 
     weights = np.real(np.einsum("kd,kd->k", best_rows, best_rows.conj()))
     keep_rows = weights > 1e-12

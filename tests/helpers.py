@@ -270,6 +270,115 @@ def reference_optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
     return best_val - base, na[0], nb[0]
 
 
+def reference_member_values(objective):
+    """Member values of unnormalized rows, one row at a time: norm^2 times
+    ``objective`` of the normalized row, 0 for rows of norm^2 below 1e-14;
+    None selects the two-qubit pair objective."""
+    if objective is None:
+        return reference_pair_member_values
+
+    def values(vectors):
+        out = np.zeros(vectors.shape[0])
+        for i, vec in enumerate(vectors):
+            p = float(np.real(np.vdot(vec, vec)))
+            if p >= 1e-14:
+                out[i] = p * float(objective(vec / np.sqrt(p)))
+        return out
+
+    return values
+
+
+def reference_decomposition_search(rho, objective=None, restarts=32, sweeps=60, seed=0):
+    """The decomposition search with its restarts run one after another.
+
+    Returns (value, weights, states, diagnostics) as
+    ``optim.max_avg_pure_decomposition`` does, which must match it bitwise:
+    restart r climbs from its own SeedSequence child with sweeps of
+    per-pair searches (coarse zoom while climbing, full depth once a sweep
+    gains under 1e-6, stopping once a full-depth sweep gains under 1e-8),
+    and the search stops after 8 restarts without a 1e-9 gain, no earlier
+    than restart 7.
+    """
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    keep = lam > EIGENVALUE_CLIP
+    lam = np.clip(lam[keep], 0.0, None)
+    vecs = vecs[:, keep]
+    rank = int(lam.size)
+    t = 2 * rank
+    ensemble = vecs * np.sqrt(lam)
+    values_fn = reference_member_values(objective)
+    if objective is None:
+        grid, zoom_coarse, zoom_fine, zoom_grid = (12, 8), 2, 6, (9, 9)
+    else:
+        grid, zoom_coarse, zoom_fine, zoom_grid = (8, 5), 1, 3, (5, 5)
+
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    best_rows = ensemble.T
+    best_value = float(values_fn(best_rows)[0]) if rank == 1 else -np.inf
+    restarts_run = sweeps_used = since_improved = 0
+    for restart in range(restarts if rank > 1 else 0):
+        rng = np.random.default_rng(children[restart])
+        if restart == 0:
+            iso = np.zeros((t, rank), dtype=complex)
+            iso[:rank, :rank] = np.eye(rank)
+        else:
+            z = rng.standard_normal((t, rank)) + 1j * rng.standard_normal((t, rank))
+            iso, _ = np.linalg.qr(z)
+        rows = iso @ ensemble.T
+        member_vals = values_fn(rows)
+        polishing = False
+        for _ in range(sweeps):
+            sweeps_used += 1
+            depth = zoom_fine if polishing else zoom_coarse
+            improved = 0.0
+            for k in range(t):
+                for l in range(k + 1, t):
+                    if (
+                        np.real(np.vdot(rows[k], rows[k]))
+                        + np.real(np.vdot(rows[l], rows[l]))
+                    ) < 1e-14:
+                        continue
+                    gain, na, nb = reference_optimize_pair(
+                        rows[k], rows[l], values_fn, grid, depth, zoom_grid
+                    )
+                    if gain > 0.0:
+                        rows[k], rows[l] = na, nb
+                        member_vals[[k, l]] = values_fn(np.stack([na, nb]))
+                        improved += gain
+            if polishing:
+                if improved < 1e-8:
+                    break
+            elif improved < 1e-6:
+                polishing = True
+        total = float(member_vals.sum())
+        if total > best_value + 1e-9:
+            since_improved = 0
+        else:
+            since_improved += 1
+        if total > best_value:
+            best_value = total
+            best_rows = rows.copy()
+        restarts_run = restart + 1
+        if since_improved >= 8 and restart >= 7:
+            break
+
+    weights = np.real(np.einsum("kd,kd->k", best_rows, best_rows.conj()))
+    keep_rows = weights > 1e-12
+    weights = weights[keep_rows]
+    states = best_rows[keep_rows] / np.sqrt(weights)[:, None]
+    scaled = states * np.sqrt(weights)[:, None]
+    residual = 0.5 * float(
+        np.sum(np.abs(np.linalg.eigvalsh(scaled.T @ scaled.conj() - rho.matrix)))
+    )
+    diagnostics = {
+        "restarts": restarts_run,
+        "sweeps_used": sweeps_used,
+        "cardinality": int(weights.size),
+        "reconstruction_residual": residual,
+    }
+    return float(best_value), weights, states, diagnostics
+
+
 def reference_binomial_tail(n: int, k: int, p: float) -> float:
     """P(Bin(n, p) > k) from lgamma at every k in k+1..n (validation left out)."""
     if k >= n:

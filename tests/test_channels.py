@@ -84,8 +84,17 @@ def test_channel_defaults_to_leading_qubits(n):
         (lambda: combine([(build_dephasing(0.1), (0, 1))], n=3), "declared on 2"),
         (lambda: combine([(build_dephasing(0.1), (3,))], n=3), "does not fit"),
         (lambda: embed(build_dephasing(0.1, qubit=2), 2), "does not fit"),
+        # a float position is refused, not truncated to a register index
+        (lambda: build_dephasing(0.2, 1.7), "^qubit position 1.7 is not an integer$"),
+        (lambda: build_depolarizing(0.2, 0.6), "^qubit position 0.6 is not an integer$"),
+        (lambda: QuantumChannel(build_dephasing(0.2).kraus, qubits=(0.6,)), "not an integer"),
+        (lambda: combine([(build_dephasing(0.2), (1.9,))], n=3), "not an integer"),
     ],
-    ids=["overlap", "not-increasing", "count-mismatch", "qubit-outside", "embed-does-not-fit"],
+    ids=[
+        "overlap", "not-increasing", "count-mismatch", "qubit-outside", "embed-does-not-fit",
+        "float-dephasing-qubit", "float-depolarizing-qubit", "float-declared-qubit",
+        "float-part-qubit",
+    ],
 )
 def test_placement_rejects(place, message):
     with pytest.raises(ValueError, match=message):

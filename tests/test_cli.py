@@ -263,6 +263,24 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
         ({"kind": "relation", "id": 4, "state": {"family": "ghz", "n": 3},
           "channel": {"family": "identity", "n": 3}, "qubits": [0, 1, 2], "restarts": 0},
          "restarts"),
+        # errors the subcommand's reader raises carry the evaluation's index too
+        ({"kind": "relation", "id": 1, "state": {"family": "ghz", "n": 3},
+          "channel": {"family": "identity", "n": 3}, "qubits": [0, 1, 2]}, "qubits"),
+        ({"kind": "measure", "name": "leak", "qubits": [0]}, "channel"),
+        ({"kind": "measure", "name": "leak", "qubits": [0], "channel": {
+            "family": "product",
+            "parts": [{"family": "dephasing", "epsilon": 0.1, "qubits": [0.5]}],
+        }}, "channel.parts[0].qubits"),
+        ({"kind": "measure", "name": "leak", "qubits": [0], "channel": {
+            "family": "product",
+            "parts": [{"family": "dephasing", "epsilon": 0.1, "qubits": {"q": 0}}],
+        }}, "channel.parts[0].qubits"),
+        ({"kind": "measure", "name": "leak", "qubits": [0], "channel": {
+            "family": "product",
+            "parts": [{"family": "dephasing", "epsilon": 0.1, "qubit": 2, "qubits": None}],
+        }}, "channel.parts[0].qubits"),
+        ({"kind": "measure", "name": "leak", "qubits": [0],
+          "channel": {"family": "depolarizing", "p": 0.1, "qubit": 1.5}}, "channel.qubit"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
@@ -278,7 +296,7 @@ def test_run_config_non_integer_qubits_is_config_error(tmp_path, capsys):
              "channel": {"family": "identity", "n": 2}, "qubits": [0.5, 1]}
     code, err = run_config(tmp_path, capsys, {"evaluations": [entry]})
     assert code == 2
-    assert "config error [qubits]: qubit positions must be integers" in err
+    assert "config error [evaluations[0].qubits]: qubit positions must be integers" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--restarts", "-4"), ("--sweeps", "-1")])

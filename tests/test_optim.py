@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entlab import DensityMatrix, PureState
 from entlab.conjectures import _decomposed_defect
@@ -30,6 +32,7 @@ from helpers import (
     entropy_oracle,
     h2,
     random_density,
+    reference_decomposition_search,
     reference_dual,
     reference_optimize_pair,
     reference_pair_candidates,
@@ -324,11 +327,14 @@ def pinned_searches():
         out[f"assisted-{state_seed}"] = (res.search_value, res.decomposition, res.diagnostics)
     flat = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
     dicke_pair = partial_trace(dicke_state(3, 1).density_matrix(), (0, 1))
+    # 20 restarts, of which the early stop runs 14
+    rank_two = DensityMatrix(2, random_density(np.random.default_rng(10), 2, rank=2))
     for name, rho, objective, restarts, sweeps, seed in (
         ("bell", bell().density_matrix(), None, 2, 8, 0),
         ("dicke-3-1-pair", dicke_pair, None, 4, 12, 1),
         ("flat", flat, None, 4, 12, 2),
         ("flat-overlap", flat, overlap, 4, 10, 3),
+        ("early-stop", rank_two, None, 20, 3, 0),
     ):
         res = max_avg_pure_decomposition(rho, objective, restarts, sweeps, seed)
         out[name] = (res.value, res.decomposition, res.diagnostics)
@@ -346,8 +352,9 @@ def pin_record(value, decomposition, diagnostics) -> dict:
 
 
 def test_decomposition_trajectories_are_pinned():
-    """Values, ensembles and diagnostics of seven searches, exactly as the
-    per-pair linspace/meshgrid search gave them.
+    """Values, ensembles and diagnostics of eight searches, exactly as the
+    per-pair linspace/meshgrid search, run one restart after another, gave
+    them.
 
     As with the solver pins, the exact comparison runs only with the numpy
     and scipy builds the file names; elsewhere only the values are compared.
@@ -363,6 +370,41 @@ def test_decomposition_trajectories_are_pinned():
             assert pin_record(value, decomposition, diagnostics) == want, name
         else:
             assert abs(value - float(want["value"])) < 1e-9, name
+
+
+def assert_matches_reference(rho, objective, restarts, sweeps, seed):
+    res = max_avg_pure_decomposition(rho, objective, restarts, sweeps, seed)
+    value, weights, states, diagnostics = reference_decomposition_search(
+        rho, objective, restarts, sweeps, seed
+    )
+    assert res.value == value
+    assert np.array_equal(res.decomposition.weights, weights)
+    assert np.array_equal(res.decomposition.states, states)
+    assert res.diagnostics == diagnostics
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    rank=st.integers(2, 4),
+    state_seed=st.integers(0, 2**32 - 1),
+    restarts=st.integers(1, 12),
+    sweeps=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rank=2, state_seed=10, restarts=12, sweeps=4, seed=0)  # stops after 9 restarts
+@example(rank=2, state_seed=24, restarts=12, sweeps=4, seed=24)  # one restart ends polished
+def test_search_matches_serial_reference_bitwise(rank, state_seed, restarts, sweeps, seed):
+    """Restarts climbed in lockstep blocks give bitwise the value, ensemble
+    and diagnostics of climbing them one after another, the early stop
+    included."""
+    rho = DensityMatrix(2, random_density(np.random.default_rng(state_seed), 2, rank=rank))
+    assert_matches_reference(rho, None, restarts, sweeps, seed)
+
+
+def test_generic_search_matches_serial_reference_bitwise():
+    """The generic-objective path climbs in the same lockstep blocks."""
+    rho = DensityMatrix(2, random_density(np.random.default_rng(3), 2, rank=3))
+    assert_matches_reference(rho, _member_defect_2q, 10, 3, 4)
 
 
 # The search's grid settings: (grid, coarse zoom rounds, fine zoom rounds,
@@ -409,25 +451,37 @@ def _member_defect_2q(vec):
 
 
 @pytest.mark.parametrize("kind", ["pair", "generic"])
-@pytest.mark.parametrize("depth", ["coarse", "fine"])
+@pytest.mark.parametrize("depth", ["coarse", "fine", "mixed"])
 def test_optimize_pair_matches_reference_bitwise(kind, depth, rng):
     """Gain, new rows and their values equal the per-pair linspace/meshgrid
-    search's, which recomputed both rows' values; so do no-gain results."""
+    search's, which recomputed both rows' values; so do no-gain results.
+
+    All pairs are searched in one batch, and once each on its own. Every
+    pair runs the coarse depth at "coarse" and the full depth at "fine";
+    at "mixed" every other pair runs the full depth and the rest drop out
+    of the batch after the coarse rounds.
+    """
     grid, coarse, fine, zoom = SEARCH_GRIDS[kind]
-    rounds = coarse if depth == "coarse" else fine
     if kind == "pair":
         new_fn, ref_fn = _pair_member_values, reference_pair_member_values
     else:
         new_fn = ref_fn = _generic_member_values(_member_defect_2q)
-    plan = _grid_plan(grid, fine, zoom)[: rounds + 1]
+    plan = _grid_plan(grid, fine, zoom)
+    pairs = pair_rows(rng)
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    rounds = np.full(len(pairs), fine if depth == "fine" else coarse)
+    if depth == "mixed":
+        rounds[::2] = fine
+    batch = _optimize_pair(a, b, new_fn(a), new_fn, plan, rounds + 1)
     gains = 0
-    for a, b in pair_rows(rng):
-        want_gain, want_a, want_b = reference_optimize_pair(a, b, ref_fn, grid, rounds, zoom)
-        gain, best = _optimize_pair(a, b, new_fn(a[None, :])[0], new_fn, plan)
-        assert gain == want_gain
-        if gain > 0.0:
-            gains += 1
-            na, nb, va, vb = best
-            assert np.array_equal(na, want_a) and np.array_equal(nb, want_b)
-            assert np.array_equal([va, vb], ref_fn(np.stack([want_a, want_b])))
+    for i, (x, y) in enumerate(pairs):
+        want_gain, want_a, want_b = reference_optimize_pair(x, y, ref_fn, grid, rounds[i], zoom)
+        alone = _optimize_pair(x[None], y[None], new_fn(x[None]), new_fn, plan, rounds[[i]] + 1)
+        for gain, new_rows, vals in ([out[i] for out in batch], [out[0] for out in alone]):
+            assert gain == want_gain
+            if gain > 0.0:
+                assert np.array_equal(new_rows, [want_a, want_b])
+                assert np.array_equal(vals, ref_fn(np.stack([want_a, want_b])))
+        gains += want_gain > 0.0
     assert gains >= 5  # the comparison covers accepted rotations
