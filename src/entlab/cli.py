@@ -96,142 +96,174 @@ class SeedStream:
         return int.from_bytes(digest[:8], "big")
 
 
+class Param(NamedTuple):
+    """One field: a subcommand parameter (flag ``--name``, underscores
+    spelled as dashes, on the command line; key ``name`` in a ``run``
+    evaluation) or a key of a state or channel spec.
+
+    ``type`` casts a given value; None keeps it as given and ``load_spec``
+    reads a JSON spec. A missing or null value takes ``default``. A given
+    value below ``minimum`` is a config error.
+    """
+
+    name: str
+    type: Callable | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+    minimum: int | None = None
+
+
+def _integer(value) -> int:
+    """A JSON integer or a flag's digits; a bool or a float is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
+def _resolve(param: Param, value, field: str):
+    """``value`` with the default filled in, cast and checked; a missing
+    required or a bad value raises ConfigError."""
+    if value is None:
+        if param.required:
+            raise ConfigError(f"'{param.name}' is required", field=field)
+        value = param.default
+    elif param.type is load_spec:
+        value = load_spec(value, field)
+    elif param.type is not None:
+        try:
+            value = param.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value {value!r} for '{param.name}': {exc}", field=field)
+    if param.choices is not None and value not in param.choices:
+        raise ConfigError(f"'{param.name}' must be one of {list(param.choices)}", field=field)
+    if param.minimum is not None and value is not None and value < param.minimum:
+        raise ConfigError(
+            f"'{param.name}' must be at least {param.minimum}, got {value}", field=field
+        )
+    return value
+
+
 def _amplitude(x) -> complex:
     # scalars are real amplitudes; [re, im] pairs select a phase
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
-            raise ConfigError(f"amplitude {x!r} should be a number or [re, im]")
+            raise ValueError(f"amplitude {x!r} should be a number or [re, im]")
         return complex(float(x[0]), float(x[1]))
     return complex(float(x), 0.0)
 
 
-def _logical(amps, field: str) -> tuple[complex, complex]:
+def _logical(amps) -> tuple[complex, complex]:
     """Two logical amplitudes, scaled to unit norm."""
     if not isinstance(amps, (list, tuple)) or len(amps) != 2:
-        raise ConfigError("logical amplitudes must be two numbers", field=field)
+        raise ValueError("logical amplitudes must be two numbers")
     a, b = (_amplitude(x) for x in amps)
     norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     if norm < 1e-12:
-        raise ConfigError("logical amplitudes are all zero", field=field)
+        raise ValueError("logical amplitudes are all zero")
     return a / norm, b / norm
 
 
-def _spec_field(spec: dict, key: str, owner: str, cast=None):
-    if key not in spec:
-        raise ConfigError(f"{owner} needs '{key}'", field=f"{owner}.{key}")
-    value = spec[key]
-    return cast(value) if cast is not None else value
+def _product(parts, n, seeds: SeedStream, owner: str) -> QuantumChannel:
+    built = []
+    for i, part in enumerate(parts):
+        sub_owner = f"{owner}.parts[{i}]"
+        channel = build_channel(part, seeds, sub_owner)
+        qubits = _resolve(_PART_QUBITS, part.get("qubits"), f"{sub_owner}.qubits")
+        built.append((channel, _parse_qubits(qubits, f"{sub_owner}.qubits")))
+    return combine(built, n=n)
 
 
-def _spec_qubit(spec: dict, owner: str) -> int:
-    """The integer position under 'qubit', 0 when absent."""
-    return _parse_qubits([spec.get("qubit", 0)], f"{owner}.qubit")[0]
+def _compose(stages, seeds: SeedStream, owner: str) -> QuantumChannel:
+    if not stages:
+        raise ConfigError("'stages' must be non-empty", field=f"{owner}.stages")
+    out = build_channel(stages[0], seeds, f"{owner}.stages[0]")
+    for i, stage in enumerate(stages[1:], start=1):
+        out = compose(build_channel(stage, seeds, f"{owner}.stages[{i}]"), out)
+    return out
+
+
+# a spec without a seed derives one under the label "<owner>.<family>"
+_SEED = Param("seed", _integer)
+_N = Param("n", _integer, required=True)
+_EPSILON = Param("epsilon", float, required=True)
+_QUBIT = Param("qubit", _integer, default=0)
+_EDGES = Param("edges")
+_PART_QUBITS = Param("qubits", required=True)
+_LOGICAL = Param("logical", _logical, default=(1.0, 0.0))
+
+# family -> (builder, the spec keys passed to it in order)
+STATE_FAMILIES = {
+    "product": (plus_all, (_N,)),
+    "plus_all": (plus_all, (_N,)),
+    "bell": (bell, ()),
+    "ghz": (ghz, (_N,)),
+    "cluster": (
+        lambda n, edges, graph: cluster_state(n, line_edges(n) if edges is None else edges),
+        (_N, _EDGES, Param("graph", default="line", choices=("line",))),
+    ),
+    "dicke": (dicke_state, (_N, Param("excitations", _integer, required=True))),
+    "random_circuit": (
+        random_circuit_state, (_N, Param("depth", _integer, required=True), _SEED)
+    ),
+    "bitflip_code": (lambda logical: bitflip_code_encode(*logical), (_LOGICAL,)),
+}
+
+CHANNEL_FAMILIES = {
+    "identity": (identity_channel, (Param("n", _integer, default=1),)),
+    "depolarizing": (build_depolarizing, (Param("p", float, required=True), _QUBIT)),
+    "dephasing": (build_dephasing, (_EPSILON, _QUBIT)),
+    "correlated_flip": (build_correlated_flip, (_EPSILON, Param("pauli", str, required=True))),
+    "pairwise_correlated": (build_pairwise_correlated, (
+        _N, Param("p1", float, required=True), Param("p2", float, required=True),
+        Param("basis", str, default="X"),
+    )),
+    "random_unitary": (build_random_unitary_noise, (_N, _EPSILON, _SEED)),
+    "cluster": (
+        lambda n, edges, eps, seed: build_cluster_noise(
+            n, line_edges(n) if edges is None else edges, eps, seed
+        ),
+        (_N, _EDGES, _EPSILON, _SEED),
+    ),
+    # the nested families build each part or stage under its own owner name
+    "product": (_product, (Param("parts", list, required=True), Param("n", _integer))),
+    "compose": (_compose, (Param("stages", list, required=True),)),
+}
+
+
+def _read_spec(families: dict, spec, seeds: SeedStream, owner: str):
+    """The builder of ``spec``'s family and its arguments, each key read by
+    ``_resolve`` under the field ``<owner>.<key>``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            f"{owner} spec must be an object with a 'family' tag", field=f"{owner}.family"
+        )
+    family_param = Param("family", required=True, choices=tuple(families))
+    family = _resolve(family_param, spec.get("family"), f"{owner}.family")
+    builder, params = families[family]
+    args = []
+    for param in params:
+        value = _resolve(param, spec.get(param.name), f"{owner}.{param.name}")
+        if param is _SEED and value is None:
+            value = seeds.derive(f"{owner}.{family}")
+        args.append(value)
+    return builder, args
 
 
 def build_state(spec: dict, seeds: SeedStream, owner: str = "state"):
     """PureState from a declarative spec like {"family": "ghz", "n": 3}."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(
-            f"{owner} spec must be an object with a 'family' tag", field=f"{owner}.family"
-        )
-    family = spec["family"]
-    if family in ("product", "plus_all"):
-        return plus_all(_spec_field(spec, "n", owner, int))
-    if family == "bell":
-        return bell()
-    if family == "ghz":
-        return ghz(_spec_field(spec, "n", owner, int))
-    if family == "cluster":
-        n = _spec_field(spec, "n", owner, int)
-        edges = spec.get("edges")
-        if edges is None:
-            graph = spec.get("graph", "line")
-            if graph != "line":
-                raise ConfigError(
-                    f"unknown cluster graph '{graph}'", field=f"{owner}.graph"
-                )
-            edges = line_edges(n)
-        return cluster_state(n, edges)
-    if family == "dicke":
-        return dicke_state(
-            _spec_field(spec, "n", owner, int),
-            _spec_field(spec, "excitations", owner, int),
-        )
-    if family == "random_circuit":
-        n = _spec_field(spec, "n", owner, int)
-        depth = _spec_field(spec, "depth", owner, int)
-        seed = int(spec["seed"]) if "seed" in spec else seeds.derive(f"{owner}.random_circuit")
-        return random_circuit_state(n, depth, seed)
-    if family == "bitflip_code":
-        return bitflip_code_encode(*_logical(spec.get("logical", [1.0, 0.0]), f"{owner}.logical"))
-    raise ConfigError(f"unknown state family '{family}'", field=f"{owner}.family")
+    builder, args = _read_spec(STATE_FAMILIES, spec, seeds, owner)
+    return builder(*args)
 
 
 def build_channel(spec: dict, seeds: SeedStream, owner: str = "channel") -> QuantumChannel:
     """QuantumChannel from a declarative spec; seeded builders pull from
     the stream unless the spec pins its own seed."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(
-            f"{owner} spec must be an object with a 'family' tag", field=f"{owner}.family"
-        )
-    family = spec["family"]
-    if family == "identity":
-        return identity_channel(int(spec.get("n", 1)))
-    if family == "depolarizing":
-        return build_depolarizing(
-            _spec_field(spec, "p", owner, float), _spec_qubit(spec, owner)
-        )
-    if family == "dephasing":
-        return build_dephasing(
-            _spec_field(spec, "epsilon", owner, float), _spec_qubit(spec, owner)
-        )
-    if family == "correlated_flip":
-        return build_correlated_flip(
-            _spec_field(spec, "epsilon", owner, float),
-            _spec_field(spec, "pauli", owner, str),
-        )
-    if family == "pairwise_correlated":
-        return build_pairwise_correlated(
-            _spec_field(spec, "n", owner, int),
-            _spec_field(spec, "p1", owner, float),
-            _spec_field(spec, "p2", owner, float),
-            basis=str(spec.get("basis", "X")),
-        )
-    if family == "random_unitary":
-        seed = int(spec["seed"]) if "seed" in spec else seeds.derive(f"{owner}.random_unitary")
-        return build_random_unitary_noise(
-            _spec_field(spec, "n", owner, int),
-            _spec_field(spec, "epsilon", owner, float),
-            seed,
-        )
-    if family == "cluster":
-        n = _spec_field(spec, "n", owner, int)
-        edges = spec.get("edges")
-        if edges is None:
-            edges = line_edges(n)
-        seed = int(spec["seed"]) if "seed" in spec else seeds.derive(f"{owner}.cluster")
-        return build_cluster_noise(n, edges, _spec_field(spec, "epsilon", owner, float), seed)
-    if family == "product":
-        parts = _spec_field(spec, "parts", owner, list)
-        built = []
-        for i, part in enumerate(parts):
-            sub_owner = f"{owner}.parts[{i}]"
-            qubits = _parse_qubits(_spec_field(part, "qubits", sub_owner), f"{sub_owner}.qubits")
-            if qubits is None:
-                raise ConfigError(
-                    "a part's 'qubits' must list its positions", field=f"{sub_owner}.qubits"
-                )
-            built.append((build_channel(part, seeds, sub_owner), qubits))
-        return combine(built, n=int(spec["n"]) if "n" in spec else None)
-    if family == "compose":
-        stages = _spec_field(spec, "stages", owner, list)
-        if not stages:
-            raise ConfigError("'stages' must be non-empty", field=f"{owner}.stages")
-        out = build_channel(stages[0], seeds, f"{owner}.stages[0]")
-        for i, stage in enumerate(stages[1:], start=1):
-            out = compose(build_channel(stage, seeds, f"{owner}.stages[{i}]"), out)
-        return out
-    raise ConfigError(f"unknown channel family '{family}'", field=f"{owner}.family")
+    builder, args = _read_spec(CHANNEL_FAMILIES, spec, seeds, owner)
+    if builder in (_product, _compose):
+        return builder(*args, seeds, owner)
+    return builder(*args)
 
 
 def load_spec(text, field: str):
@@ -500,7 +532,7 @@ def qec_results(params: dict, seeds: SeedStream) -> list:
     if isinstance(logical, str):
         named = _NAMED_LOGICAL.get(logical)
         logical = named or [part for part in logical.split(",") if part.strip() != ""]
-    a, b = _logical(logical, "logical")
+    a, b = _resolve(_LOGICAL, logical, "logical")
     demo = quantum_randomization_demo(params["epsilon"], (a, b))
     diag = {"epsilon": demo.epsilon, "logical": [[a.real, a.imag], [b.real, b.imag]]}
     return [
@@ -509,24 +541,6 @@ def qec_results(params: dict, seeds: SeedStream) -> list:
             "majority-readout-success", demo.classical_majority_success, None, dict(diag)
         ),
     ]
-
-
-class Param(NamedTuple):
-    """One subcommand parameter: flag ``--name`` (underscores spelled as
-    dashes) on the command line, key ``name`` in a ``run`` evaluation.
-
-    ``type`` casts a given value; None keeps it as given and ``load_spec``
-    reads a JSON spec. A missing or null value takes ``default``. A given
-    value below ``minimum`` is a config error.
-    """
-
-    name: str
-    type: Callable | None = None
-    default: object = None
-    required: bool = False
-    choices: tuple | None = None
-    help: str | None = None
-    minimum: int | None = None
 
 
 class Subcommand(NamedTuple):
@@ -543,33 +557,33 @@ SUBCOMMANDS = {
         Param("state", load_spec, help="state spec (inline JSON or a path)"),
         Param("channel", load_spec, help="channel spec (inline JSON or a path)"),
         Param("qubits", help="comma-separated register positions"),
-        Param("truncate", int, help="subset-size cap for total-defect"),
+        Param("truncate", _integer, help="subset-size cap for total-defect"),
         Param("include_full", default="auto", choices=tuple(INCLUDE_FULL)),
-        Param("restarts", int, help="search restarts for assisted", minimum=1),
-        Param("sweeps", int, help="search sweeps for assisted", minimum=0),
+        Param("restarts", _integer, help="search restarts for assisted", minimum=1),
+        Param("sweeps", _integer, help="search sweeps for assisted", minimum=0),
     )),
     "relation": Subcommand(relation_results, "check one relation at a level", (
-        Param("id", int, required=True, choices=(1, 2, 3, 4)),
+        Param("id", _integer, required=True, choices=(1, 2, 3, 4)),
         Param("level", float, default=1.0),
         Param("state", load_spec, required=True, help="state spec (inline JSON or a path)"),
         Param("channel", load_spec, required=True, help="channel spec (inline JSON or a path)"),
         Param("qubits", required=True, help="comma-separated register positions"),
-        Param("restarts", int, help="search restarts for relations 2 and 4", minimum=1),
-        Param("sweeps", int, help="search sweeps for relations 2 and 4", minimum=0),
+        Param("restarts", _integer, help="search restarts for relations 2 and 4", minimum=1),
+        Param("sweeps", _integer, help="search sweeps for relations 2 and 4", minimum=0),
     )),
     "censorship": Subcommand(censorship_results, "total-defect growth over a family", (
         Param("family", required=True, choices=tuple(sorted(_FAMILY_BUILDERS))),
-        Param("n_min", int, default=2),
-        Param("n_max", int, default=6),
-        Param("truncate", int, default=3),
+        Param("n_min", _integer, default=2),
+        Param("n_max", _integer, default=6),
+        Param("truncate", _integer, default=3),
         Param("include_full", default="never", choices=tuple(INCLUDE_FULL)),
-        Param("depth", int, default=2, help="depth for random-circuit"),
+        Param("depth", _integer, default=2, help="depth for random-circuit"),
     )),
     "sync": Subcommand(sync_results, "classical tails and error-weight statistics", (
         Param("p1", float, help="single-bit hit probability"),
         Param("p2", float, help="pair hit probability"),
-        Param("n", int, help="number of bits for the tail"),
-        Param("threshold", int, help="tail cut: P(hits > threshold)"),
+        Param("n", _integer, help="number of bits for the tail"),
+        Param("threshold", _integer, help="tail cut: P(hits > threshold)"),
         Param("p3", float, help="optional observed triple moment"),
         Param("channel", load_spec, help="channel spec for the weight distribution"),
     )),
@@ -578,29 +592,6 @@ SUBCOMMANDS = {
         Param("logical", default="1,0", help="a,b amplitudes or zero/one/plus"),
     )),
 }
-
-
-def _resolve(param: Param, value, field: str):
-    """``value`` with the default filled in, cast and checked; a missing
-    required or a bad value raises ConfigError."""
-    if value is None:
-        if param.required:
-            raise ConfigError(f"'{param.name}' is required", field=field)
-        value = param.default
-    elif param.type is load_spec:
-        value = load_spec(value, field)
-    elif param.type is not None:
-        try:
-            value = param.type(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value {value!r} for '{param.name}': {exc}", field=field)
-    if param.choices is not None and value not in param.choices:
-        raise ConfigError(f"'{param.name}' must be one of {list(param.choices)}", field=field)
-    if param.minimum is not None and value is not None and value < param.minimum:
-        raise ConfigError(
-            f"'{param.name}' must be at least {param.minimum}, got {value}", field=field
-        )
-    return value
 
 
 def resolve_params(command: str, values: dict, owner: str = "") -> dict:
@@ -703,10 +694,10 @@ def assemble_report(config: dict, results: list, seeds: SeedStream) -> dict:
 
 
 def _u64(value) -> int:
-    # bools and floats would pass int() and derive seeds from another value
-    if isinstance(value, (bool, float)) or not 0 <= int(value) < 2**64:
+    value = _integer(value)
+    if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an integer that fits in 64 unsigned bits")
-    return int(value)
+    return value
 
 
 def _add_common(parser):

@@ -8,6 +8,7 @@ Binomial tails are summed exactly in log space.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -72,8 +73,8 @@ def _log_binom_pmf(n: int, k: np.ndarray, p: float) -> np.ndarray:
 
 def binomial_tail(n: int, k: int, p: float) -> float:
     """P(Bin(n, p) > k), exact, summed from the log-space pmf."""
-    n = int(n)
-    k = int(k)
+    n = operator.index(n)
+    k = operator.index(k)
     if n < 0 or n > MAX_TAIL_TRIALS:
         raise ValueError(f"trial count {n} outside [0, {MAX_TAIL_TRIALS}]")
     p = float(p)
@@ -176,7 +177,7 @@ def repetition_majority_error(eps: float, copies: int) -> float:
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"survival probability {eps} outside [0, 1]")
-    m = int(copies)
+    m = operator.index(copies)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"copy count must be odd and positive, got {m}")
     flip = (1.0 - eps) / 2.0

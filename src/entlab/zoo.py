@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, check_register_size
+from .states import PureState, _position, check_register_size
 
 
 def plus_all(n: int) -> PureState:
@@ -36,7 +37,7 @@ def bell() -> PureState:
 def _validate_edges(n: int, edges: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     out = []
     for edge in edges:
-        i, j = (int(q) for q in edge)
+        i, j = (_position(q) for q in edge)
         if i == j:
             raise ValueError(f"self-loop on qubit {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -69,7 +70,7 @@ def line_edges(n: int) -> list[tuple[int, int]]:
 def dicke_state(total: int, excitations: int) -> PureState:
     """Uniform superposition of all bitstrings with the given Hamming weight."""
     n = check_register_size(total)
-    k = int(excitations)
+    k = operator.index(excitations)
     if not 0 <= k <= n:
         raise ValueError(f"excitation count {k} outside [0, {n}]")
     idx = np.arange(2**n)

@@ -281,6 +281,41 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
         }}, "channel.parts[0].qubits"),
         ({"kind": "measure", "name": "leak", "qubits": [0],
           "channel": {"family": "depolarizing", "p": 0.1, "qubit": 1.5}}, "channel.qubit"),
+        # spec fields follow the flag rules: integers refuse floats, null is absent
+        *[({"kind": "measure", "name": "mutual-information", "qubits": [0, 1],
+            "state": state}, field) for state, field in [
+            ({"family": "ghz", "n": 3.9}, "state.n"),
+            ({"family": "ghz", "n": None}, "state.n"),
+            ({"family": "ghz", "n": [3]}, "state.n"),
+            ({"family": "ghz", "n": "x"}, "state.n"),
+            ({"family": "dicke", "n": 3, "excitations": 1.5}, "state.excitations"),
+            ({"family": "random_circuit", "n": 2, "depth": 2, "seed": 4.5}, "state.seed"),
+            ({"family": "bitflip_code", "logical": [1]}, "state.logical"),
+        ]],
+        *[({"kind": "measure", "name": "leak", "qubits": [0], "channel": channel}, field)
+          for channel, field in [
+            ({"family": "dephasing", "epsilon": "abc"}, "channel.epsilon"),
+            ({"family": "dephasing", "epsilon": [0.1]}, "channel.epsilon"),
+            ({"family": "identity", "n": 2.7}, "channel.n"),
+            ({"family": "product", "n": 2.5, "parts": [
+                {"family": "dephasing", "epsilon": 0.1, "qubits": [0]}]}, "channel.n"),
+            ({"family": "product", "parts": [
+                {"family": "identity", "n": 1.5, "qubits": [0]}]}, "channel.parts[0].n"),
+        ]],
+        *[({"kind": "relation", "id": 2, "state": {"family": "bell"},
+            "channel": {"family": "identity", "n": 2}, "qubits": [0, 1], **keys}, field)
+          for keys, field in [
+            ({"id": 1.7}, "id"),
+            ({"id": True}, "id"),
+            ({"restarts": 1.9}, "restarts"),
+            ({"sweeps": 2.5}, "sweeps"),
+        ]],
+        ({"kind": "censorship", "family": "ghz", "n_min": 2.5}, "n_min"),
+        ({"kind": "censorship", "family": "ghz", "n_max": 3.9}, "n_max"),
+        ({"kind": "censorship", "family": "ghz", "truncate": 2.9}, "truncate"),
+        ({"kind": "sync", "p1": 1e-3, "p2": 2e-5, "n": 1000.7, "threshold": 10}, "n"),
+        ({"kind": "sync", "p1": 1e-3, "p2": 2e-5, "n": 1000, "threshold": 10.2}, "threshold"),
+        ({"kind": "qec_demo", "epsilon": 0.5, "logical": "a,b"}, "logical"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):

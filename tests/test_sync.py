@@ -146,6 +146,22 @@ def test_repetition_majority_error_exact():
     assert got < 1e-3
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binomial_tail(10.5, 3, 0.2),
+        lambda: binomial_tail(10, 3.5, 0.2),
+        lambda: repetition_majority_error(0.1, 3.0),
+    ],
+)
+def test_counts_refuse_floats(call):
+    """A trial, threshold or copy count that is not an integer is refused,
+    not truncated; NumPy integers still count."""
+    with pytest.raises(TypeError):
+        call()
+    assert binomial_tail(np.int64(10), np.int64(3), 0.2) == binomial_tail(10, 3, 0.2)
+
+
 def test_repetition_majority_error_monotone():
     values = [repetition_majority_error(0.1, m) for m in (1, 3, 5, 21, 101, 1001)]
     assert all(a > b for a, b in zip(values, values[1:]))

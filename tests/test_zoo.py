@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entlab.channels import build_cluster_noise
 from entlab.states import embed_operator, entropy_of_subset
 from entlab.zoo import (
     all_subsets,
@@ -97,3 +98,14 @@ def test_all_subsets_enumeration():
     assert all(s == tuple(sorted(s)) for s in subs)
     assert len(set(subs)) == len(subs)
     assert all_subsets(3, (2,)) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_counts_and_edges_refuse_floats():
+    """A non-integer count or edge end is refused, not truncated."""
+    with pytest.raises(ValueError, match="1.7"):
+        cluster_state(3, [[0, 1.7]])
+    with pytest.raises(ValueError, match="1.7"):
+        build_cluster_noise(3, [[0, 1.7]], 0.1, seed=1)
+    with pytest.raises(TypeError):
+        dicke_state(3, 1.5)
+    assert np.array_equal(dicke_state(3, np.int64(1)).amplitudes, dicke_state(3, 1).amplitudes)
