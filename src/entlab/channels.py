@@ -1,13 +1,16 @@
 """Quantum channels as Kraus lists, with builders for correlated noise.
 
 A channel is stored as a tuple of Kraus operators K_k with
-sum_k K_k^dagger K_k = I (checked to 1e-9), together with the register
-positions ``qubits`` it acts on (0..n-1 unless declared). ``embed`` is the
-one place that pads Kraus operators with identity onto a larger register;
-``apply`` and ``compose`` go through it, and ``combine`` places each part
-on its qubits and folds ``compose`` over the parts in order. The Pauli
-expansion maps a channel to the error-probability vector of its Pauli
-twirl.
+sum_k K_k^dagger K_k = I, together with the register positions ``qubits``
+it acts on (0..n-1 unless declared). A caller's Kraus list is checked to
+1e-9 when its channel is built; ``embed``, ``compose`` and ``combine``
+derive channels from checked ones, so they run only the position checks.
+``embed`` is the one place that pads Kraus operators with identity onto a
+larger register; ``apply`` and ``compose`` go through it, and ``combine``
+places each part on its qubits and folds ``compose`` over the parts in
+order. The leak measures do not pad: they apply each operator to a pure
+input on its qubits' tensor axes. The Pauli expansion maps a channel to
+the error-probability vector of its Pauli twirl.
 """
 
 from __future__ import annotations
@@ -68,18 +71,32 @@ class QuantumChannel:
         if not np.allclose(total, np.eye(d), atol=CPTP_ATOL):
             gap = float(np.max(np.abs(total - np.eye(d))))
             raise ValueError(f"Kraus operators are not trace preserving (gap {gap:.2e})")
-        ops = tuple(op.copy() for op in ops)
+        self._settle(tuple(op.copy() for op in ops), self.qubits)
+
+    def _settle(self, ops: tuple, qubits) -> None:
+        """Store ``ops`` read-only and ``qubits`` after the position checks."""
         for op in ops:
             op.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
-        pos = tuple(range(n)) if self.qubits is None else tuple(map(_position, self.qubits))
+        n = int(np.log2(ops[0].shape[0]))
+        pos = tuple(range(n)) if qubits is None else tuple(map(_position, qubits))
         if len(pos) != n:
             raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
         if sorted(set(pos)) != list(pos):
             raise ValueError(f"positions must be strictly increasing, got {pos}")
         if pos and pos[0] < 0:
             raise ValueError("negative qubit position")
+        object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "qubits", pos)
+
+    @classmethod
+    def _derived(cls, ops: tuple, qubits=None) -> "QuantumChannel":
+        """A channel whose operators come from checked channels by padding,
+        products or placement, which keep sum_k K^dagger K = I: only the
+        position checks run. ``ops`` must be complex arrays nothing else
+        writes to."""
+        channel = object.__new__(cls)
+        channel._settle(ops, qubits)
+        return channel
 
     @property
     def n(self) -> int:
@@ -111,7 +128,7 @@ def embed(channel: QuantumChannel, n: int) -> QuantumChannel:
     if pos == tuple(range(n)):
         return channel
     check_register_size(n)
-    return QuantumChannel(tuple(embed_operator(k, pos, n) for k in channel.kraus))
+    return QuantumChannel._derived(tuple(embed_operator(k, pos, n) for k in channel.kraus))
 
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -126,7 +143,15 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     n = max(_span(second), _span(first))
     a = embed(second, n)
     b = embed(first, n)
-    return QuantumChannel(tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus))
+    return QuantumChannel._derived(tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus))
+
+
+def _place(channel, qubits) -> QuantumChannel:
+    """``channel``'s operators on ``qubits``; anything but a QuantumChannel
+    has its Kraus operators checked first."""
+    if isinstance(channel, QuantumChannel):
+        return QuantumChannel._derived(channel.kraus, qubits)
+    return QuantumChannel(channel.kraus, qubits=qubits)
 
 
 def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
@@ -136,7 +161,7 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     past the largest qubit named. The result is ``compose`` folded over the
     placed parts in order, so part 0's Kraus index runs outermost.
     """
-    placed = [QuantumChannel(channel.kraus, qubits=qubits) for channel, qubits in parts]
+    placed = [_place(channel, qubits) for channel, qubits in parts]
     used = [q for part in placed for q in part.qubits]
     if len(set(used)) != len(used):
         raise ValueError(f"overlapping qubit sets in {used}")

@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import sys
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,6 +63,7 @@ from .sync import (
     weight_distribution,
 )
 from .zoo import (
+    _validate_edges,
     bell,
     bitflip_code_encode,
     cluster_state,
@@ -242,13 +244,16 @@ def _read_spec(families: dict, spec, seeds: SeedStream, owner: str):
     family_param = Param("family", required=True, choices=tuple(families))
     family = _resolve(family_param, spec.get("family"), f"{owner}.family")
     builder, params = families[family]
-    args = []
+    args = {}
     for param in params:
+        if param is _EDGES:
+            # edges are checked against the register size read before them
+            param = param._replace(type=partial(_validate_edges, args["n"]))
         value = _resolve(param, spec.get(param.name), f"{owner}.{param.name}")
         if param is _SEED and value is None:
             value = seeds.derive(f"{owner}.{family}")
-        args.append(value)
-    return builder, args
+        args[param.name] = value
+    return builder, list(args.values())
 
 
 def build_state(spec: dict, seeds: SeedStream, owner: str = "state"):

@@ -9,10 +9,11 @@ scaled by a reference leak and a level c:
     4: excess_leak_set(A)    >= c * min-leak  * decomposed defect of A
 
 One function builds every verdict from the relation number: it reads the
-pair (1, 2) or set (3, 4) excess and the mean or minimum one-qubit leak
-from a single noisy output, and the number alone fixes the term's name,
-the conditional flag and the note. Each public evaluator checks its
-arguments and supplies only its term.
+mean or minimum one-qubit leak and a pair (1, 2) excess from the Kraus
+branches of one noisy output, a set (3, 4) excess from ``apply``'s dense
+output, and the number alone fixes the term's name, the conditional flag
+and the note. Each public evaluator checks its arguments and supplies
+only its term.
 
 Relation 2 and 4 right-hand sides are best-found lower bounds, so their
 "satisfied" verdicts are flagged conditional; "violated" is definitive.
@@ -33,14 +34,17 @@ from .channels import QuantumChannel
 from .errors import SizeLimitError
 from .measures import (
     MAX_SET_SIZE,
+    _noisy_density,
     _noisy_output,
+    _pair_information,
+    _register_size,
     assisted_mutual_information,
     max_entropy_defect,
     mutual_information,
     total_defect,
 )
 from .optim import check_search_budget, max_avg_pure_decomposition
-from .states import DensityMatrix, PureState, as_density_matrix, entropy_of_subset
+from .states import DensityMatrix, PureState, as_density_matrix, branch_entropy
 from .states import partial_trace, validate_subset
 
 VACUOUS_ATOL = 1e-9
@@ -107,16 +111,19 @@ def _verdict(
 
     The excess and the leaks come from the channel's output on |+>^n before
     ``term`` is called, so an excess that cannot be computed fails before a
-    decomposition search starts.
+    decomposition search starts. The leaks and a pair excess read the
+    output's branch rows; a set excess solves on the dense output, as
+    ``excess_leak_set`` does.
     """
-    out = _noisy_output(channel, None)
-    leaks = {q: entropy_of_subset(out, (q,)) for q in qubits}
+    rows = _noisy_output(channel, None)
+    leaks = {q: branch_entropy(rows, _register_size(rows), (q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
-        excess = mutual_information(out, *qubits)
+        excess = _pair_information(rows, *qubits)
         term_value, diagnostics = term()
     else:
         reference_leak = float(min(leaks.values()))
+        out = _noisy_density(channel, None)
         excess, excess_diagnostics = _value_and_diagnostics(max_entropy_defect(out, qubits))
         term_value, term_diagnostics = term()
         diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
@@ -153,9 +160,10 @@ def eval_relation1(
     level: float = 1.0,
 ) -> RelationVerdict:
     """Pair relation with the plain mutual information on the right."""
-    rho = as_density_matrix(state)
-    pair = validate_subset((a, b), rho.n)
-    return _verdict(1, channel, pair, level, lambda: (mutual_information(rho, *pair), {}))
+    if not isinstance(state, PureState):
+        state = as_density_matrix(state)
+    pair = validate_subset((a, b), state.n)
+    return _verdict(1, channel, pair, level, lambda: (mutual_information(state, *pair), {}))
 
 
 def eval_relation2(

@@ -1,9 +1,13 @@
 """Leak and correlation measures for register noise.
 
-Leak quantities feed the uniform superposition |+>^n through a channel and
-score entropies of the output; set quantities score how far a joint state
-sits above what its sub-marginals determine, via constrained entropy
-maximization. All values are in bits.
+Leak quantities feed a pure input, the uniform superposition |+>^n unless
+given, through a channel and score entropies of the output. That output is
+the ensemble of branches K_k psi, kept as k rows of length 2^n: marginals
+come from the rows and S(out) from their k x k Gram matrix when it is the
+smaller side, so no 2^n x 2^n output is formed. Set quantities score how
+far a joint state sits above what its sub-marginals determine, via
+constrained entropy maximization, and read ``apply``'s dense output. All
+values are in bits.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .states import (
     DensityMatrix,
     PureState,
     as_density_matrix,
+    branch_entropy,
     entropy_of_subset,
     partial_trace,
     validate_subset,
@@ -53,12 +58,48 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> DensityMatrix:
-    """The channel applied to ``input_state``, by default |+>^n on the
-    smallest register that holds the channel."""
+def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.ndarray:
+    """The branches K_k psi of the channel on ``input_state`` (by default
+    |+>^n on the smallest register that holds the channel), one row each.
+
+    The output state is sum_k |K_k psi><K_k psi|. A channel on some of
+    the qubits acts on their tensor axes, so no padded operator is built.
+    """
+    if input_state is None:
+        input_state = plus_all(_span(channel))
+    n, pos = input_state.n, channel.qubits
+    if _span(channel) > n:
+        raise ValueError(f"channel on qubits {pos} does not fit in {n} qubits")
+    perm = list(pos) + [q for q in range(n) if q not in pos]
+    psi = input_state.amplitudes.reshape((2,) * n).transpose(perm).reshape(2 ** len(pos), -1)
+    rows = np.empty((len(channel.kraus), 2**n), dtype=complex)
+    # the rows' tensor axes in the order of ``perm``, so each branch is written in place
+    axes = rows.reshape((len(rows),) + (2,) * n).transpose([0] + [1 + q for q in perm])
+    for i, k in enumerate(channel.kraus):
+        axes[i] = (k @ psi).reshape((2,) * n)
+    return rows
+
+
+def _noisy_density(channel: QuantumChannel, input_state: PureState | None) -> DensityMatrix:
+    """``apply``'s output for the same input as ``_noisy_output``: the set
+    quantities read it, since their max-entropy solve can turn last-bit
+    changes of a marginal into a different answer or a ConvergenceError."""
     if input_state is None:
         input_state = plus_all(_span(channel))
     return apply(channel, input_state.density_matrix())
+
+
+def _register_size(rows: np.ndarray) -> int:
+    return rows.shape[1].bit_length() - 1
+
+
+def _pair_information(rows: np.ndarray, a: int, b: int) -> float:
+    """S(a) + S(b) - S(ab) of sum_k |v_k><v_k| over the rows v_k."""
+    n = _register_size(rows)
+    pair = validate_subset((a, b), n)
+    s_a = branch_entropy(rows, n, pair[:1])
+    s_b = branch_entropy(rows, n, pair[1:])
+    return s_a + s_b - branch_entropy(rows, n, pair)
 
 
 def information_leak(
@@ -66,10 +107,10 @@ def information_leak(
 ) -> float:
     """Entropy of the noisy output restricted to ``subset``.
 
-    The input is |+>^n unless ``input_state`` overrides it; sub-register
-    channels are padded with identity before application.
+    The input is |+>^n unless ``input_state`` overrides it.
     """
-    return entropy_of_subset(_noisy_output(channel, input_state), subset)
+    rows = _noisy_output(channel, input_state)
+    return branch_entropy(rows, _register_size(rows), subset)
 
 
 def environment_information(
@@ -81,17 +122,20 @@ def environment_information(
     S(out|_A) + S(out) - S(out|_rest) with rest = register minus A; no
     explicit environment register is needed.
     """
-    out = _noisy_output(channel, input_state)
-    keep = validate_subset(subset, out.n)
-    rest = tuple(q for q in range(out.n) if q not in keep)
-    s_a = von_neumann_entropy(partial_trace(out, keep))
-    s_env = von_neumann_entropy(out)
-    s_joint = von_neumann_entropy(partial_trace(out, rest)) if rest else 0.0
+    rows = _noisy_output(channel, input_state)
+    n = _register_size(rows)
+    keep = validate_subset(subset, n)
+    rest = tuple(q for q in range(n) if q not in keep)
+    s_a = branch_entropy(rows, n, keep)
+    s_env = branch_entropy(rows, n, range(n))
+    s_joint = branch_entropy(rows, n, rest) if rest else 0.0
     return float(max(0.0, s_a + s_env - s_joint))
 
 
 def mutual_information(state: PureState | DensityMatrix, a: int, b: int) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab) for two register positions."""
+    if isinstance(state, PureState):
+        return _pair_information(state.amplitudes.reshape(1, -1), a, b)
     rho = as_density_matrix(state)
     pair = validate_subset((a, b), rho.n)
     s_a = entropy_of_subset(rho, (pair[0],))
@@ -104,7 +148,7 @@ def excess_leak(
     channel: QuantumChannel, a: int, b: int, input_state: PureState | None = None
 ) -> float:
     """L(a) + L(b) - L({a,b}): the correlated part of two leaks."""
-    return mutual_information(_noisy_output(channel, input_state), a, b)
+    return _pair_information(_noisy_output(channel, input_state), a, b)
 
 
 @dataclass
@@ -223,7 +267,7 @@ def excess_leak_set(
     Vanishes for product channels on the product input, where the output
     marginal is exactly the product of its sub-marginals.
     """
-    out = _noisy_output(channel, input_state)
+    out = _noisy_density(channel, input_state)
     return max_entropy_defect(out, subset, tol=tol, max_iter=max_iter)
 
 

@@ -87,6 +87,21 @@ class PureState:
         return DensityMatrix(self.n, mat)
 
 
+def _check_unit_trace(mat: np.ndarray) -> None:
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace must be 1, got {tr}")
+
+
+def _checked_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix; PositivityError below -PSD_ATOL."""
+    lam = np.linalg.eigvalsh(mat)
+    lo = float(lam[0])
+    if lo < -PSD_ATOL:
+        raise PositivityError(f"eigenvalue {lo} below -{PSD_ATOL}")
+    return lam
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on a register.
@@ -110,16 +125,11 @@ class DensityMatrix:
         adjoint = mat.conj().T
         if not (np.array_equal(mat, adjoint) or np.allclose(mat, adjoint, atol=HERMITIAN_ATOL)):
             raise ValueError("matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace must be 1, got {tr}")
+        _check_unit_trace(mat)
         mat = mat.copy()
         mat.flags.writeable = False
         if d <= _PSD_CHECK_MAX_DIM:
-            lam = np.linalg.eigvalsh(mat)
-            lo = float(lam[0])
-            if lo < -PSD_ATOL:
-                raise PositivityError(f"eigenvalue {lo} below -{PSD_ATOL}")
+            lam = _checked_spectrum(mat)
             lam.flags.writeable = False
             object.__setattr__(self, "spectrum", lam)
         object.__setattr__(self, "n", n)
@@ -186,16 +196,43 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(len(keep_t), _hermitize(out))
 
 
-def pure_marginal(amplitudes: np.ndarray, n: int, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state of a pure vector without forming the full density matrix."""
-    keep_t = validate_subset(keep, n, allow_empty=True)
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.shape[0] != 2**n:
+def _split_rows(rows: np.ndarray, n: int, keep: tuple) -> np.ndarray:
+    """The rows v_k as one 2^|keep| x (k 2^(n-|keep|)) matrix M with
+    M M^dagger = sum_k tr_rest |v_k><v_k|; a single vector is one row."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim < 2:
+        rows = rows.reshape(1, -1)
+    if rows.ndim != 2 or rows.shape[1] != 2**n:
         raise ValueError("amplitude vector does not match register size")
-    drop = [q for q in range(n) if q not in keep_t]
-    t = amps.reshape((2,) * n).transpose(list(keep_t) + drop)
-    t = t.reshape(2 ** len(keep_t), 2 ** len(drop))
-    return DensityMatrix(len(keep_t), _hermitize(t @ t.conj().T))
+    drop = [q for q in range(n) if q not in keep]
+    t = rows.reshape((rows.shape[0],) + (2,) * n)
+    t = t.transpose([1 + q for q in keep] + [0] + [1 + q for q in drop])
+    return t.reshape(2 ** len(keep), -1)
+
+
+def pure_marginal(amplitudes: np.ndarray, n: int, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state on ``keep`` of a pure vector, or of sum_k |v_k><v_k|
+    over the rows v_k of a stack, without forming the full density matrix."""
+    keep_t = validate_subset(keep, n, allow_empty=True)
+    m = _split_rows(amplitudes, n, keep_t)
+    return DensityMatrix(len(keep_t), _hermitize(m @ m.conj().T))
+
+
+def branch_entropy(rows: np.ndarray, n: int, keep: Iterable[int]) -> float:
+    """S of the reduced state on ``keep`` of sum_k |v_k><v_k|, in bits.
+
+    With M as in ``pure_marginal``, M^dagger M is the state of the other
+    qubits together with the branch index k and has the same nonzero
+    spectrum as M M^dagger; the smaller of the two is diagonalized. The
+    complement side keeps DensityMatrix's unit-trace and positivity checks.
+    """
+    keep_t = validate_subset(keep, n, allow_empty=True)
+    m = _split_rows(rows, n, keep_t)
+    if m.shape[0] <= m.shape[1]:
+        return von_neumann_entropy(DensityMatrix(len(keep_t), _hermitize(m @ m.conj().T)))
+    gram = _hermitize(m.conj().T @ m)
+    _check_unit_trace(gram)
+    return spectrum_entropy(_checked_spectrum(gram))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -217,7 +254,7 @@ def spectrum_entropy(p: np.ndarray) -> float:
 
 def entropy_of_subset(state: "PureState | DensityMatrix", keep: Iterable[int]) -> float:
     if isinstance(state, PureState):
-        return von_neumann_entropy(pure_marginal(state.amplitudes, state.n, tuple(keep)))
+        return branch_entropy(state.amplitudes, state.n, keep)
     return von_neumann_entropy(partial_trace(state, keep))
 
 

@@ -90,6 +90,34 @@ def partial_trace_oracle(mat: np.ndarray, n: int, keep) -> np.ndarray:
     return out
 
 
+def padded_operator_oracle(op: np.ndarray, positions, n: int) -> np.ndarray:
+    """``op`` on the qubits ``positions`` (increasing, in its tensor order)
+    and identity on the rest, entry by entry over basis indices."""
+    rest = [q for q in range(n) if q not in positions]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+
+    def sub(index):
+        val = 0
+        for q in positions:
+            val = (val << 1) | bit(index, q, n)
+        return val
+
+    for i in range(2**n):
+        for j in range(2**n):
+            if all(bit(i, q, n) == bit(j, q, n) for q in rest):
+                out[i, j] = op[sub(i), sub(j)]
+    return out
+
+
+def random_kraus(rng, n: int, k: int) -> list:
+    """k operators on n qubits cut from a random isometry of C^(2^n) into
+    C^(k 2^n), so that sum_k K^dagger K = I."""
+    d = 2**n
+    g = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
+    iso = np.linalg.qr(g)[0]
+    return [iso[i * d : (i + 1) * d] for i in range(k)]
+
+
 def entropy_oracle(mat: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(mat)
     lam = lam[lam > 1e-12]

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,6 +70,37 @@ def test_channel_constructor_validates():
         QuantumChannel((0.5 * I2,))  # not trace preserving
     with pytest.raises(ValueError):
         QuantumChannel((I2,), qubits=(1, 0))
+
+
+def test_caller_kraus_lists_are_still_checked():
+    """Derived channels skip the trace-preserving check; a caller's Kraus
+    list does not, whether it reaches QuantumChannel directly or is placed
+    by combine (which a product spec calls) without being a channel yet."""
+    leaky = [np.sqrt(0.5) * I2, np.sqrt(0.4) * Z]
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel(leaky)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        combine([(build_dephasing(0.1), (0,)), (SimpleNamespace(kraus=leaky), (2,))], n=3)
+    placed = combine([(SimpleNamespace(kraus=build_dephasing(0.1).kraus), (1,))], n=2)
+    assert np.abs(kraus_sum(placed) - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda: embed(build_depolarizing(0.3, qubit=1), 3),
+        lambda: embed(QuantumChannel(build_correlated_flip(0.2, "XY").kraus, qubits=(0, 2)), 4),
+        lambda: compose(build_pairwise_correlated(3, 0.1, 0.02, "Y"), build_depolarizing(0.2)),
+        lambda: compose(build_cluster_noise(3, [(0, 1)], 0.4, seed=2), BUILT_CHANNELS[4]),
+        lambda: combine([(build_depolarizing(p), (q,)) for q, p in enumerate((0.1, 0.5, 0.7))]),
+        lambda: combine([(build_dephasing(0.3), (3,)), (build_correlated_flip(0.4, "ZY"), (0, 2))]),
+    ],
+    ids=["embed", "embed-gapped", "compose", "compose-unitary", "combine", "combine-gapped"],
+)
+def test_derived_channels_are_trace_preserving(derive):
+    channel = derive()
+    assert np.abs(kraus_sum(channel) - np.eye(channel.dim)).max() < 1e-12
+    assert all(not k.flags.writeable for k in channel.kraus)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

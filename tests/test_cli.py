@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -363,3 +364,30 @@ def test_run_report_shows_the_seed_it_used(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert json.loads(reports[0])["config"]["seed"] == 5
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1.7]], "qubit position 1.7 is not an integer"),
+        ([[1, 1]], "self-loop on qubit 1"),
+        ([[0, 3]], r"edge \(0,3\) outside register of size 3"),
+    ],
+    ids=["float", "self-loop", "outside-register"],
+)
+@pytest.mark.parametrize("owner", ["state", "channel"])
+def test_bad_spec_edges_are_config_errors(owner, edges, message, capsys):
+    """A spec's edges are read like every other field: a bad edge is a
+    config error that names the field, not a library error."""
+    spec = {"family": "cluster", "n": 3, "edges": edges}
+    if owner == "state":
+        argv = ["measure", "--name", "mutual-information", "--qubits", "0,1"]
+    else:
+        spec.update(epsilon=0.2, seed=1)
+        argv = ["measure", "--name", "leak", "--qubits", "0"]
+    code = cli.main([*argv, f"--{owner}", json.dumps(spec)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"config error [{owner}.edges]" in err
+    assert re.search(message, err)

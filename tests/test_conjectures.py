@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entlab import PureState, measures
+from entlab import PureState, conjectures, measures
 from entlab.channels import (
     QuantumChannel,
     build_correlated_flip,
@@ -45,13 +45,20 @@ def _relations(channel):
 
 
 def test_each_relation_builds_the_noisy_output_once(monkeypatch):
-    calls = []
-    apply = measures.apply
-    monkeypatch.setattr(measures, "apply", lambda channel, rho: calls.append(1) or apply(channel, rho))
+    """Every verdict builds the branch rows K_k psi once, for its leaks and
+    a pair excess. Relations 3 and 4 also build apply's dense output once,
+    for the set excess; relations 1 and 2 never do."""
+    branches, dense = [], []
+    build, apply = conjectures._noisy_output, measures.apply
+    monkeypatch.setattr(
+        conjectures, "_noisy_output", lambda ch, psi: branches.append(1) or build(ch, psi)
+    )
+    monkeypatch.setattr(measures, "apply", lambda ch, rho: dense.append(1) or apply(ch, rho))
     for relation, evaluate in enumerate(_relations(build_pairwise_correlated(3, 0.1, 0.02))[2], 1):
-        calls.clear()
+        branches.clear()
+        dense.clear()
         assert evaluate().relation == relation
-        assert len(calls) == 1, relation
+        assert (len(branches), len(dense)) == (1, int(relation >= 3)), relation
 
 
 @pytest.mark.parametrize("channel", BUILT_CHANNELS)

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from entlab import DensityMatrix, PureState
 from entlab.channels import (
+    QuantumChannel,
+    apply,
     build_correlated_flip,
     build_depolarizing,
     build_dephasing,
@@ -15,7 +17,7 @@ from entlab.channels import (
     embed,
     identity_channel,
 )
-from entlab.errors import SizeLimitError
+from entlab.errors import ConvergenceError, SizeLimitError
 from entlab.measures import (
     assisted_mutual_information,
     binary_entropy,
@@ -30,11 +32,15 @@ from entlab.measures import (
 from entlab.states import partial_trace, von_neumann_entropy
 from entlab.zoo import bell, ghz, plus_all
 from helpers import (
+    BUILT_CHANNELS,
     entropy_oracle,
     env_mutual_info_oracle,
     h2,
     haar,
+    padded_operator_oracle,
+    partial_trace_oracle,
     random_density,
+    random_kraus,
     random_pure,
 )
 
@@ -104,6 +110,51 @@ def test_leak_accepts_custom_input():
     # a Z-basis input is untouched by phase noise
     zero = PureState(1, np.array([1.0, 0.0], dtype=complex))
     assert information_leak(build_dephasing(0.8), (0,), input_state=zero) < 1e-9
+
+
+@st.composite
+def pure_input_cases(draw):
+    """A channel, the pure input it acts on and a qubit subset: a random
+    Kraus channel (1 to 8 operators) on some positions of an n <= 5 register
+    or a built channel on its own register, on |+>^n or a random input."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        channel = draw(st.sampled_from(BUILT_CHANNELS))
+        n = channel.n
+    else:
+        n = draw(st.integers(1, 5))
+        positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        kraus = random_kraus(rng, len(positions), draw(st.integers(1, 8)))
+        channel = QuantumChannel(kraus, qubits=positions)
+    plus = draw(st.booleans())
+    psi = plus_all(n) if plus else PureState(n, random_pure(rng, n))
+    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    # |+>^n on the channel's own span is also the measures' default input
+    default = plus and channel.qubits[-1] == n - 1
+    return channel, psi, subset, default
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pure_input_cases())
+def test_leak_measures_of_pure_inputs_match_oracles(case):
+    """The branch-row leak measures against the dense output's direct-sum
+    partial traces and the explicit dilation, to 1e-12."""
+    channel, psi, subset, default = case
+    n = psi.n
+    ops = [padded_operator_oracle(k, channel.qubits, n) for k in channel.kraus]
+    branches = [k @ psi.amplitudes for k in ops]
+    out = sum(np.outer(v, v.conj()) for v in branches)
+
+    def leak(keep):
+        return entropy_oracle(partial_trace_oracle(out, n, keep))
+
+    kwargs = {} if default else {"input_state": psi}
+    assert abs(information_leak(channel, subset, **kwargs) - leak(subset)) < 1e-12
+    env = env_mutual_info_oracle(ops, psi.amplitudes, n, subset)
+    assert abs(environment_information(channel, subset, **kwargs) - env) < 1e-12
+    for a, b in combinations(subset, 2):
+        want = leak((a,)) + leak((b,)) - leak((a, b))
+        assert abs(excess_leak(channel, a, b, **kwargs) - want) < 1e-12
 
 
 def test_environment_information_matches_dilation(rng):
@@ -204,6 +255,25 @@ def test_excess_leak_set_product_noise(noise):
     subsets = [(0, 1), (1, 2), (0, 1, 2)] if len(noise) == 3 else [(0, 1)]
     for subset in subsets:
         assert abs(excess_leak_set(ch, subset).value) < 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, ConvergenceError),
+    reason="the max-entropy solve is chaotic in the last bit of its input: on "
+    "the 4-qubit cluster noise the triple (0, 1, 2) reads 0.014162 from apply's "
+    "output, while 1e-15 Hermitian perturbations of that output read other "
+    "values or raise ConvergenceError",
+)
+def test_set_defect_is_stable_under_last_bit_noise():
+    channel = BUILT_CHANNELS[5]
+    out = apply(channel, plus_all(channel.n).density_matrix())
+    base = max_entropy_defect(out, (0, 1, 2)).value
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        noisy = DensityMatrix(4, out.matrix + 0.5e-15 * (g + g.conj().T))
+        assert abs(max_entropy_defect(noisy, (0, 1, 2)).value - base) <= 1e-6
 
 
 def test_excess_leak_set_sees_parity_noise():

@@ -8,7 +8,9 @@ from entlab import DensityMatrix, PureState
 from entlab.channels import apply, build_depolarizing
 from entlab.errors import PositivityError, SizeLimitError
 from entlab.states import (
+    _hermitize,
     as_density_matrix,
+    branch_entropy,
     check_register_size,
     embed_operator,
     entropy_of_subset,
@@ -130,6 +132,57 @@ def test_partial_trace_matches_direct_sum(rng):
         want = partial_trace_oracle(rho.matrix, n, keep)
         assert np.abs(got - want).max() < 1e-12
         assert abs(np.trace(got).real - 1.0) < 1e-12
+
+
+def _unit_rows(rng, k, n):
+    rows = rng.normal(size=(k, 2**n)) + 1j * rng.normal(size=(k, 2**n))
+    return rows / np.linalg.norm(rows)
+
+
+def reference_pure_marginal(amps, n, keep):
+    """``pure_marginal`` of one vector as first written."""
+    drop = [q for q in range(n) if q not in keep]
+    t = np.asarray(amps, dtype=complex).reshape((2,) * n).transpose(list(keep) + drop)
+    t = t.reshape(2 ** len(keep), 2 ** len(drop))
+    return _hermitize(t @ t.conj().T)
+
+
+def test_pure_marginal_of_rows_sums_the_row_marginals(rng):
+    """A stack of rows gives sum_k tr_rest |v_k><v_k|, checked against the
+    direct sum over basis indices; one vector gives bitwise the marginal of
+    the one-vector formula, whether passed flat or as one row."""
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 9))
+        keep = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+        rows = _unit_rows(rng, k, n)
+        got = pure_marginal(rows, n, keep).matrix
+        want = sum(
+            partial_trace_oracle(np.outer(v, v.conj()), n, keep) for v in rows
+        )
+        assert np.abs(got - want).max() < 1e-14
+        vec = random_pure(rng, n)
+        one = reference_pure_marginal(vec, n, keep)
+        assert np.array_equal(pure_marginal(vec, n, keep).matrix, one)
+        assert np.array_equal(pure_marginal(vec[None, :], n, keep).matrix, one)
+
+
+def test_branch_entropy_reads_the_smaller_side(rng):
+    """Both sides of the row matrix give the marginal's entropy; the branch
+    side keeps the unit-trace and positivity checks."""
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 9))
+        keep = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+        rows = _unit_rows(rng, k, n)
+        rho = sum(np.outer(v, v.conj()) for v in rows)
+        want = entropy_oracle(partial_trace_oracle(rho, n, keep))
+        assert abs(branch_entropy(rows, n, keep) - want) < 1e-12
+    # 8 qubits, 2 rows: the whole register is read from the 2 x 2 Gram matrix
+    with pytest.raises(ValueError, match="trace must be 1"):
+        branch_entropy(1.001 * _unit_rows(rng, 2, 8), 8, range(8))
+    with pytest.raises(ValueError, match="does not match register size"):
+        branch_entropy(_unit_rows(rng, 2, 3), 2, (0,))
 
 
 def test_partial_trace_nested_consistency(rng):
