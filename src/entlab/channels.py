@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .states import DensityMatrix, _hermitize, _position, check_register_size, embed_operator
+from .states import DensityMatrix, _hermitize, _position, check_probability
+from .states import check_register_size, embed_operator
 from .zoo import _validate_edges, _qubit_bits, haar_unitary
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -184,9 +185,7 @@ def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
     The Pauli twirl weights are (1-p, p/3, p/3, p/3); at p = 3/4 any input
     qubit is sent to the maximally mixed state.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = check_probability(p)
     weighted = [(1.0 - p, PAULI_I), (p / 3.0, PAULI_X), (p / 3.0, PAULI_Y), (p / 3.0, PAULI_Z)]
     return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
 
@@ -197,9 +196,7 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     Equivalent to a phase flip with probability eps/2, so |+><+| maps to
     spectrum (1 - eps/2, eps/2).
     """
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"strength {eps} outside [0, 1]")
+    eps = check_probability(eps, "strength")
     weighted = [(1.0 - eps / 2.0, PAULI_I), (eps / 2.0, PAULI_Z)]
     return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
 
@@ -235,9 +232,7 @@ def pauli_string_matrix(letters: str) -> np.ndarray:
 
 def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
     """Global two-point mixture: identity with 1 - eps, the full Pauli string with eps."""
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"probability {eps} outside [0, 1]")
+    eps = check_probability(eps)
     n = len(pauli)
     check_register_size(n)
     if n < 1:
@@ -321,9 +316,7 @@ def build_cluster_noise(
     n = check_register_size(n)
     if n < 1:
         raise ValueError("register must be non-empty")
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"probability {eps} outside [0, 1]")
+    eps = check_probability(eps)
     edge_list = _validate_edges(n, edges)
     rng = np.random.default_rng(seed)
     pre = np.array([[1.0]], dtype=complex)

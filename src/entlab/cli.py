@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -45,6 +46,7 @@ from .conjectures import (
 )
 from .errors import ConfigError
 from .measures import (
+    MAX_SET_SIZE,
     assisted_mutual_information,
     environment_information,
     excess_leak,
@@ -305,12 +307,21 @@ def _parse_qubits(value, field="qubits"):
         raise ConfigError(f"cannot parse qubit list {value!r}", field=field)
 
 
-def _measure_entry(name, value, qubits, diagnostics):
+def _measure_entry(name, result, qubits=None, diagnostics=None):
+    """One report entry. A result object gives its ``value``, and its
+    diagnostics are its ``diagnostics`` plus every other field but the
+    ``decomposition`` and the per-subset ``terms``."""
+    if is_dataclass(result):
+        diagnostics = dict(result.diagnostics)
+        for f in fields(result):
+            if f.name not in ("value", "diagnostics", "decomposition", "terms"):
+                diagnostics[f.name] = getattr(result, f.name)
+        result = result.value
     return {
         "measure": name,
-        "value": value,
+        "value": result,
         "qubits": list(qubits) if qubits is not None else None,
-        "diagnostics": diagnostics,
+        "diagnostics": {} if diagnostics is None else diagnostics,
     }
 
 
@@ -318,79 +329,50 @@ def _search_budget(params: dict) -> dict:
     return {key: params[key] for key in ("restarts", "sweeps") if params[key] is not None}
 
 
+# measure -> (the inputs it needs, checked in order, and its library call
+# on (state, channel, qubits, params, seeds))
+MEASURES = {
+    "leak": (
+        ("channel", "set"), lambda s, c, q, p, seeds: information_leak(c, q, input_state=s)
+    ),
+    "environment-info": (
+        ("channel", "set"), lambda s, c, q, p, seeds: environment_information(c, q, input_state=s)
+    ),
+    "mutual-information": (("pair", "state"), lambda s, c, q, p, seeds: mutual_information(s, *q)),
+    "excess-leak": (
+        ("pair", "channel"), lambda s, c, q, p, seeds: excess_leak(c, *q, input_state=s)
+    ),
+    "assisted": (("pair", "state"), lambda s, c, q, p, seeds: assisted_mutual_information(
+        s, *q, seed=seeds.derive("measure.assisted"), **_search_budget(p)
+    )),
+    "set-defect": (("state", "set"), lambda s, c, q, p, seeds: max_entropy_defect(s, q)),
+    "set-excess-leak": (
+        ("channel", "set"), lambda s, c, q, p, seeds: excess_leak_set(c, q, input_state=s)
+    ),
+    "total-defect": (("state",), lambda s, c, q, p, seeds: total_defect(
+        s, p["truncate"] or MAX_SET_SIZE, include_full=INCLUDE_FULL[p["include_full"]]
+    )),
+}
+
+
 def measure_results(params: dict, seeds: SeedStream) -> list:
     name = params["name"]
+    needs, call = MEASURES[name]
     state = build_state(params["state"], seeds) if params["state"] else None
     channel = build_channel(params["channel"], seeds) if params["channel"] else None
     qubits = _parse_qubits(params["qubits"])
-
-    def need_channel():
-        if channel is None:
-            raise ConfigError(f"measure '{name}' needs a channel spec", field="channel")
-        return channel
-
-    def need_state():
-        if state is None:
-            raise ConfigError(f"measure '{name}' needs a state spec", field="state")
-        return state
-
-    def need_pair():
-        if qubits is None or len(qubits) != 2:
-            raise ConfigError(f"measure '{name}' needs exactly two qubits", field="qubits")
-        return qubits
-
-    def need_set():
-        if not qubits:
-            raise ConfigError(f"measure '{name}' needs a qubit set", field="qubits")
-        return qubits
-
-    if name in ("leak", "environment-info"):
-        measure = information_leak if name == "leak" else environment_information
-        value = measure(need_channel(), need_set(), input_state=state)
-        return [_measure_entry(name, value, qubits, {})]
-    if name == "mutual-information":
-        a, b = need_pair()
-        return [_measure_entry(name, mutual_information(need_state(), a, b), qubits, {})]
-    if name == "excess-leak":
-        a, b = need_pair()
-        value = excess_leak(need_channel(), a, b, input_state=state)
-        return [_measure_entry(name, value, qubits, {})]
-    if name == "assisted":
-        a, b = need_pair()
-        res = assisted_mutual_information(
-            need_state(), a, b, seed=seeds.derive("measure.assisted"), **_search_budget(params)
-        )
-        diag = dict(res.diagnostics)
-        diag["search_value"] = res.search_value
-        diag["floor"] = res.floor
-        return [_measure_entry(name, res.value, qubits, diag)]
-    if name in ("set-defect", "set-excess-leak"):
-        if name == "set-defect":
-            res = max_entropy_defect(need_state(), need_set())
-        else:
-            res = excess_leak_set(need_channel(), need_set(), input_state=state)
-        diag = dict(res.diagnostics)
-        diag["constrained_entropy"] = res.constrained_entropy
-        diag["subset_entropy"] = res.subset_entropy
-        return [_measure_entry(name, res.value, qubits, diag)]
-    if name == "total-defect":
-        kwargs = {}
-        if params["truncate"] is not None:
-            kwargs["max_subset_size"] = params["truncate"]
-        res = total_defect(
-            need_state(), include_full=INCLUDE_FULL[params["include_full"]], **kwargs
-        )
-        diag = dict(res.diagnostics)
-        diag.update(
-            {
-                "value_without_full": res.value_without_full,
-                "full_set_term": res.full_set_term,
-                "included_sizes": res.included_sizes,
-                "included_full": res.included_full,
-            }
-        )
-        return [_measure_entry(name, res.value, qubits, diag)]
-    raise ConfigError(f"unknown measure '{name}'", field="name")
+    # input -> (whether it is given, the field that names it, what is needed)
+    inputs = {
+        "channel": (channel is not None, "channel", "a channel spec"),
+        "state": (state is not None, "state", "a state spec"),
+        "pair": (qubits is not None and len(qubits) == 2, "qubits", "exactly two qubits"),
+        "set": (bool(qubits), "qubits", "a qubit set"),
+    }
+    for need in needs:
+        given, field, what = inputs[need]
+        if not given:
+            raise ConfigError(f"measure '{name}' needs {what}", field=field)
+    return [_measure_entry(name, call(state, channel, qubits, params, seeds), qubits)]
 
 
 def relation_results(params: dict, seeds: SeedStream) -> list:
@@ -558,11 +540,11 @@ class Subcommand(NamedTuple):
 # kind is the subcommand name with "-" spelled "_"
 SUBCOMMANDS = {
     "measure": Subcommand(measure_results, "evaluate one measure", (
-        Param("name", required=True, help="which measure to evaluate"),
+        Param("name", required=True, choices=tuple(MEASURES), help="which measure to evaluate"),
         Param("state", load_spec, help="state spec (inline JSON or a path)"),
         Param("channel", load_spec, help="channel spec (inline JSON or a path)"),
         Param("qubits", help="comma-separated register positions"),
-        Param("truncate", _integer, help="subset-size cap for total-defect"),
+        Param("truncate", _integer, help="subset-size cap for total-defect", minimum=2),
         Param("include_full", default="auto", choices=tuple(INCLUDE_FULL)),
         Param("restarts", _integer, help="search restarts for assisted", minimum=1),
         Param("sweeps", _integer, help="search sweeps for assisted", minimum=0),
@@ -580,7 +562,7 @@ SUBCOMMANDS = {
         Param("family", required=True, choices=tuple(sorted(_FAMILY_BUILDERS))),
         Param("n_min", _integer, default=2),
         Param("n_max", _integer, default=6),
-        Param("truncate", _integer, default=3),
+        Param("truncate", _integer, default=3, minimum=2),
         Param("include_full", default="never", choices=tuple(INCLUDE_FULL)),
         Param("depth", _integer, default=2, help="depth for random-circuit"),
     )),

@@ -34,6 +34,7 @@ from .channels import QuantumChannel
 from .errors import SizeLimitError
 from .measures import (
     MAX_SET_SIZE,
+    MAX_TOTAL_QUBITS,
     _noisy_density,
     _noisy_output,
     _pair_information,
@@ -309,20 +310,23 @@ def censorship_scan(
     sizes: Iterable[int],
     truncation: int = 3,
     include_full: str = "never",
-    tol: float = 1e-6,
 ) -> CensorshipReport:
     """Total-defect growth of a family over register sizes.
 
     ``include_full`` is "never" (uniform proper-subset truncation, the
     default so totals stay comparable across sizes), "auto" (full-set term
-    added when the register fits the optimizer cap), or "always".
+    added when the register fits the optimizer cap), or "always". A size
+    above MAX_TOTAL_QUBITS raises SizeLimitError before any state is built.
     """
     if include_full not in tuple(INCLUDE_FULL):
         raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
     flag = INCLUDE_FULL[include_full]
     size_list = sorted(int(n) for n in sizes)
+    if size_list and size_list[-1] > MAX_TOTAL_QUBITS:
+        n = size_list[-1]
+        raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
     values = [
-        total_defect(family(n), max_subset_size=truncation, include_full=flag, tol=tol).value
+        total_defect(family(n), max_subset_size=truncation, include_full=flag).value
         for n in size_list
     ]
     exponent = fit_growth_exponent(size_list, values)

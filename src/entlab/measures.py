@@ -36,6 +36,7 @@ from .states import (
     PureState,
     as_density_matrix,
     branch_entropy,
+    check_probability,
     entropy_of_subset,
     partial_trace,
     validate_subset,
@@ -50,9 +51,7 @@ _PURITY_ATOL = 1e-8
 
 def binary_entropy(p: float) -> float:
     """H2(p) in bits; symmetric about 1/2 and zero at the endpoints."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = check_probability(p)
     if p in (0.0, 1.0):
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
@@ -134,14 +133,10 @@ def environment_information(
 
 def mutual_information(state: PureState | DensityMatrix, a: int, b: int) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab) for two register positions."""
-    if isinstance(state, PureState):
-        return _pair_information(state.amplitudes.reshape(1, -1), a, b)
-    rho = as_density_matrix(state)
-    pair = validate_subset((a, b), rho.n)
-    s_a = entropy_of_subset(rho, (pair[0],))
-    s_b = entropy_of_subset(rho, (pair[1],))
-    s_ab = entropy_of_subset(rho, pair)
-    return s_a + s_b - s_ab
+    pair = validate_subset((a, b), state.n)
+    s_a = entropy_of_subset(state, pair[:1])
+    s_b = entropy_of_subset(state, pair[1:])
+    return s_a + s_b - entropy_of_subset(state, pair)
 
 
 def excess_leak(
@@ -259,16 +254,13 @@ def excess_leak_set(
     channel: QuantumChannel,
     subset: Iterable[int],
     input_state: PureState | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DefectResult:
     """Max-entropy defect of the noisy output on ``subset``.
 
     Vanishes for product channels on the product input, where the output
     marginal is exactly the product of its sub-marginals.
     """
-    out = _noisy_density(channel, input_state)
-    return max_entropy_defect(out, subset, tol=tol, max_iter=max_iter)
+    return max_entropy_defect(_noisy_density(channel, input_state), subset)
 
 
 @dataclass
@@ -288,8 +280,6 @@ def total_defect(
     state: PureState | DensityMatrix,
     max_subset_size: int = MAX_SET_SIZE,
     include_full: bool | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TotalDefectResult:
     """Sum of max-entropy defects over subsets of size 2..min(cap, 4).
 
@@ -315,25 +305,23 @@ def total_defect(
     if include_full and n > MAX_SET_SIZE:
         raise SizeLimitError(f"full-set term needs at most {MAX_SET_SIZE} qubits, got {n}")
 
-    terms: dict[tuple, float] = {}
     sizes = [s for s in range(2, cap + 1) if s < n]
+    full = tuple(range(n))
+    subsets = [subset for size in sizes for subset in combinations(full, size)]
+    if include_full:
+        subsets.append(full)
+    terms: dict[tuple, float] = {}
     total = 0.0
     iterations = 0
     worst_residual = 0.0
-    for size in sizes:
-        for subset in combinations(range(n), size):
-            res = max_entropy_defect(rho, subset, tol=tol, max_iter=max_iter)
-            terms[subset] = res.value
+    for subset in subsets:
+        res = max_entropy_defect(rho, subset)
+        terms[subset] = res.value
+        if subset != full:
             total += res.value
-            iterations += res.diagnostics["iterations"]
-            worst_residual = max(worst_residual, res.diagnostics["residual"])
-    full_term = None
-    if include_full:
-        res = max_entropy_defect(rho, tuple(range(n)), tol=tol, max_iter=max_iter)
-        full_term = res.value
-        terms[tuple(range(n))] = res.value
         iterations += res.diagnostics["iterations"]
         worst_residual = max(worst_residual, res.diagnostics["residual"])
+    full_term = terms.get(full)
     return TotalDefectResult(
         value=float(total + (full_term or 0.0)),
         value_without_full=float(total),
@@ -344,6 +332,6 @@ def total_defect(
         diagnostics={
             "optimizer_iterations": iterations,
             "worst_residual": worst_residual,
-            "tol": tol,
+            "tol": DEFAULT_TOL,
         },
     )

@@ -34,6 +34,14 @@ def check_register_size(n: int) -> int:
     return int(n)
 
 
+def check_probability(x, what: str = "probability") -> float:
+    """``x`` as a float in [0, 1]; NaN is refused, and ``what`` names it in the error."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{what} {x} outside [0, 1]")
+    return x
+
+
 def _position(q) -> int:
     try:
         return operator.index(q)

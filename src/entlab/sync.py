@@ -25,7 +25,7 @@ from .channels import (
     pauli_expansion,
     pauli_weight_table,
 )
-from .states import DensityMatrix, _hermitize
+from .states import DensityMatrix, _hermitize, check_probability
 from .zoo import bitflip_code_encode
 
 MAX_TAIL_TRIALS = 10**6
@@ -77,9 +77,7 @@ def binomial_tail(n: int, k: int, p: float) -> float:
     k = operator.index(k)
     if n < 0 or n > MAX_TAIL_TRIALS:
         raise ValueError(f"trial count {n} outside [0, {MAX_TAIL_TRIALS}]")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = check_probability(p)
     if k >= n:
         return 0.0
     if k < 0:
@@ -174,9 +172,7 @@ def repetition_majority_error(eps: float, copies: int) -> float:
     a copy flips with probability (1 - eps)/2; the vote fails when at least
     (copies+1)/2 flip. ``copies`` must be odd.
     """
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"survival probability {eps} outside [0, 1]")
+    eps = check_probability(eps, "survival probability")
     m = operator.index(copies)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"copy count must be odd and positive, got {m}")
@@ -243,9 +239,7 @@ def quantum_randomization_demo(eps: float, logical: tuple[complex, complex]) -> 
     success probability of plain majority readout of the logical bit
     distribution. At eps = 1 both are exactly 1.
     """
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"survival probability {eps} outside [0, 1]")
+    eps = check_probability(eps, "survival probability")
     a, b = (complex(x) for x in logical)
     encoded = bitflip_code_encode(a, b)
     noise = combine([(_replacement_channel(eps, q), (q,)) for q in range(3)], n=3)

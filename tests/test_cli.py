@@ -317,6 +317,11 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
         ({"kind": "sync", "p1": 1e-3, "p2": 2e-5, "n": 1000.7, "threshold": 10}, "n"),
         ({"kind": "sync", "p1": 1e-3, "p2": 2e-5, "n": 1000, "threshold": 10.2}, "threshold"),
         ({"kind": "qec_demo", "epsilon": 0.5, "logical": "a,b"}, "logical"),
+        ({"kind": "censorship", "family": "ghz", "truncate": 1}, "truncate"),
+        ({"kind": "measure", "name": "total-defect", "state": {"family": "bell"},
+          "truncate": 1}, "truncate"),
+        # an unknown measure is refused before its specs are read
+        ({"kind": "measure", "name": "bogus", "state": {"family": "nope"}}, "name"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):
@@ -343,6 +348,70 @@ def test_search_budget_flag_is_config_error(flag, value, capsys):
     assert code == 2
     assert out == ""
     assert f"config error [{flag[2:]}]" in err
+
+
+_DEPHASING = '{"family": "dephasing", "epsilon": 0.2}'
+_FLIP_ZZ = '{"family": "correlated_flip", "epsilon": 0.2, "pauli": "ZZ"}'
+_BELL = '{"family": "bell"}'
+# every measure with all of its inputs
+_MEASURE_INPUTS = {
+    "leak": {"channel": _DEPHASING, "qubits": "0"},
+    "environment-info": {"channel": _DEPHASING, "qubits": "0"},
+    "mutual-information": {"state": _BELL, "qubits": "0,1"},
+    "excess-leak": {"channel": _FLIP_ZZ, "qubits": "0,1"},
+    "assisted": {"state": _BELL, "qubits": "0,1"},
+    "set-defect": {"state": '{"family": "ghz", "n": 3}', "qubits": "0,1,2"},
+    "set-excess-leak": {"channel": _FLIP_ZZ, "qubits": "0,1"},
+    "total-defect": {"state": _BELL},
+}
+
+
+@pytest.mark.parametrize(
+    "name, missing, needs",
+    [
+        ("leak", "channel", "a channel spec"),
+        ("leak", "qubits", "a qubit set"),
+        ("environment-info", "channel", "a channel spec"),
+        ("environment-info", "qubits", "a qubit set"),
+        ("mutual-information", "state", "a state spec"),
+        ("mutual-information", "qubits", "exactly two qubits"),
+        ("excess-leak", "channel", "a channel spec"),
+        ("excess-leak", "qubits", "exactly two qubits"),
+        ("assisted", "state", "a state spec"),
+        ("assisted", "qubits", "exactly two qubits"),
+        ("set-defect", "state", "a state spec"),
+        ("set-defect", "qubits", "a qubit set"),
+        ("set-excess-leak", "channel", "a channel spec"),
+        ("set-excess-leak", "qubits", "a qubit set"),
+        ("total-defect", "state", "a state spec"),
+    ],
+)
+def test_measure_without_an_input_names_its_field(name, missing, needs, capsys):
+    inputs = {flag: value for flag, value in _MEASURE_INPUTS[name].items() if flag != missing}
+    argv = ["measure", "--name", name]
+    for flag, value in inputs.items():
+        argv += [f"--{flag}", value]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"config error [{missing}]: measure '{name}' needs {needs}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--name", "total-defect", "--state", _BELL],
+        ["censorship", "--family", "ghz", "--n-max", "3"],
+    ],
+    ids=["measure", "censorship"],
+)
+def test_truncate_below_two_is_config_error(argv, capsys):
+    code = cli.main([*argv, "--truncate", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "config error [truncate]: 'truncate' must be at least 2, got 1" in err
 
 
 @pytest.mark.parametrize("key, value", [("format", "xml"), ("out", 2)])

@@ -22,6 +22,7 @@ from entlab.conjectures import (
     eval_relation34,
     fit_growth_exponent,
 )
+from entlab.errors import SizeLimitError
 from entlab.measures import excess_leak, excess_leak_set, information_leak
 from entlab.optim import max_avg_pure_decomposition
 from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
@@ -243,6 +244,13 @@ def test_censorship_scan_cluster_line_small():
     assert np.abs(np.array(report.values) - [2.0, 4.0, 6.0]).max() < 5e-3
     never = censorship_scan(fam, range(2, 5), truncation=3, include_full="never")
     assert np.abs(np.array(never.values) - [0.0, 3.0, 6.0]).max() < 5e-3
+
+
+def test_censorship_scan_refuses_sizes_over_the_cap_before_building():
+    built = []
+    with pytest.raises(SizeLimitError, match="register of 9 qubits exceeds the cap of 8"):
+        censorship_scan(lambda n: built.append(n) or ghz(n), [3, 9])
+    assert built == []
 
 
 def test_censorship_scan_rejects_bad_policy():

@@ -5,8 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entlab import DensityMatrix, PureState
-from entlab.channels import apply, build_depolarizing
+from entlab.channels import (
+    apply,
+    build_cluster_noise,
+    build_correlated_flip,
+    build_depolarizing,
+    build_dephasing,
+)
 from entlab.errors import PositivityError, SizeLimitError
+from entlab.measures import binary_entropy
 from entlab.states import (
     _hermitize,
     as_density_matrix,
@@ -23,6 +30,7 @@ from entlab.states import (
     validate_subset,
     von_neumann_entropy,
 )
+from entlab.sync import binomial_tail, quantum_randomization_demo, repetition_majority_error
 from helpers import (
     entropy_oracle,
     h2,
@@ -57,6 +65,27 @@ def test_density_matrix_rejects_invalid_input():
     rho = DensityMatrix(1, near)
     assert not np.array_equal(rho.matrix, rho.matrix.conj().T)
     assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (build_depolarizing, "probability"),
+        (build_dephasing, "strength"),
+        (lambda x: build_correlated_flip(x, "ZZ"), "probability"),
+        (lambda x: build_cluster_noise(2, [(0, 1)], x, 0), "probability"),
+        (binary_entropy, "probability"),
+        (lambda x: binomial_tail(4, 1, x), "probability"),
+        (lambda x: repetition_majority_error(x, 3), "survival probability"),
+        (lambda x: quantum_randomization_demo(x, (1, 0)), "survival probability"),
+    ],
+    ids=["depolarizing", "dephasing", "correlated_flip", "cluster_noise", "binary_entropy",
+         "binomial_tail", "repetition_majority_error", "quantum_randomization_demo"],
+)
+@pytest.mark.parametrize("x", [-0.1, 1.5, float("nan")])
+def test_probabilities_outside_the_unit_interval_are_refused(call, what, x):
+    with pytest.raises(ValueError, match=rf"^{what} {x} outside \[0, 1\]$"):
+        call(x)
 
 
 def test_density_matrix_above_check_dimension_has_no_spectrum():
