@@ -1,7 +1,6 @@
 """Entropy-based noise-correlation and entanglement measures for small registers."""
 
 from .channels import (
-    PauliDistribution,
     QuantumChannel,
     apply,
     build_cluster_noise,

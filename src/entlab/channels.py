@@ -334,40 +334,6 @@ def build_cluster_noise(
     return QuantumChannel(_filter_kraus(weighted))
 
 
-@dataclass(frozen=True, eq=False)
-class PauliDistribution:
-    """Pauli-twirl error probabilities q indexed by base-4 strings.
-
-    Index digits run I=0, X=1, Y=2, Z=3 with qubit 0 as the most
-    significant digit, matching the register bit order.
-    """
-
-    n: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        n = check_register_size(self.n)
-        q = np.asarray(self.q, dtype=float).reshape(-1)
-        if q.shape[0] != 4**n:
-            raise ValueError(f"expected {4**n} entries, got {q.shape[0]}")
-        if np.any(q < -1e-9):
-            raise ValueError("negative probability in Pauli distribution")
-        if abs(float(q.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"Pauli probabilities sum to {q.sum()}, not 1")
-        q = np.clip(q, 0.0, None)
-        q.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-
-    def probability(self, letters: str) -> float:
-        if len(letters) != self.n:
-            raise ValueError(f"expected {self.n} letters, got {len(letters)}")
-        idx = 0
-        for ch in letters:
-            idx = 4 * idx + PAULI_LETTERS.index(ch)
-        return float(self.q[idx])
-
-
 def pauli_weight_table(n: int) -> np.ndarray:
     """Support size (count of non-identity letters) for every base-4 index."""
     weights = np.zeros(4**n, dtype=int)
@@ -392,8 +358,14 @@ def _pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(-1) / 2**n
 
 
-def pauli_expansion(channel: QuantumChannel) -> PauliDistribution:
-    """Pauli-twirl error probabilities q(P) = sum_k |Tr(P K_k)|^2 / 4^n."""
+def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
+    """Pauli-twirl error probabilities q(P) = sum_k |Tr(P K_k)|^2 / 4^n.
+
+    Returns the read-only vector of all 4^n probabilities, indexed by base-4
+    strings with digits I=0, X=1, Y=2, Z=3 and qubit 0 as the most
+    significant digit, matching the register bit order: on two qubits "XZ"
+    is entry 4*1 + 3.
+    """
     n = channel.n
     if n > MAX_EXPANSION_QUBITS:
         raise SizeLimitError(
@@ -403,4 +375,5 @@ def pauli_expansion(channel: QuantumChannel) -> PauliDistribution:
     for op in channel.kraus:
         coeff = _pauli_coefficients(op, n)
         q += np.abs(coeff) ** 2
-    return PauliDistribution(n, q)
+    q.flags.writeable = False
+    return q

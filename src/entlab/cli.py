@@ -298,8 +298,8 @@ def _parse_qubits(value, field="qubits"):
         return None
     if isinstance(value, (list, tuple)):
         try:
-            return tuple(operator.index(q) for q in value)
-        except TypeError:
+            return tuple(_integer(q) for q in value)
+        except (TypeError, ValueError):
             raise ConfigError(f"qubit positions must be integers, got {value!r}", field=field)
     try:
         return tuple(int(part) for part in str(value).split(",") if part.strip() != "")

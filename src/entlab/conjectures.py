@@ -24,13 +24,13 @@ that reports differ from a searched term's only in the search diagnostics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _span
 from .errors import SizeLimitError
 from .measures import (
     MAX_SET_SIZE,
@@ -47,6 +47,7 @@ from .measures import (
 from .optim import check_search_budget, max_avg_pure_decomposition
 from .states import DensityMatrix, PureState, as_density_matrix, branch_entropy
 from .states import partial_trace, validate_subset
+from .zoo import plus_all
 
 VACUOUS_ATOL = 1e-9
 # per-term totals inherit the defect optimizer's accuracy, not machine epsilon
@@ -98,25 +99,28 @@ _TERM_KINDS = {
 }
 # relations whose term is searched for, hence a best-found lower bound
 _SEARCHED = (2, 4)
-_value_and_diagnostics = attrgetter("value", "diagnostics")
+_value_and_diagnostics = operator.attrgetter("value", "diagnostics")
 
 
 def _verdict(
     relation: int,
     channel: QuantumChannel,
+    n: int,
     qubits: tuple,
     level: float,
     term: Callable[[], tuple[float, dict]],
 ) -> RelationVerdict:
     """Relation ``relation`` at ``level`` for a term given as (value, diagnostics).
 
-    The excess and the leaks come from the channel's output on |+>^n before
-    ``term`` is called, so an excess that cannot be computed fails before a
+    The excess and the leaks come from the channel's output on |+>^m, m the
+    larger of the state's size n and the channel's span, before ``term`` is
+    called, so an excess that cannot be computed fails before a
     decomposition search starts. The leaks and a pair excess read the
     output's branch rows; a set excess solves on the dense output, as
     ``excess_leak_set`` does.
     """
-    rows = _noisy_output(channel, None)
+    plus = plus_all(max(n, _span(channel)))
+    rows = _noisy_output(channel, plus)
     leaks = {q: branch_entropy(rows, _register_size(rows), (q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
@@ -124,7 +128,7 @@ def _verdict(
         term_value, diagnostics = term()
     else:
         reference_leak = float(min(leaks.values()))
-        out = _noisy_density(channel, None)
+        out = _noisy_density(channel, plus)
         excess, excess_diagnostics = _value_and_diagnostics(max_entropy_defect(out, qubits))
         term_value, term_diagnostics = term()
         diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
@@ -164,7 +168,9 @@ def eval_relation1(
     if not isinstance(state, PureState):
         state = as_density_matrix(state)
     pair = validate_subset((a, b), state.n)
-    return _verdict(1, channel, pair, level, lambda: (mutual_information(state, *pair), {}))
+    return _verdict(
+        1, channel, state.n, pair, level, lambda: (mutual_information(state, *pair), {})
+    )
 
 
 def eval_relation2(
@@ -191,7 +197,7 @@ def eval_relation2(
             assisted_mutual_information(rho, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
         )
 
-    return _verdict(2, channel, pair, level, term)
+    return _verdict(2, channel, rho.n, pair, level, term)
 
 
 def _decomposed_defect(
@@ -249,11 +255,13 @@ def eval_relation34(
         raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
     if mode == "marginal":
         return _verdict(
-            3, channel, keep, level, lambda: _value_and_diagnostics(max_entropy_defect(rho, keep))
+            3, channel, rho.n, keep, level,
+            lambda: _value_and_diagnostics(max_entropy_defect(rho, keep)),
         )
     if mode == "decomposed":
         return _verdict(
-            4, channel, keep, level, lambda: _decomposed_defect(rho, keep, restarts, sweeps, seed)
+            4, channel, rho.n, keep, level,
+            lambda: _decomposed_defect(rho, keep, restarts, sweeps, seed),
         )
     raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
 
@@ -321,7 +329,8 @@ def censorship_scan(
     if include_full not in tuple(INCLUDE_FULL):
         raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
     flag = INCLUDE_FULL[include_full]
-    size_list = sorted(int(n) for n in sizes)
+    truncation = operator.index(truncation)
+    size_list = sorted(operator.index(n) for n in sizes)
     if size_list and size_list[-1] > MAX_TOTAL_QUBITS:
         n = size_list[-1]
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
@@ -335,6 +344,6 @@ def censorship_scan(
         values=[float(v) for v in values],
         exponent=exponent,
         growth=_classify_growth(exponent, values),
-        truncation=int(truncation),
+        truncation=truncation,
         include_full=include_full,
     )

@@ -12,6 +12,7 @@ values are in bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -297,7 +298,7 @@ def total_defect(
         raise ValueError("need at least two qubits")
     if not rho.is_pure(_PURITY_ATOL):
         raise ValueError(f"input must be pure (purity {rho.purity():.6f})")
-    cap = min(int(max_subset_size), MAX_SET_SIZE)
+    cap = min(operator.index(max_subset_size), MAX_SET_SIZE)
     if cap < 2:
         raise ValueError("max_subset_size must be at least 2")
     if include_full is None:

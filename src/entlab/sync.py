@@ -11,21 +11,12 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import lgamma, log, log1p
-from typing import Iterable
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    apply,
-    check_burst_moments,
-    combine,
-    pauli_expansion,
-    pauli_weight_table,
-)
-from .states import DensityMatrix, _hermitize, check_probability
+from .channels import QuantumChannel, check_burst_moments, pauli_expansion, pauli_weight_table
+from .states import check_probability
 from .zoo import bitflip_code_encode
 
 MAX_TAIL_TRIALS = 10**6
@@ -157,12 +148,11 @@ class WeightDistribution:
 
 def weight_distribution(channel: QuantumChannel) -> WeightDistribution:
     """Support-size histogram of the channel's Pauli-twirl probabilities."""
-    dist = pauli_expansion(channel)
-    table = pauli_weight_table(dist.n)
-    probs = np.zeros(dist.n + 1)
-    np.add.at(probs, table, dist.q)
+    q = pauli_expansion(channel)
+    probs = np.zeros(channel.n + 1)
+    np.add.at(probs, pauli_weight_table(channel.n), q)
     probs.flags.writeable = False
-    return WeightDistribution(dist.n, probs)
+    return WeightDistribution(channel.n, probs)
 
 
 def repetition_majority_error(eps: float, copies: int) -> float:
@@ -180,49 +170,6 @@ def repetition_majority_error(eps: float, copies: int) -> float:
     return binomial_tail(m, (m + 1) // 2 - 1, flip)
 
 
-def _replacement_channel(eps: float, qubit: int) -> QuantumChannel:
-    """Qubit kept with probability eps, replaced by I/2 otherwise."""
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    if eps > 0.0:
-        ops.append(np.sqrt(eps) * eye)
-    if eps < 1.0:
-        scale = np.sqrt((1.0 - eps) / 2.0)
-        for i, j in iproduct(range(2), range(2)):
-            op = np.zeros((2, 2), dtype=complex)
-            op[i, j] = 1.0
-            ops.append(scale * op)
-    return QuantumChannel(tuple(ops), qubits=(qubit,))
-
-
-# map syndrome sector to the qubit whose X correction returns it to the
-# code space: flips on qubit 0 leave |100>/|011>, qubit 1 |010>/|101>,
-# qubit 2 |001>/|110>
-_SECTOR_FIX = {
-    (0, 0, 0): None,
-    (1, 1, 1): None,
-    (1, 0, 0): 0,
-    (0, 1, 1): 0,
-    (0, 1, 0): 1,
-    (1, 0, 1): 1,
-    (0, 0, 1): 2,
-    (1, 1, 0): 2,
-}
-
-
-def _correction_unitary() -> np.ndarray:
-    u = np.zeros((8, 8), dtype=complex)
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        fix = _SECTOR_FIX[bits]
-        if fix is None:
-            u[idx, idx] = 1.0
-        else:
-            flipped = idx ^ (1 << (2 - fix))
-            u[flipped, idx] = 1.0
-    return u
-
-
 @dataclass(frozen=True)
 class RandomizationDemoResult:
     fidelity_after_decode: float
@@ -237,26 +184,28 @@ def quantum_randomization_demo(eps: float, logical: tuple[complex, complex]) -> 
     state with probability 1 - eps, then reports (i) the fidelity of the
     syndrome-corrected logical state with the ideal one and (ii) the
     success probability of plain majority readout of the logical bit
-    distribution. At eps = 1 both are exactly 1.
+    distribution. At eps = 1 both are 1, up to the rounding of |a|^2 + |b|^2.
+
+    Both are closed forms in p_f = repetition_majority_error(eps, 3). A
+    replaced copy reads a fair coin, so syndrome correction flips the
+    logical bit with probability p_f: the weights |a|^2 and |b|^2 of |000>
+    and |111> swap with probability p_f. Replacing a copy traces it out,
+    which erases the a b* coherence, so that survives only when all three
+    copies are kept (probability eps^3):
+
+        F = (|a|^4 + |b|^4)(1 - p_f) + 2 |a|^2 |b|^2 (p_f + eps^3).
     """
     eps = check_probability(eps, "survival probability")
     a, b = (complex(x) for x in logical)
-    encoded = bitflip_code_encode(a, b)
-    noise = combine([(_replacement_channel(eps, q), (q,)) for q in range(3)], n=3)
-    noisy = apply(noise, encoded.density_matrix())
-
-    u = _correction_unitary()
-    corrected = _hermitize(u @ noisy.matrix @ u.conj().T)
-    logical_block = np.array(
-        [[corrected[0, 0], corrected[0, 7]], [corrected[7, 0], corrected[7, 7]]]
-    )
-    ideal = np.array([a, b], dtype=complex)
-    fidelity = float(np.real(ideal.conj() @ logical_block @ ideal))
+    bitflip_code_encode(a, b)  # refuses amplitudes that are not normalized
+    pa, pb = abs(a) ** 2, abs(b) ** 2
+    p_fail = repetition_majority_error(eps, 3)
+    fidelity = (pa * pa + pb * pb) * (1.0 - p_fail) + 2.0 * pa * pb * (p_fail + eps**3)
 
     # classical comparison: treat the logical Z distribution as a bit source
     # and score majority readout of each encoded basis bit; the noise flips
     # each copy with probability (1 - eps)/2 for either bit
-    success = (abs(a) ** 2 + abs(b) ** 2) * (1.0 - repetition_majority_error(eps, 3))
+    success = (pa + pb) * (1.0 - p_fail)
     return RandomizationDemoResult(
         fidelity_after_decode=min(max(fidelity, 0.0), 1.0),
         classical_majority_success=float(success),

@@ -422,3 +422,35 @@ def reference_binomial_tail(n: int, k: int, p: float) -> float:
     logs = logc + ks * log(p) + (n - ks) * log1p(-p)
     top = float(np.max(logs))
     return float(min(1.0, np.exp(top) * np.sum(np.exp(logs - top))))
+
+
+# syndrome (b0 ^ b1, b1 ^ b2) -> the qubit a single flip left it on
+_REPETITION_FIX = {(0, 0): None, (1, 0): 0, (1, 1): 1, (0, 1): 2}
+
+
+def repetition_recovery_fidelity(eps: float, a: complex, b: complex) -> float:
+    """<psi| R(N(psi)) |psi> for psi = a|000> + b|111>, in plain numpy.
+
+    N traces out each qubit in turn and puts I/2 in its place with
+    probability 1 - eps. R measures the syndrome with the projectors P_s
+    onto the basis states of each parity pattern s and flips the qubit s
+    points at: R(rho) = sum_s U_s P_s rho P_s U_s^dagger.
+    """
+    psi = np.zeros(8, dtype=complex)
+    psi[0], psi[7] = a, b
+    rho = np.outer(psi, psi.conj())
+    for q in range(3):
+        t = rho.reshape((2,) * 6)
+        rest = np.trace(t, axis1=q, axis2=3 + q)
+        mixed = np.moveaxis(np.multiply.outer(np.eye(2) / 2.0, rest), [0, 1], [q, 3 + q])
+        rho = eps * rho + (1.0 - eps) * mixed.reshape(8, 8)
+    bits = [[(i >> (2 - q)) & 1 for q in range(3)] for i in range(8)]
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    out = np.zeros((8, 8), dtype=complex)
+    for syndrome, fix in _REPETITION_FIX.items():
+        proj = np.diag([float((x[0] ^ x[1], x[1] ^ x[2]) == syndrome) for x in bits])
+        u = np.eye(8, dtype=complex)
+        if fix is not None:
+            u = np.kron(np.kron(np.eye(2 ** fix), flip), np.eye(2 ** (2 - fix)))
+        out += u @ proj @ rho @ proj @ u.conj().T
+    return float(np.real(psi.conj() @ out @ psi))

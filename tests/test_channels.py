@@ -36,6 +36,10 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+# Pauli letters as the base-4 digits of pauli_expansion's index, qubit 0 first
+PAULI_DIGITS = str.maketrans("IXYZ", "0123")
+
+
 def kraus_sum(channel):
     return sum(k.conj().T @ k for k in channel.kraus)
 
@@ -257,11 +261,11 @@ def test_pairwise_correlated_moments():
     n = 3
     letters = ["I", "X"]
     for p1, p2 in FEASIBLE_MOMENTS:
-        dist = pauli_expansion(build_pairwise_correlated(n, p1, p2))
+        twirl = pauli_expansion(build_pairwise_correlated(n, p1, p2))
         probs = {}
         for i in range(2**n):
             s = "".join(letters[(i >> (n - 1 - q)) & 1] for q in range(n))
-            probs[s] = dist.probability(s)
+            probs[s] = twirl[int(s.translate(PAULI_DIGITS), 4)]
         assert abs(sum(probs.values()) - 1.0) < 1e-9
         single = sum(v for s, v in probs.items() if s[0] == "X")
         pair = sum(v for s, v in probs.items() if s[0] == "X" and s[1] == "X")
@@ -316,8 +320,8 @@ def test_pauli_weight_table():
     assert table.shape == (16,)
     assert table.min() == 0 and table.max() == 2
     # identity channel carries all its mass at weight zero
-    dist = pauli_expansion(identity_channel(2))
-    assert abs(dist.probability("II") - 1.0) < 1e-12
+    q = pauli_expansion(identity_channel(2))
+    assert abs(q[0] - 1.0) < 1e-12  # II
 
 
 def test_pauli_expansion_cap_raises_before_allocating():
@@ -337,6 +341,18 @@ def test_pauli_expansion_cap_raises_before_allocating():
 def test_pauli_expansion_unit_flip():
     # deterministic X on qubit 0 of two
     ch = QuantumChannel((np.kron(X, I2),))
-    dist = pauli_expansion(ch)
-    assert abs(dist.probability("XI") - 1.0) < 1e-12
-    assert abs(dist.probability("II")) < 1e-12
+    q = pauli_expansion(ch)
+    assert abs(q[4] - 1.0) < 1e-12  # XI: digits 1, 0
+    assert abs(q[0]) < 1e-12  # II
+
+
+@pytest.mark.parametrize(
+    "channel", [ch for ch in BUILT_CHANNELS if ch.n <= MAX_EXPANSION_QUBITS]
+)
+def test_pauli_expansion_is_a_read_only_distribution(channel):
+    q = pauli_expansion(channel)
+    assert q.shape == (4**channel.n,)
+    assert q.min() >= 0.0
+    assert abs(q.sum() - 1.0) < 1e-12
+    with pytest.raises(ValueError):
+        q[0] = 0.5

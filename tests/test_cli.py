@@ -322,6 +322,13 @@ def test_run_config_seed_must_be_u64(seed, tmp_path, capsys):
           "truncate": 1}, "truncate"),
         # an unknown measure is refused before its specs are read
         ({"kind": "measure", "name": "bogus", "state": {"family": "nope"}}, "name"),
+        # a JSON true or false is not a qubit position
+        ({"kind": "measure", "name": "mutual-information", "state": {"family": "ghz", "n": 3},
+          "qubits": [True, 0]}, "qubits"),
+        ({"kind": "measure", "name": "leak", "qubits": [0], "channel": {
+            "family": "product",
+            "parts": [{"family": "dephasing", "epsilon": 0.1, "qubits": [False]}],
+        }}, "channel.parts[0].qubits"),
     ],
 )
 def test_run_config_bad_value_names_field(entry, field, tmp_path, capsys):

@@ -170,6 +170,27 @@ def test_relation3_uses_minimum_leak():
     assert v.verdict in ("violated", "vacuous")
 
 
+@pytest.mark.parametrize(
+    "relation, n, qubits",
+    [(1, 11, (5, 6)), (3, 5, (2, 3, 4))],
+)
+def test_relations_accept_a_channel_narrower_than_the_state(relation, n, qubits):
+    """A one-qubit channel on qubit q spans q + 1 qubits; on a wider state
+    its verdict equals that of the same channel placed on the whole register."""
+    q = qubits[0]
+    bare = build_dephasing(0.2, qubit=q)
+    placed = combine([(build_dephasing(0.2), (q,))], n=n)
+    if relation == 1:
+        a, b = (eval_relation1(plus_all(n), ch, *qubits) for ch in (bare, placed))
+    else:
+        a, b = (eval_relation34(ghz(n), ch, qubits, mode="marginal") for ch in (bare, placed))
+    assert a.leaks.keys() == b.leaks.keys() == set(qubits)
+    assert all(abs(a.leaks[k] - b.leaks[k]) < 1e-9 for k in qubits)
+    assert abs(a.leaks[q] - h2(0.1)) < 1e-9
+    assert abs(a.excess - b.excess) < 1e-9
+    assert a.verdict == b.verdict
+
+
 def test_relation4_decomposed_mode():
     # two overlapping pair flips: pairwise invisible, jointly a full bit
     ch = compose(build_correlated_flip(0.5, "IZZ"), build_correlated_flip(0.5, "ZZI"))

@@ -9,6 +9,8 @@ from entlab.channels import (
     build_pairwise_correlated,
     combine,
 )
+from entlab.conjectures import censorship_scan
+from entlab.measures import total_defect
 from entlab.sync import (
     ClassicalMixtureModel,
     binomial_tail,
@@ -19,8 +21,8 @@ from entlab.sync import (
     triple_moment,
     weight_distribution,
 )
-from entlab.zoo import bitflip_code_encode
-from helpers import reference_binomial_tail
+from entlab.zoo import bitflip_code_encode, ghz
+from helpers import reference_binomial_tail, repetition_recovery_fidelity
 
 
 def test_fit_mixture_exact_values():
@@ -152,6 +154,9 @@ def test_repetition_majority_error_exact():
         lambda: binomial_tail(10.5, 3, 0.2),
         lambda: binomial_tail(10, 3.5, 0.2),
         lambda: repetition_majority_error(0.1, 3.0),
+        lambda: total_defect(ghz(4), 2.9),
+        lambda: censorship_scan(ghz, [3.7, 4], truncation=2),
+        lambda: censorship_scan(ghz, [3, 4], truncation=2.5),
     ],
 )
 def test_counts_refuse_floats(call):
@@ -199,3 +204,32 @@ def test_randomization_demo_phase_sensitivity():
     assert abs(plus.fidelity_after_decode - 0.5625) < 1e-9
     assert abs(zero.classical_majority_success - 0.84375) < 1e-9
     assert plus.fidelity_after_decode <= zero.classical_majority_success - 0.05
+
+
+def test_randomization_demo_matches_syndrome_recovery():
+    """The closed-form decoded fidelity equals the syndrome-projector
+    recovery applied to the noisy density matrix, phases included."""
+    rng = np.random.default_rng(14)
+    cases = [(float(eps), 1.0, 0.0) for eps in np.linspace(0.0, 1.0, 5)]
+    for _ in range(120):
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = amps / np.linalg.norm(amps)
+        cases.append((float(rng.uniform(0.0, 1.0)), a, b))
+    for eps, a, b in cases:
+        got = quantum_randomization_demo(eps, (a, b)).fidelity_after_decode
+        assert abs(got - repetition_recovery_fidelity(eps, a, b)) < 1e-12, (eps, a, b)
+
+
+def test_randomization_demo_exact_points():
+    """Without noise the state comes back; a basis state fails exactly when
+    the majority of three copies, each flipped with (1 - eps)/2, is wrong."""
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = amps / np.linalg.norm(amps)
+        assert abs(quantum_randomization_demo(1.0, (a, b)).fidelity_after_decode - 1.0) < 1e-12
+    for eps in np.linspace(0.0, 1.0, 11):
+        f = (1.0 - eps) / 2.0
+        p_fail = 3.0 * f**2 * (1.0 - f) + f**3
+        got = quantum_randomization_demo(eps, (1.0, 0.0)).fidelity_after_decode
+        assert abs(got - (1.0 - p_fail)) < 1e-12
