@@ -11,16 +11,19 @@ Two solvers live here:
   a small mixed state for the largest weighted average of a per-member
   objective. Decompositions are parameterized by isometries acting on the
   spectral ensemble and improved by sweeps of two-member U(2) rotations
-  with seeded random restarts. The restarts are independent, so they climb
-  in lockstep, a block at a time, and each pair step searches all of a
-  block's restarts in one batch; results are bitwise those of running the
-  restarts one after another. Values are certified lower bounds: the best
-  decomposition is returned and checked to reconstruct the input. A
+  with seeded random restarts. A sweep over t members is t - 1 round-robin
+  stages of t/2 disjoint pairs, and the restarts are independent, so a
+  block of restarts climbs in lockstep and one batched grid search takes
+  every pair of a stage in every restart of the block. Disjoint pairs
+  commute, so results are bitwise those of walking the same pairs one at a
+  time, one restart after another. Values are certified lower bounds: the
+  best decomposition is returned and checked to reconstruct the input. A
   rank-1 input has one decomposition up to phases, so its value is exact.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -341,21 +344,24 @@ def _pair_candidates(a, b, mixes):
 
 
 def _align_pair_phase(a, b):
-    """Rotate b so its phase against a is canonical.
+    """Rotate each row of b to a canonical phase against the same row of a.
 
     A pure phase on b only shifts the mixing-angle grid, so pinning it makes
     the pair search insensitive to how upstream eigenvectors were phased.
-    The weighted overlap is the tiebreak when the rows are orthogonal.
+    The weighted overlap is the tiebreak when the rows are orthogonal; a
+    row pair with a zero row, or orthogonal under both overlaps, keeps b.
+    a and b are (P, d); every row pair is aligned as it would be alone.
     """
-    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if scale < 1e-14:
-        return b
-    g = np.vdot(a, b)
-    if abs(g) < 1e-10 * scale:
-        g = np.vdot(a, np.arange(1, b.size + 1) * b)
-    if abs(g) < 1e-10 * scale:
-        return b
-    return b * (g.conjugate() / abs(g))
+    weights = np.arange(1, b.shape[1] + 1)
+    ab = np.stack([a, b])
+    norms = np.sqrt(np.einsum("xpd,xpd->xp", ab, ab.conj()).real)
+    overlaps = np.einsum("pd,xpd->xp", a.conj(), np.stack([b, weights * b]))
+    scale = norms[0] * norms[1]
+    g = np.where(np.abs(overlaps[0]) < 1e-10 * scale, overlaps[1], overlaps[0])
+    turn = ((scale >= 1e-14) & (np.abs(g) >= 1e-10 * scale)).nonzero()[0]
+    b = b.copy()
+    b[turn] *= (g[turn].conj() / np.abs(g[turn]))[:, None]
+    return b
 
 
 def _grid_plan(grid, zoom_rounds, zoom_grid):
@@ -389,7 +395,7 @@ def _optimize_pair(a, b, value_a, values_fn, plan, depth):
     values (R, 2), taken from the grid round that found them; rows whose
     gain is 0 hold nothing to keep.
     """
-    b = np.array([_align_pair_phase(x, y) for x, y in zip(a, b)])
+    b = _align_pair_phase(a, b)
     base = value_a + values_fn(b)
     n, d = a.shape
     best_val = base.copy()
@@ -417,20 +423,42 @@ def _optimize_pair(a, b, value_a, values_fn, plan, depth):
     return gain, new_rows, new_vals
 
 
+def _round_robin(t):
+    """One sweep over t members (t even) as t - 1 stages of t/2 disjoint pairs.
+
+    The circle method: member 0 sits still and the rest sit on a ring.
+    Stage s pairs entries i and t - 1 - i of [0] + ring, and the ring turns
+    right by one between stages, so every pair meets once per sweep. Each
+    stage is a (t/2, 2) array of pairs (k, l), k < l, sorted by k.
+    """
+    ring = list(range(1, t))
+    stages = []
+    for _ in range(t - 1):
+        seats = [0] + ring
+        pairs = [sorted((seats[i], seats[t - 1 - i])) for i in range(t // 2)]
+        stages.append(np.array(sorted(pairs)))
+        ring = ring[-1:] + ring[:-1]
+    return stages
+
+
 def _climb(rows, values_fn, plan, depths, sweeps):
     """Sweeps of pair rotations on a block of restarts, run in lockstep.
 
     ``rows`` holds each restart's unnormalized members, (R, t, d), and is
-    improved in place; each (k, l) step searches every restart still
-    climbing in one batched ``_optimize_pair``. A restart searches at the
-    coarse depth ``depths[0]`` until a sweep gains under 1e-6, then at the
-    full depth ``depths[1]`` until a sweep gains under 1e-8, or its sweeps
-    run out. Returns the member values (R, t) and the sweeps each restart
-    ran. Restarts share nothing, so each one's rows, values and sweeps are
-    bitwise those of climbing it alone.
+    improved in place. A sweep is the t - 1 round-robin stages of
+    ``_round_robin``; the pairs of a stage touch disjoint rows, so one
+    batched ``_optimize_pair`` searches every (climbing restart, stage
+    pair) whose rows are not both empty. A restart searches at the coarse
+    depth ``depths[0]`` until a sweep gains under 1e-6, then at the full
+    depth ``depths[1]`` until a sweep gains under 1e-8, or its sweeps run
+    out. Returns the member values (R, t) and the sweeps each restart ran.
+    Restarts share nothing and a stage's pairs commute, so each restart's
+    rows, values and sweeps are bitwise those of climbing it alone, one
+    pair at a time in stage order.
     """
-    n_restarts, t, _ = rows.shape
-    member_vals = values_fn(rows.reshape(-1, rows.shape[2])).reshape(n_restarts, t)
+    n_restarts, t, d = rows.shape
+    member_vals = values_fn(rows.reshape(-1, d)).reshape(n_restarts, t)
+    stages = _round_robin(t)
     sweeps_run = np.zeros(n_restarts, dtype=int)
     polishing = np.zeros(n_restarts, dtype=bool)
     climbing = np.arange(n_restarts)
@@ -440,26 +468,23 @@ def _climb(rows, values_fn, plan, depths, sweeps):
         sweeps_run[climbing] += 1
         depth = np.where(polishing, depths[1], depths[0])
         improved = np.zeros(n_restarts)
-        for k in range(t):
-            for l in range(k + 1, t):
-                # a pair of empty rows has nothing to mix
-                empty = [
-                    np.vdot(rows[r, k], rows[r, k]).real + np.vdot(rows[r, l], rows[r, l]).real
-                    < 1e-14
-                    for r in climbing
-                ]
-                live = climbing[~np.array(empty, dtype=bool)]
-                if live.size == 0:
-                    continue
-                gain, new_rows, new_vals = _optimize_pair(
-                    rows[live, k], rows[live, l], member_vals[live, k], values_fn, plan,
-                    depth[live],
-                )
-                acc = (gain > 0.0).nonzero()[0]
-                won = live[acc]
-                rows[won[:, None], (k, l)] = new_rows[acc]
-                member_vals[won[:, None], (k, l)] = new_vals[acc]
-                improved[won] += gain[acc]
+        for pairs in stages:
+            # a pair of empty rows has nothing to mix
+            climbers = rows[climbing]
+            sq = np.einsum("rkd,rkd->rk", climbers, climbers.conj()).real
+            who, at = (sq[:, pairs[:, 0]] + sq[:, pairs[:, 1]] >= 1e-14).nonzero()
+            if who.size == 0:
+                continue
+            r, k, l = climbing[who], pairs[at, 0], pairs[at, 1]
+            gain, new_rows, new_vals = _optimize_pair(
+                rows[r, k], rows[r, l], member_vals[r, k], values_fn, plan, depth[r]
+            )
+            acc = (gain > 0.0).nonzero()[0]
+            r, k, l = r[acc], k[acc], l[acc]
+            rows[r, k], rows[r, l] = new_rows[acc, 0], new_rows[acc, 1]
+            member_vals[r, k], member_vals[r, l] = new_vals[acc, 0], new_vals[acc, 1]
+            # each restart's gains in stage order, as a serial walk adds them
+            np.add.at(improved, r, gain[acc])
         done = polishing[climbing] & (improved[climbing] < 1e-8)
         polishing[climbing[improved[climbing] < 1e-6]] = True
         climbing = climbing[~done]
@@ -490,7 +515,9 @@ def _start_rows(ensemble, children, restart):
 
 
 def check_search_budget(restarts: int, sweeps: int) -> None:
-    """Raise ValueError unless restarts >= 1 and sweeps >= 0."""
+    """Raise TypeError unless both are integers, and ValueError unless
+    restarts >= 1 and sweeps >= 0."""
+    restarts, sweeps = operator.index(restarts), operator.index(sweeps)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if sweeps < 0:
@@ -509,10 +536,13 @@ def max_avg_pure_decomposition(
     ``objective`` maps a normalized member vector to a scalar; None selects
     the built-in two-qubit objective (twice the first-qubit marginal
     entropy), which is evaluated in batch. The ensemble has twice as many
-    members as rho has rank. The running best value is monotone over
-    sweeps and restarts; the final decomposition must reconstruct rho to
-    1e-8 or a RuntimeError is raised. ``restarts`` must be at least 1 and
-    ``sweeps`` non-negative, or a ValueError is raised.
+    members as rho has rank, t = 2 rank, and each sweep rotates every pair
+    of members once, in the t - 1 round-robin stages of ``_round_robin``.
+    The running best value is monotone over sweeps and restarts; the final
+    decomposition must reconstruct rho to 1e-8 or a RuntimeError is raised.
+    ``restarts`` and ``sweeps`` must be integers, or a TypeError is raised
+    before any work, and ``restarts`` at least 1 and ``sweeps``
+    non-negative, or a ValueError is raised.
 
     Restarts stop early once 8 in a row have not beaten the best by 1e-9.
     They climb in lockstep blocks of 8 less that running count, so only a

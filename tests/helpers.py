@@ -230,8 +230,10 @@ def reference_dual(m: int, keys, targets):
     return dual
 
 
-# The pair-rotation search as first written. ``optim``'s grid plan, stacked
-# member values and passed-through values must reproduce it bitwise.
+# The pair-rotation search as first written, one pair at a time, walking
+# each sweep's pairs in round-robin order. ``optim``'s grid plan, stacked
+# member values, passed-through values and batched stages must reproduce
+# it bitwise.
 
 
 def _reference_xlog2x(x):
@@ -266,7 +268,7 @@ def reference_pair_candidates(a, b, theta, phi):
 
 def reference_optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
     """Best U(2) mix of two rows by a per-pair linspace/meshgrid zoom."""
-    b = _align_pair_phase(a, b)
+    b = _align_pair_phase(a[None], b[None])[0]
     base = float(values_fn(np.stack([a, b])).sum())
     span_t, span_f = np.pi, 2 * np.pi
     nt, nf = grid
@@ -316,16 +318,31 @@ def reference_member_values(objective):
     return values
 
 
+def round_robin_pairs(t):
+    """Every pair (k, l), k < l, of t members (t even), in the circle
+    method's order: t - 1 rounds, each pairing member 0 and the members on
+    a ring of the rest, first with last inwards, each round's pairs sorted
+    by k; the ring turns right by one between rounds."""
+    ring = list(range(1, t))
+    order = []
+    for _ in range(t - 1):
+        seats = [0] + ring
+        order += sorted(tuple(sorted((seats[i], seats[t - 1 - i]))) for i in range(t // 2))
+        ring = [ring[-1]] + ring[:-1]
+    return order
+
+
 def reference_decomposition_search(rho, objective=None, restarts=32, sweeps=60, seed=0):
-    """The decomposition search with its restarts run one after another.
+    """The decomposition search run serially: one restart after another,
+    one pair at a time.
 
     Returns (value, weights, states, diagnostics) as
     ``optim.max_avg_pure_decomposition`` does, which must match it bitwise:
     restart r climbs from its own SeedSequence child with sweeps of
-    per-pair searches (coarse zoom while climbing, full depth once a sweep
-    gains under 1e-6, stopping once a full-depth sweep gains under 1e-8),
-    and the search stops after 8 restarts without a 1e-9 gain, no earlier
-    than restart 7.
+    per-pair searches in round-robin order (coarse zoom while climbing,
+    full depth once a sweep gains under 1e-6, stopping once a full-depth
+    sweep gains under 1e-8), and the search stops after 8 restarts without
+    a 1e-9 gain, no earlier than restart 7.
     """
     lam, vecs = np.linalg.eigh(rho.matrix)
     keep = lam > EIGENVALUE_CLIP
@@ -359,20 +376,19 @@ def reference_decomposition_search(rho, objective=None, restarts=32, sweeps=60, 
             sweeps_used += 1
             depth = zoom_fine if polishing else zoom_coarse
             improved = 0.0
-            for k in range(t):
-                for l in range(k + 1, t):
-                    if (
-                        np.real(np.vdot(rows[k], rows[k]))
-                        + np.real(np.vdot(rows[l], rows[l]))
-                    ) < 1e-14:
-                        continue
-                    gain, na, nb = reference_optimize_pair(
-                        rows[k], rows[l], values_fn, grid, depth, zoom_grid
-                    )
-                    if gain > 0.0:
-                        rows[k], rows[l] = na, nb
-                        member_vals[[k, l]] = values_fn(np.stack([na, nb]))
-                        improved += gain
+            for k, l in round_robin_pairs(t):
+                if (
+                    np.real(np.vdot(rows[k], rows[k]))
+                    + np.real(np.vdot(rows[l], rows[l]))
+                ) < 1e-14:
+                    continue
+                gain, na, nb = reference_optimize_pair(
+                    rows[k], rows[l], values_fn, grid, depth, zoom_grid
+                )
+                if gain > 0.0:
+                    rows[k], rows[l] = na, nb
+                    member_vals[[k, l]] = values_fn(np.stack([na, nb]))
+                    improved += gain
             if polishing:
                 if improved < 1e-8:
                     break

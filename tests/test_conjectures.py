@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entlab import PureState, conjectures, measures
+from entlab import DensityMatrix, PureState, conjectures, measures
 from entlab.channels import (
     QuantumChannel,
     build_correlated_flip,
@@ -207,6 +207,21 @@ def test_relation4_decomposed_mode():
         eval_relation34(ghz(3), ch, (0, 1, 2), mode="other")
 
 
+def search_calls(budget):
+    """Every public entry to the decomposition search at ``budget``, on
+    rank-1 inputs, where no restart is drawn, and on a mixed pair."""
+    ch = build_correlated_flip(0.2, "ZZ")
+    mixed = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
+    return [
+        lambda: max_avg_pure_decomposition(bell().density_matrix(), **budget),
+        lambda: max_avg_pure_decomposition(mixed, **budget),
+        lambda: measures.assisted_mutual_information(bell(), 0, 1, **budget),
+        lambda: measures.assisted_mutual_information(mixed, 0, 1, **budget),
+        lambda: eval_relation2(bell(), ch, 0, 1, **budget),
+        lambda: eval_relation34(ghz(3), ch, (0, 1, 2), mode="decomposed", **budget),
+    ]
+
+
 @pytest.mark.parametrize(
     "restarts, sweeps, message",
     [(0, 4, "restarts must be at least 1, got 0"),
@@ -216,19 +231,23 @@ def test_relation4_decomposed_mode():
 def test_search_budget_is_validated(restarts, sweeps, message):
     """A search with no restart or negative sweeps is refused, also where
     relation 4 would have scaled the budget back into range."""
-    ch = build_correlated_flip(0.2, "ZZ")
-    budget = {"restarts": restarts, "sweeps": sweeps}
-    calls = [
-        lambda: max_avg_pure_decomposition(bell().density_matrix(), **budget),
-        lambda: measures.assisted_mutual_information(bell(), 0, 1, **budget),
-        lambda: eval_relation2(bell(), ch, 0, 1, **budget),
-        lambda: eval_relation34(ghz(3), ch, (0, 1, 2), mode="decomposed", **budget),
-    ]
-    for call in calls:
+    for call in search_calls({"restarts": restarts, "sweeps": sweeps}):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
     zero_sweeps = max_avg_pure_decomposition(bell().density_matrix(), restarts=1, sweeps=0)
     assert abs(zero_sweeps.value - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("restarts, sweeps", [(2.5, 4), (2, 1.0), (np.float64(3), 4), ("2", 4)])
+def test_search_budget_must_be_integers(restarts, sweeps):
+    """A budget that is not an integer is refused before any work, also on
+    a rank-1 input; numpy integers are integers."""
+    for call in search_calls({"restarts": restarts, "sweeps": sweeps}):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    mixed = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
+    numpy_ints = max_avg_pure_decomposition(mixed, restarts=np.int64(1), sweeps=np.int32(1))
+    assert numpy_ints.diagnostics["restarts"] == 1
 
 
 def test_fit_growth_exponent_recovers_power_laws():
