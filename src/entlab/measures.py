@@ -81,9 +81,8 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.
 
 
 def _noisy_density(channel: QuantumChannel, input_state: PureState | None) -> DensityMatrix:
-    """``apply``'s output for the same input as ``_noisy_output``: the set
-    quantities read it, since their max-entropy solve can turn last-bit
-    changes of a marginal into a different answer or a ConvergenceError."""
+    """``apply``'s output for the same input as ``_noisy_output``, which the
+    set quantities read."""
     if input_state is None:
         input_state = plus_all(_span(channel))
     return apply(channel, input_state.density_matrix())
@@ -223,8 +222,10 @@ def max_entropy_defect(
     """max S(sigma) over states matching all (m-1)-subset marginals of
     rho|_subset, minus S(rho|_subset).
 
-    For pairs this equals the mutual information. Subset sizes above
-    MAX_SET_SIZE raise SizeLimitError.
+    The maximum is the solver's dual value, a certified upper bound, so the
+    value never sits below the true defect. For pairs this equals the
+    mutual information. Subset sizes above MAX_SET_SIZE raise
+    SizeLimitError.
     """
     rho = as_density_matrix(state)
     keep = validate_subset(subset, rho.n)
@@ -233,7 +234,12 @@ def max_entropy_defect(
         raise ValueError("subset must contain at least two qubits")
     if m > MAX_SET_SIZE:
         raise SizeLimitError(f"subset of size {m} exceeds the cap of {MAX_SET_SIZE}")
-    restricted = partial_trace(rho, keep)
+    return _restricted_defect(partial_trace(rho, keep), tol, max_iter)
+
+
+def _restricted_defect(restricted: DensityMatrix, tol: float, max_iter: int) -> DefectResult:
+    """``max_entropy_defect`` of a state on its whole register."""
+    m = restricted.n
     s_here = von_neumann_entropy(restricted)
     subsets = list(combinations(range(m), m - 1))
     constraints = MarginalConstraintSet.from_state(restricted, subsets)
@@ -288,7 +294,8 @@ def total_defect(
     extra term when ``include_full`` is True, or automatically when the
     register has at most MAX_SET_SIZE qubits (include_full=None). Requires
     a pure input on at most MAX_TOTAL_QUBITS qubits; singletons never
-    contribute.
+    contribute. Subsets with bitwise equal marginals share one solve, and
+    ``optimizer_iterations`` counts the solves that ran.
     """
     rho = as_density_matrix(state)
     n = rho.n
@@ -312,16 +319,22 @@ def total_defect(
     if include_full:
         subsets.append(full)
     terms: dict[tuple, float] = {}
+    # a defect depends only on the restricted state
+    solved: dict[bytes, float] = {}
     total = 0.0
     iterations = 0
     worst_residual = 0.0
     for subset in subsets:
-        res = max_entropy_defect(rho, subset)
-        terms[subset] = res.value
+        restricted = partial_trace(rho, subset)
+        key = restricted.matrix.tobytes()
+        if key not in solved:
+            res = _restricted_defect(restricted, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            solved[key] = res.value
+            iterations += res.diagnostics["iterations"]
+            worst_residual = max(worst_residual, res.diagnostics["residual"])
+        terms[subset] = solved[key]
         if subset != full:
-            total += res.value
-        iterations += res.diagnostics["iterations"]
-        worst_residual = max(worst_residual, res.diagnostics["residual"])
+            total += solved[key]
     full_term = terms.get(full)
     return TotalDefectResult(
         value=float(total + (full_term or 0.0)),

@@ -4,9 +4,13 @@ Two solvers live here:
 
 * ``max_entropy_with_marginals`` maximizes von Neumann entropy over density
   matrices with fixed marginals on given sub-registers. The maximizer has
-  exponential-family form exp(sum_B lift(Lam_B)) / Z, so the solver runs
-  quasi-Newton ascent on the Hermitian multipliers Lam_B of the concave
-  dual; the dual gradient is exactly the marginal residual.
+  exponential-family form e^h / tr e^h with h = sum_P c_P P over the Pauli
+  strings P inside the constrained sub-registers, so the solver runs damped
+  Newton on the convex dual f(c) = log tr e^h - sum_P c_P t_P, whose
+  gradient is the residual of the Pauli expectations and whose Hessian is
+  the Kubo-Mori covariance (Niekamp, Galla, Kleinmann and Guehne, J. Phys.
+  A 46, 125301 (2013)). f bounds the entropy of every feasible state at
+  any c, so the reported entropy is a certified upper bound.
 * ``max_avg_pure_decomposition`` searches over pure-state decompositions of
   a small mixed state for the largest weighted average of a per-member
   objective. Decompositions are parameterized by isometries acting on the
@@ -25,28 +29,35 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleMarginalsError
+from .channels import _pauli_from_masks
+from .errors import ConvergenceError, InfeasibleMarginalsError, SizeLimitError
 from .states import (
     DensityMatrix,
     EIGENVALUE_CLIP,
     _hermitize,
     marginal_matrix,
     partial_trace,
-    spectrum_entropy,
     trace_distance,
     validate_subset,
 )
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 10000
+DEFAULT_MAX_ITER = 500
 DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 60
+# the largest Pauli string stack a max-entropy solve may build
+MAX_PAULI_STACK_BYTES = 2**26
 
-_TARGET_REG = 1e-9
+_GRADIENT_TOL = 1e-9
+_HESSIAN_SHIFT = 1e-12
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 _CONSISTENCY_ATOL = 1e-8
 _RECONSTRUCTION_ATOL = 1e-8
 
@@ -109,89 +120,104 @@ class MaxEntropyResult:
     entropy: float
     iterations: int
     residual: float
-    regularized: bool
     converged: bool
 
     def diagnostics(self) -> dict:
         return {
             "iterations": self.iterations,
             "residual": self.residual,
-            "regularized": self.regularized,
             "converged": self.converged,
         }
 
 
-def _dual_kernel(num_qubits: int, keys: Sequence[tuple], targets: Sequence[np.ndarray]):
-    """The dual objective x -> (value, gradient, sigma, p) for sorted ``keys``.
-
-    x holds each key's s x s multiplier as its real then its imaginary
-    part, key after key. The value is log Z - sum_k tr(lam_k t_k) and the
-    gradient is the marginal residual of sigma = exp(h) / Z. Both are
-    bitwise what lifting each multiplier with embed_operator and reducing
-    with marginal_matrix gives, so solver iterates do not depend on which
-    is used.
-    """
-    m = num_qubits
-    d = 2**m
-    # lam is every multiplier flattened row-major, key after key. Lift term
-    # j puts lam[src[j]] at flat position dst[j] of h; the terms run key by
-    # key and, within a key, over the values of its dropped qubits, so
-    # summing them in order adds the embedded multipliers one after another,
-    # and summing sigma[dst] into src adds the dropped-qubit slices in the
-    # order marginal_matrix does.
-    # x_at reads x as (real, imaginary) pairs, so x[x_at] viewed as complex
-    # is lam before it is made Hermitian; the gradient is read back from
-    # the residual's pairs through the inverse permutation.
-    x_at, mirror, src, dst, starts = [], [], [], [], []
-    size = 0
+def _pauli_stack_bytes(m: int, keys: Sequence[tuple]) -> int:
+    """Bytes of the (K, 2^m, 2^m) complex stack of the non-identity Pauli
+    strings supported inside some key: a support S holds 3^|S| strings."""
+    supports = set()
     for k in keys:
-        s = 2 ** len(k)
-        block = np.arange(s * s)
-        x_at.append(2 * size + np.stack([block, s * s + block], axis=1).reshape(-1))
-        mirror.append(size + block.reshape(s, s).T.reshape(-1))
-        drop = [q for q in range(m) if q not in k]
-        rows = np.arange(d).reshape((2,) * m).transpose(drop + list(k)).reshape(d // s, s)
-        dst.append((rows[:, :, None] * d + rows[:, None, :]).reshape(-1))
-        src.append(np.tile(size + block, d // s))
-        starts.append(size)
-        size += s * s
-    x_at, mirror, src, dst = map(np.concatenate, (x_at, mirror, src, dst))
-    grad_at = np.argsort(x_at)
-    flat_targets = np.concatenate([t.reshape(-1) for t in targets])
-    # The tr(lam_k t_k) terms take one batched matmul per block size, whose
-    # slices are bitwise the single-block matmuls, and are subtracted from
-    # log Z in key order.
-    sizes = np.array([2 ** len(k) for k in keys])
-    trace_groups = []
-    for s in np.unique(sizes).tolist():
-        which = np.flatnonzero(sizes == s)
-        at = (np.array(starts)[which][:, None] + np.arange(s * s)).reshape(-1)
-        trace_groups.append((which, at, s, np.stack([targets[i] for i in which])))
+        for size in range(1, len(k) + 1):
+            supports.update(combinations(k, size))
+    return sum(3 ** len(s) for s in supports) * 16 * 4**m
 
-    def dual(x: np.ndarray):
-        mat = x[x_at].view(complex)
-        lam = (mat + mat[mirror].conj()) / 2.0
-        h = np.zeros(d * d, dtype=complex)
-        np.add.at(h, dst, lam[src])
-        w, vecs = np.linalg.eigh(h.reshape(d, d))
-        wmax = float(w[-1])
-        z = np.exp(w - wmax)
-        zsum = z.sum()
-        logz = wmax + float(np.log(zsum))
-        p = z / zsum
-        sigma = (vecs * p) @ vecs.conj().T
-        traces = np.empty(len(sizes))
-        for which, at, s, t in trace_groups:
-            traces[which] = np.trace(lam[at].reshape(-1, s, s) @ t, axis1=1, axis2=2).real
-        val = logz
-        for term in traces.tolist():
-            val -= term
-        marginals = np.zeros(size, dtype=complex)
-        np.add.at(marginals, src, sigma.reshape(-1)[dst])
-        grad = (marginals - flat_targets).view(np.float64)[grad_at]
-        return val, grad, sigma, p
 
-    return dual
+@lru_cache(maxsize=8)
+def _pauli_basis(m: int, keys: tuple):
+    """The dual's Pauli strings for sorted ``keys`` on m qubits.
+
+    Returns the (K, d, d) stack of every non-identity string whose support
+    lies inside some key, each once, and per key the indices of the strings
+    it owns (the first key that holds their support) with those strings
+    written on the key's own qubits, so t_P = tr(P_key t_key). A stack over
+    MAX_PAULI_STACK_BYTES raises SizeLimitError before anything is built.
+    """
+    need = _pauli_stack_bytes(m, keys)
+    if need > MAX_PAULI_STACK_BYTES:
+        raise SizeLimitError(
+            f"Pauli basis of {keys} on {m} qubits needs {need} bytes, "
+            f"over the cap of {MAX_PAULI_STACK_BYTES}"
+        )
+    strings, owned, seen = [], [], set()
+    for k in keys:
+        s = len(k)
+        # local bit s-1-j of a key string is bit m-1-k[j] of the register
+        spread = [sum(1 << (m - 1 - k[j]) for j in range(s) if local >> (s - 1 - j) & 1)
+                  for local in range(2**s)]
+        at, local_strings = [], []
+        for x in range(2**s):
+            for z in range(2**s):
+                full = (spread[x], spread[z])
+                if (x or z) and full not in seen:
+                    seen.add(full)
+                    at.append(len(strings))
+                    strings.append(_pauli_from_masks(m, *full))
+                    local_strings.append(_pauli_from_masks(s, x, z))
+        owned.append((np.array(at, dtype=int), np.array(local_strings).reshape(-1, 2**s, 2**s)))
+    stack = np.array(strings)
+    # every caller of the cache shares these arrays
+    for arr in (stack, *(a for pair in owned for a in pair)):
+        arr.flags.writeable = False
+    return stack, owned
+
+
+def _dual_value(c: np.ndarray, stack: np.ndarray, t: np.ndarray):
+    """f(c) = log tr e^h - c.t in nats, h = sum_P c_P P, with h's
+    eigenvalues w and eigenvectors V and p = softmax(w)."""
+    w, v = np.linalg.eigh(np.tensordot(c, stack, 1))
+    top = float(w[-1])
+    z = np.exp(w - top)
+    total = z.sum()
+    return top + float(np.log(total)) - float(c @ t), w, v, z / total
+
+
+def _dual_derivatives(stack, t, w, v, p):
+    """Gradient and Hessian of f where h has eigenpairs (w, V) and p = softmax(w).
+
+    With A_P = V^dag P V, the gradient is <P> - t_P, <P> = sum_i p_i A_P[i, i],
+    and the Hessian is the Kubo-Mori covariance sum_ij A_P[i, j] D_ij
+    A_Q[j, i] - <P><Q>, where D holds the divided differences of p over w.
+    A_Q is Hermitian, so A_Q[j, i] = conj(A_Q[i, j]) and the sum is a real
+    product of the stacked real and imaginary parts.
+    """
+    a = v.conj().T @ stack @ v
+    means = np.einsum("kii,i->k", a, p).real
+    # (p_i - p_j) / (w_i - w_j) = max(p_i, p_j) (1 - e^-|w_i - w_j|) / |w_i - w_j|
+    gap = np.abs(w[:, None] - w[None, :])
+    ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0.0)
+    d = np.maximum(p[:, None], p[None, :]) * ratio
+    k = len(stack)
+    hess = (a * d).view(np.float64).reshape(k, -1) @ a.view(np.float64).reshape(k, -1).T
+    return means - t, hess - np.outer(means, means)
+
+
+def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """-H^-1 g by Cholesky of H + 1e-12 tr(H) I, or by least squares if
+    that fails."""
+    shifted = hess + _HESSIAN_SHIFT * np.trace(hess) * np.eye(len(hess))
+    try:
+        low = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
+    return np.linalg.solve(low.T, np.linalg.solve(low, -grad))
 
 
 def max_entropy_with_marginals(
@@ -201,47 +227,50 @@ def max_entropy_with_marginals(
 ) -> MaxEntropyResult:
     """Entropy maximizer under marginal constraints, via the smooth dual.
 
-    Returns the maximizing state, its entropy in bits, and solver
-    diagnostics. Raises ConvergenceError (carrying the final residual) if
-    the worst marginal mismatch still exceeds ``tol`` after ``max_iter``
-    quasi-Newton iterations.
+    Runs damped Newton on the dual f(c) = log tr e^h - c.t over
+    h = sum_P c_P P, P running over the non-identity Pauli strings inside
+    some key and t_P their target expectations; the maximizer is
+    e^h / tr e^h. It stops once half the gradient's 2-norm, which bounds
+    every key's trace-distance residual, is at most min(tol, 1e-9), or
+    after ``max_iter`` Newton steps. Every feasible state has entropy at
+    most f(c) at any c (Gibbs' variational principle), so the reported
+    entropy, f / ln 2 in bits at the last iterate, is a certified upper
+    bound. Raises ConvergenceError (carrying the final residual) if the
+    worst marginal mismatch still exceeds ``tol``, and SizeLimitError if
+    the Pauli basis would exceed MAX_PAULI_STACK_BYTES.
     """
-    from scipy.optimize import minimize
-
     m = constraints.num_qubits
-    keys = sorted(constraints.targets)
+    keys = tuple(sorted(constraints.targets))
     originals = {k: constraints.targets[k].matrix for k in keys}
+    stack, owned = _pauli_basis(m, keys)
+    t = np.empty(len(stack))
+    for k, (at, local) in zip(keys, owned):
+        t[at] = np.einsum("kij,ji->k", local, originals[k]).real
 
-    regularized = False
-    targets = {}
-    for k in keys:
-        if float(np.linalg.eigvalsh(originals[k])[0]) < 1e-12:
-            regularized = True
-    for k in keys:
-        t = originals[k]
-        if regularized:
-            dk = t.shape[0]
-            t = (1.0 - _TARGET_REG) * t + _TARGET_REG * np.eye(dk) / dk
-        targets[k] = t
+    c = np.zeros(len(stack))
+    f, w, v, p = _dual_value(c, stack, t)
+    stop = min(tol, _GRADIENT_TOL)
+    iterations = 0
+    while True:
+        grad, hess = _dual_derivatives(stack, t, w, v, p)
+        if 0.5 * np.linalg.norm(grad) <= stop or iterations >= max_iter:
+            break
+        step = _newton_direction(grad, hess)
+        slope = float(grad @ step)
+        # Armijo backtracking; a step that cannot lower f ends the solve
+        for _ in range(_MAX_HALVINGS):
+            trial = _dual_value(c + step, stack, t)
+            if trial[0] <= f + _ARMIJO * slope:
+                break
+            step, slope = step / 2.0, slope / 2.0
+        else:
+            break
+        c = c + step
+        f, w, v, p = trial
+        iterations += 1
 
-    dual = _dual_kernel(m, keys, [targets[k] for k in keys])
-
-    def fun(x: np.ndarray):
-        val, grad, _, _ = dual(x)
-        return val, grad
-
-    x0 = np.zeros(sum(2 * 4 ** len(k) for k in keys))
-    res = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 10 * max_iter, "gtol": 1e-10, "ftol": 1e-15},
-    )
-    _, _, sigma, p = dual(res.x)
-    sigma = _hermitize(sigma)
+    sigma = _hermitize((v * p) @ v.conj().T)
     state = DensityMatrix(m, sigma / np.real(np.trace(sigma)))
-
     residual = 0.0
     for k in keys:
         got = marginal_matrix(state.matrix, m, k)
@@ -249,10 +278,9 @@ def max_entropy_with_marginals(
         residual = max(residual, gap)
     result = MaxEntropyResult(
         state=state,
-        entropy=spectrum_entropy(np.asarray(p)),
-        iterations=int(res.nit),
+        entropy=float(f / np.log(2.0)),
+        iterations=iterations,
         residual=residual,
-        regularized=regularized,
         converged=residual <= tol,
     )
     if not result.converged:

@@ -193,11 +193,11 @@ def env_mutual_info_oracle(kraus_ops, psi: np.ndarray, n: int, keep) -> float:
 
 
 def reference_dual(m: int, keys, targets):
-    """The max-entropy dual as first written: one embed_operator lift and
-    one marginal_matrix reduction per constraint, in key order.
+    """The max-entropy dual in matrix multipliers: one embed_operator lift
+    and one marginal_matrix reduction per constraint, in key order.
 
     Returns x -> (value, gradient) with x laid out as Re then Im of each
-    key's multiplier block. ``optim._dual_kernel`` must match it bitwise.
+    key's multiplier block.
     """
     d = 2**m
     sizes = [2 ** len(k) for k in keys]
@@ -228,6 +228,41 @@ def reference_dual(m: int, keys, targets):
         return val, grad
 
     return dual
+
+
+def reference_max_entropy(m: int, keys, targets) -> float:
+    """Max entropy in bits under the marginal targets, by L-BFGS-B on
+    ``reference_dual`` from zero multipliers, as the solver once ran.
+
+    Meant for full-rank targets, where the maximum is attained inside the
+    state space and the quasi-Newton ascent converges.
+    """
+    from scipy.optimize import minimize
+
+    size = sum(2 * 4 ** len(k) for k in keys)
+    res = minimize(
+        reference_dual(m, keys, targets), np.zeros(size), jac=True, method="L-BFGS-B",
+        options={"maxiter": 10000, "maxfun": 100000, "gtol": 1e-10, "ftol": 1e-15},
+    )
+    return float(res.fun) / LOG2
+
+
+def ipf_max_entropy(probs: np.ndarray, n: int, keys, cycles: int = 2000) -> float:
+    """Max Shannon entropy in bits of an n-bit distribution with the
+    marginals of ``probs`` on each key, by iterative proportional fitting
+    (Darroch and Ratcliff, Ann. Math. Stat. 43, 1470 (1972)) from uniform.
+
+    ``probs`` is indexed by bit strings, bit 0 most significant.
+    """
+    target = probs.reshape((2,) * n)
+    fit = np.full((2,) * n, 1.0 / 2**n)
+    for _ in range(cycles):
+        for key in keys:
+            rest = tuple(q for q in range(n) if q not in key)
+            want = target.sum(axis=rest, keepdims=True)
+            have = fit.sum(axis=rest, keepdims=True)
+            fit = fit * np.divide(want, have, out=np.zeros_like(want), where=have > 0)
+    return float(-xlogy(fit, fit).sum()) / LOG2
 
 
 # The pair-rotation search as first written, one pair at a time, walking

@@ -17,7 +17,7 @@ from entlab.channels import (
     embed,
     identity_channel,
 )
-from entlab.errors import ConvergenceError, SizeLimitError
+from entlab.errors import SizeLimitError
 from entlab.measures import (
     assisted_mutual_information,
     binary_entropy,
@@ -257,14 +257,6 @@ def test_excess_leak_set_product_noise(noise):
         assert abs(excess_leak_set(ch, subset).value) < 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, ConvergenceError),
-    reason="the max-entropy solve is chaotic in the last bit of its input: on "
-    "the 4-qubit cluster noise the triple (0, 1, 2) reads 0.014162 from apply's "
-    "output, while 1e-15 Hermitian perturbations of that output read other "
-    "values or raise ConvergenceError",
-)
 def test_set_defect_is_stable_under_last_bit_noise():
     channel = BUILT_CHANNELS[5]
     out = apply(channel, plus_all(channel.n).density_matrix())
@@ -289,7 +281,7 @@ def test_excess_leak_set_sees_parity_noise():
     for a, b in ((0, 1), (0, 2), (1, 2)):
         assert abs(excess_leak(ch, a, b)) < 1e-9
     res = excess_leak_set(ch, (0, 1, 2))
-    assert abs(res.value - 1.0) < 1e-6
+    assert abs(res.value - 1.0) < 1e-9
 
 
 def test_assisted_never_below_plain(rng):
