@@ -38,6 +38,9 @@ _Y_PHASES = (1.0, -1j, -1.0, 1j)
 CPTP_ATOL = 1e-9
 # Pauli expansion enumerates 4**n strings; keep that tractable
 MAX_EXPANSION_QUBITS = 6
+# the largest dense Kraus list a builder may allocate: 4 GiB lets
+# build_pairwise_correlated reach n = 9 (513 operators, 2.15 GB)
+MAX_KRAUS_BYTES = 2**32
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +267,8 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     A burst occurs with probability pi = p1^2 / p2; within a burst every
     qubit independently flips with probability h = p2 / p1. The per-qubit
     hit probability is then p1 and the joint hit probability of any pair is
-    p2. Feasible iff p1^2 <= p2 <= p1.
+    p2. Feasible iff p1^2 <= p2 <= p1. Its 2^n + 1 dense operators must
+    fit in MAX_KRAUS_BYTES, or SizeLimitError is raised before any is built.
     """
     n = check_register_size(n)
     if n < 1:
@@ -272,6 +276,12 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     p1, p2 = check_burst_moments(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
+    size = (2**n + 1) * 4**n * 16
+    if size > MAX_KRAUS_BYTES:
+        raise SizeLimitError(
+            f"pairwise_correlated on {n} qubits needs {size} bytes of Kraus operators, "
+            f"over the cap of {MAX_KRAUS_BYTES}"
+        )
     eye = np.eye(2**n, dtype=complex)
     if p1 == 0.0 or p2 == 0.0:
         return QuantumChannel((eye,))

@@ -428,8 +428,10 @@ def censorship_results(params: dict, seeds: SeedStream) -> list:
         include_full=params["include_full"],
     )
     results = [
-        _measure_entry("family-total-defect", value, None, {"n": n, "family": family})
-        for n, value in zip(report.sizes, report.values)
+        _measure_entry(
+            "family-total-defect", value, None, {"n": n, "family": family, "method": method}
+        )
+        for n, value, method in zip(report.sizes, report.values, report.methods)
     ]
     results.append(
         _measure_entry(

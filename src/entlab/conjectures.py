@@ -268,10 +268,12 @@ def eval_relation34(
 
 @dataclass
 class CensorshipReport:
-    """Per-size totals and the fitted growth exponent of a state family."""
+    """Per-size totals, the path that computed each (see ``total_defect``)
+    and the fitted growth exponent of a state family."""
 
     sizes: list
     values: list
+    methods: list
     exponent: float | None
     growth: str
     truncation: int
@@ -325,6 +327,9 @@ def censorship_scan(
     default so totals stay comparable across sizes), "auto" (full-set term
     added when the register fits the optimizer cap), or "always". A size
     above MAX_TOTAL_QUBITS raises SizeLimitError before any state is built.
+    Each total is exact when the family builds stabilizer states that
+    carry their generators (``ghz``, ``plus_all``, ``cluster_state``) and
+    a sum of max-entropy dual solves otherwise; ``methods`` says which.
     """
     if include_full not in tuple(INCLUDE_FULL):
         raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
@@ -334,14 +339,15 @@ def censorship_scan(
     if size_list and size_list[-1] > MAX_TOTAL_QUBITS:
         n = size_list[-1]
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
-    values = [
-        total_defect(family(n), max_subset_size=truncation, include_full=flag).value
-        for n in size_list
+    totals = [
+        total_defect(family(n), max_subset_size=truncation, include_full=flag) for n in size_list
     ]
+    values = [float(t.value) for t in totals]
     exponent = fit_growth_exponent(size_list, values)
     return CensorshipReport(
         sizes=size_list,
-        values=[float(v) for v in values],
+        values=values,
+        methods=[t.diagnostics["method"] for t in totals],
         exponent=exponent,
         growth=_classify_growth(exponent, values),
         truncation=truncation,

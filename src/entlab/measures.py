@@ -4,10 +4,19 @@ Leak quantities feed a pure input, the uniform superposition |+>^n unless
 given, through a channel and score entropies of the output. That output is
 the ensemble of branches K_k psi, kept as k rows of length 2^n: marginals
 come from the rows and S(out) from their k x k Gram matrix when it is the
-smaller side, so no 2^n x 2^n output is formed. Set quantities score how
-far a joint state sits above what its sub-marginals determine, via
-constrained entropy maximization, and read ``apply``'s dense output. All
-values are in bits.
+smaller side, so no 2^n x 2^n output is formed.
+
+Set quantities score how far a joint state sits above what its
+sub-marginals determine. ``max_entropy_defect`` and ``total_defect`` take
+one of two paths, which their diagnostics name as ``method``:
+- "stabilizer": a PureState that carries stabilizer generators (``ghz``,
+  ``plus_all`` and every ``cluster_state``) gets each defect exactly from
+  two GF(2) ranks, with no density matrix, partial trace or solve;
+- "max_entropy": any other input is densified, and each defect is a
+  constrained entropy maximization whose dual value is a certified upper
+  bound. The channel-output set quantities read ``apply``'s dense output
+  and always take this path.
+All values are in bits.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from .states import (
     branch_entropy,
     check_probability,
     entropy_of_subset,
+    gf2_kernel,
+    gf2_rank,
     partial_trace,
     validate_subset,
     von_neumann_entropy,
@@ -222,19 +233,50 @@ def max_entropy_defect(
     """max S(sigma) over states matching all (m-1)-subset marginals of
     rho|_subset, minus S(rho|_subset).
 
-    The maximum is the solver's dual value, a certified upper bound, so the
-    value never sits below the true defect. For pairs this equals the
-    mutual information. Subset sizes above MAX_SET_SIZE raise
+    On a PureState with stabilizer generators the value is exact (see
+    ``_stabilizer_defect``) and ``tol`` and ``max_iter`` go unused.
+    Otherwise the maximum is the solver's dual value, a certified upper
+    bound, so the value never sits below the true defect. For pairs this
+    equals the mutual information. Subset sizes above MAX_SET_SIZE raise
     SizeLimitError.
     """
-    rho = as_density_matrix(state)
-    keep = validate_subset(subset, rho.n)
+    rows = getattr(state, "stabilizer_rows", None)
+    rho = as_density_matrix(state) if rows is None else None
+    keep = validate_subset(subset, state.n)
     m = len(keep)
     if m < 2:
         raise ValueError("subset must contain at least two qubits")
     if m > MAX_SET_SIZE:
         raise SizeLimitError(f"subset of size {m} exceeds the cap of {MAX_SET_SIZE}")
+    if rows is not None:
+        return _stabilizer_defect(rows, state.n, keep)
     return _restricted_defect(partial_trace(rho, keep), tol, max_iter)
+
+
+def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    return sum((1 << q) | (1 << (n + q)) for q in qubits)
+
+
+def _stabilizer_defect(rows: list[int], n: int, keep: tuple) -> DefectResult:
+    """``max_entropy_defect`` of the stabilizer state with generator ``rows``.
+
+    Let S_A be the stabilizers supported on A = ``keep``. Then S(rho_A) =
+    |A| - dim S_A (Fattal et al., quant-ph/0406168). The S_B of the
+    (|A|-1)-subsets B generate a group G; the uniform state on G's code
+    space has rho_A's marginals on every B and lies in the closure of the
+    exponential family of those marginals, so it is the maximizer, with
+    entropy |A| - dim G. The defect is dim S_A - dim G. S_B is the
+    part of S_A that acts as the identity on the qubit B leaves out.
+    """
+    m = len(keep)
+    s_a = gf2_kernel(rows, ~_qubit_mask(n, keep))
+    dim_g = gf2_rank([row for q in keep for row in gf2_kernel(s_a, _qubit_mask(n, (q,)))])
+    return DefectResult(
+        value=float(len(s_a) - dim_g),
+        constrained_entropy=float(m - dim_g),
+        subset_entropy=float(m - len(s_a)),
+        diagnostics={"method": "stabilizer"},
+    )
 
 
 def _restricted_defect(restricted: DensityMatrix, tol: float, max_iter: int) -> DefectResult:
@@ -253,7 +295,7 @@ def _restricted_defect(restricted: DensityMatrix, tol: float, max_iter: int) -> 
         value=float(solved.entropy - s_here),
         constrained_entropy=float(solved.entropy),
         subset_entropy=float(s_here),
-        diagnostics=solved.diagnostics(),
+        diagnostics={"method": "max_entropy", **solved.diagnostics()},
     )
 
 
@@ -294,16 +336,20 @@ def total_defect(
     extra term when ``include_full`` is True, or automatically when the
     register has at most MAX_SET_SIZE qubits (include_full=None). Requires
     a pure input on at most MAX_TOTAL_QUBITS qubits; singletons never
-    contribute. Subsets with bitwise equal marginals share one solve, and
-    ``optimizer_iterations`` counts the solves that ran.
+    contribute. A PureState with stabilizer generators gets every term
+    exactly, as ``max_entropy_defect`` does, and no solver runs. Any other
+    input is densified and solved: subsets with bitwise equal marginals
+    share one solve, and ``optimizer_iterations`` counts the solves that
+    ran. ``diagnostics["method"]`` names the path.
     """
-    rho = as_density_matrix(state)
-    n = rho.n
+    rows = getattr(state, "stabilizer_rows", None)
+    rho = as_density_matrix(state) if rows is None else None
+    n = state.n
     if n > MAX_TOTAL_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
-    if not rho.is_pure(_PURITY_ATOL):
+    if rho is not None and not rho.is_pure(_PURITY_ATOL):
         raise ValueError(f"input must be pure (purity {rho.purity():.6f})")
     cap = min(operator.index(max_subset_size), MAX_SET_SIZE)
     if cap < 2:
@@ -318,10 +364,29 @@ def total_defect(
     subsets = [subset for size in sizes for subset in combinations(full, size)]
     if include_full:
         subsets.append(full)
+    if rows is not None:
+        terms = {subset: _stabilizer_defect(rows, n, subset).value for subset in subsets}
+        diagnostics = {"method": "stabilizer"}
+    else:
+        terms, diagnostics = _solved_terms(rho, subsets)
+    total = sum(value for subset, value in terms.items() if subset != full)
+    full_term = terms.get(full)
+    return TotalDefectResult(
+        value=float(total + (full_term or 0.0)),
+        value_without_full=float(total),
+        full_set_term=full_term,
+        included_sizes=sizes,
+        included_full=bool(include_full),
+        terms=terms,
+        diagnostics=diagnostics,
+    )
+
+
+def _solved_terms(rho: DensityMatrix, subsets: list) -> tuple[dict, dict]:
+    """Each subset's defect by a max-entropy solve, with the solves' diagnostics."""
     terms: dict[tuple, float] = {}
     # a defect depends only on the restricted state
     solved: dict[bytes, float] = {}
-    total = 0.0
     iterations = 0
     worst_residual = 0.0
     for subset in subsets:
@@ -333,19 +398,9 @@ def total_defect(
             iterations += res.diagnostics["iterations"]
             worst_residual = max(worst_residual, res.diagnostics["residual"])
         terms[subset] = solved[key]
-        if subset != full:
-            total += solved[key]
-    full_term = terms.get(full)
-    return TotalDefectResult(
-        value=float(total + (full_term or 0.0)),
-        value_without_full=float(total),
-        full_set_term=full_term,
-        included_sizes=sizes,
-        included_full=bool(include_full),
-        terms=terms,
-        diagnostics={
-            "optimizer_iterations": iterations,
-            "worst_residual": worst_residual,
-            "tol": DEFAULT_TOL,
-        },
-    )
+    return terms, {
+        "method": "max_entropy",
+        "optimizer_iterations": iterations,
+        "worst_residual": worst_residual,
+        "tol": DEFAULT_TOL,
+    }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,12 +67,73 @@ def validate_subset(qubits: Iterable[int], n: int, allow_empty: bool = False) ->
     return tuple(sorted(subset))
 
 
+def gf2_kernel(rows: Sequence[int], outside: int) -> list[int]:
+    """A basis of the elements of span(``rows``) with no bit in ``outside``.
+
+    Gaussian elimination on the ``outside`` bits, carrying whole rows: a
+    row that reduces to nothing there joins the basis. ``rows`` must be
+    independent for that to be a basis; the number of rows that are not
+    kept is the rank of their ``outside`` parts either way.
+    """
+    pivots: list[tuple[int, int]] = []
+    kept = []
+    for row in rows:
+        for bit, pivot in pivots:
+            if row & bit:
+                row ^= pivot
+        part = row & outside
+        if part:
+            pivots.append((part & -part, row))
+        else:
+            kept.append(row)
+    return kept
+
+
+def gf2_rank(rows: Sequence[int]) -> int:
+    return len(rows) - len(gf2_kernel(rows, -1))
+
+
+def _checked_stabilizer_rows(n: int, amps: np.ndarray, generators: np.ndarray) -> list[int]:
+    """The rows of ``generators`` as integers, column j on bit j, or
+    ValueError unless it is an (n, 2n) 0/1 matrix whose rows are
+    independent and each stabilize ``amps`` up to sign.
+
+    Row (x|z) is the Pauli X^x Z^z up to phase, so <psi|g|psi> is the sum
+    over k of conj(psi_k) (-1)^|(k xor x) & z| psi_(k xor x), with x and z
+    read as basis-index masks: one (n, 2^n) gather for all rows.
+    """
+    if generators.shape != (n, 2 * n) or not np.isin(generators, (0, 1)).all():
+        raise ValueError(f"stabilizer generators must be a 0/1 matrix of shape ({n}, {2 * n})")
+    gens = generators.astype(np.int64)
+    rows = (gens << np.arange(2 * n)).sum(axis=1).tolist()
+    if gf2_rank(rows) != n:
+        raise ValueError("stabilizer generators are not independent")
+    # big-endian: qubit q is bit n-1-q of a basis index
+    x, z = (gens.reshape(n, 2, n) @ (1 << np.arange(n - 1, -1, -1))).T
+    src = np.arange(2**n) ^ x[:, None]
+    parity = src & z[:, None]
+    for shift in (8, 4, 2, 1):  # indices stay below 2^MAX_QUBITS <= 2^16
+        parity ^= parity >> shift
+    overlaps = ((1 - 2 * (parity & 1)) * amps[src]) @ amps.conj()
+    if np.abs(overlaps).min(initial=1.0) < 1.0 - NORM_ATOL:
+        raise ValueError("stabilizer generators do not stabilize the amplitudes")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit state vector on an ordered qubit register."""
+    """Unit state vector on an ordered qubit register.
+
+    ``stabilizers``, when given, marks a stabilizer state: n independent
+    generators of the Paulis that fix it up to sign, as an n x 2n GF(2)
+    matrix of (x|z) rows, X on qubit q where x_q = 1 and Z where z_q = 1.
+    Attaching them costs a copy; they are checked against the amplitudes
+    when ``stabilizer_rows`` is first read.
+    """
 
     n: int
     amplitudes: np.ndarray
+    stabilizers: np.ndarray | None = None
 
     def __post_init__(self):
         n = check_register_size(self.n)
@@ -85,6 +147,19 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amps)
+        if self.stabilizers is not None:
+            gens = np.array(self.stabilizers)
+            gens.flags.writeable = False
+            object.__setattr__(self, "stabilizers", gens)
+
+    @cached_property
+    def stabilizer_rows(self) -> list[int] | None:
+        """The stabilizer generators as integers (x_q on bit q, z_q on bit
+        n + q), or None without them; ValueError if they are not this
+        state's."""
+        if self.stabilizers is None:
+            return None
+        return _checked_stabilizer_rows(self.n, self.amplitudes, self.stabilizers)
 
     @property
     def dim(self) -> int:

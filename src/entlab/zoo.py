@@ -12,22 +12,25 @@ from .states import PureState, _position, check_register_size
 
 
 def plus_all(n: int) -> PureState:
-    """Uniform |+>^n register state."""
+    """Uniform |+>^n register state, stabilized by each X_i."""
     n = check_register_size(n)
     if n < 1:
         raise ValueError("plus_all needs at least one qubit")
     d = 2**n
-    return PureState(n, np.full(d, 1.0 / np.sqrt(d), dtype=complex))
+    return PureState(n, np.full(d, 1.0 / np.sqrt(d), dtype=complex), _graph_stabilizers(n, []))
 
 
 def ghz(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
+    """(|0...0> + |1...1>)/sqrt(2), stabilized by X...X and each Z_i Z_i+1."""
     n = check_register_size(n)
     if n < 2:
         raise ValueError("ghz needs at least two qubits")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(n, amps)
+    gens = np.zeros((n, 2 * n), dtype=bool)
+    gens[0, :n] = True
+    gens[1:, n:] = np.eye(n - 1, n, dtype=bool) | np.eye(n - 1, n, 1, dtype=bool)
+    return PureState(n, amps, gens)
 
 
 def bell() -> PureState:
@@ -53,14 +56,24 @@ def _qubit_bits(n: int, qubit: int) -> np.ndarray:
     return (np.arange(2**n) >> (n - 1 - qubit)) & 1
 
 
+def _graph_stabilizers(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
+    """(x|z) rows of X_i times Z_j over the neighbours j of i."""
+    gens = np.eye(n, 2 * n, dtype=bool)
+    for i, j in edges:
+        gens[i, n + j] = gens[j, n + i] = True
+    return gens
+
+
 def cluster_state(n: int, edges: Sequence[Sequence[int]]) -> PureState:
-    """Graph state: CZ applied along each edge of |+>^n."""
+    """Graph state: CZ applied along each edge of |+>^n, stabilized by each
+    X_i Z_(neighbours of i)."""
     n = check_register_size(n)
     amps = np.array(plus_all(n).amplitudes)
-    for i, j in _validate_edges(n, edges):
+    edge_list = _validate_edges(n, edges)
+    for i, j in edge_list:
         both = (_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)
         amps[both] *= -1.0
-    return PureState(n, amps)
+    return PureState(n, amps, _graph_stabilizers(n, edge_list))
 
 
 def line_edges(n: int) -> list[tuple[int, int]]:

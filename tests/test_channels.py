@@ -8,6 +8,7 @@ import pytest
 from entlab import DensityMatrix
 from entlab.channels import (
     MAX_EXPANSION_QUBITS,
+    MAX_KRAUS_BYTES,
     QuantumChannel,
     apply,
     build_cluster_noise,
@@ -336,6 +337,21 @@ def test_pauli_expansion_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 4**n  # less than that float64 array alone
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_pairwise_correlated_cap_raises_before_allocating(n):
+    """n = 9 still fits the cap; above it the error comes before the first
+    2^n x 2^n operator exists (n = 12 would need about 1.1 TB)."""
+    assert (2**9 + 1) * 4**9 * 16 <= MAX_KRAUS_BYTES < (2**10 + 1) * 4**10 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="pairwise_correlated on"):
+            build_pairwise_correlated(n, 0.1, 0.02, "Z")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**n  # less than one complex operator
 
 
 def test_pauli_expansion_unit_flip():

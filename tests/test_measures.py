@@ -29,8 +29,8 @@ from entlab.measures import (
     mutual_information,
     total_defect,
 )
-from entlab.states import partial_trace, von_neumann_entropy
-from entlab.zoo import bell, ghz, plus_all
+from entlab.states import entropy_of_subset, partial_trace, von_neumann_entropy
+from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
 from helpers import (
     BUILT_CHANNELS,
     entropy_oracle,
@@ -374,3 +374,83 @@ def test_total_defect_register_cap():
     big = DensityMatrix(9, np.eye(512, dtype=complex) / 512)
     with pytest.raises(SizeLimitError):
         total_defect(big)
+
+
+def ring_edges(n: int) -> list:
+    return line_edges(n) + [(0, n - 1)] if n > 2 else line_edges(n)
+
+
+def assert_exact_within_solver_bound(state: PureState, truncation: int) -> None:
+    """Every term of the stabilizer path is an integer, and the solver's
+    value for the same state without generators, a certified upper bound,
+    lies within [exact - 1e-12, exact + 1e-5]."""
+    exact = total_defect(state, truncation)
+    dense = total_defect(PureState(state.n, state.amplitudes), truncation)
+    assert exact.diagnostics == {"method": "stabilizer"}
+    assert dense.diagnostics["method"] == "max_entropy"
+    assert exact.terms.keys() == dense.terms.keys()
+    for subset, value in exact.terms.items():
+        assert value == round(value)
+        assert -1e-12 <= dense.terms[subset] - value <= 1e-5, subset
+    assert -1e-12 <= dense.value - exact.value <= 1e-5 * len(exact.terms)
+
+
+@pytest.mark.parametrize("truncation", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", [ghz, plus_all])
+def test_stabilizer_totals_match_the_solver(family, n, truncation):
+    assert_exact_within_solver_bound(family(n), truncation)
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("edges", [line_edges, ring_edges])
+def test_cluster_totals_match_the_solver(edges, n, truncation):
+    assert_exact_within_solver_bound(cluster_state(n, edges(n)), truncation)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    graph=st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)
+        )
+    ),
+    truncation=st.integers(2, 4),
+)
+@example(graph=(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]), truncation=4)
+def test_random_graph_totals_match_the_solver(graph, truncation):
+    n, edges = graph
+    assert_exact_within_solver_bound(cluster_state(n, edges), truncation)
+
+
+def test_stabilizer_defect_reads_no_density_matrix(monkeypatch):
+    """The stabilizer path builds no rho, takes no partial trace and runs
+    no solve; its subset entropy is |A| - dim S_A, the von Neumann entropy."""
+    import entlab.measures as measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    state = cluster_state(6, ring_edges(6))
+    for name in ("as_density_matrix", "partial_trace", "max_entropy_with_marginals"):
+        monkeypatch.setattr(measures, name, refuse)
+    monkeypatch.setattr(PureState, "density_matrix", refuse)
+    res = total_defect(state, 4)
+    assert res.value == 14.0
+    subset_entropies = {
+        subset: max_entropy_defect(state, subset).subset_entropy for subset in res.terms
+    }
+    monkeypatch.undo()
+    for subset, value in subset_entropies.items():
+        assert abs(value - entropy_of_subset(state, subset)) < 1e-9, subset
+
+
+def test_stabilizer_defect_keeps_the_caps():
+    with pytest.raises(SizeLimitError):
+        total_defect(ghz(9))
+    with pytest.raises(SizeLimitError):
+        max_entropy_defect(ghz(6), range(5))
+    res = max_entropy_defect(ghz(5), (0, 1, 2))
+    assert (res.value, res.constrained_entropy, res.subset_entropy) == (0.0, 1.0, 1.0)
+    assert res.diagnostics == {"method": "stabilizer"}

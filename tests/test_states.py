@@ -334,3 +334,26 @@ def test_purity_flags(rng):
     mixed = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
     assert not mixed.is_pure()
     assert abs(mixed.purity() - 0.25) < 1e-12
+
+
+def test_stabilizer_generators_are_checked_when_first_read():
+    """Attaching generators only copies them; reading ``stabilizer_rows``
+    checks shape, independence and that each row fixes the amplitudes."""
+    amps = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    # XX and YY: YY takes the Bell state to minus itself, which still counts
+    assert PureState(2, amps, [[1, 1, 0, 0], [1, 1, 1, 1]]).stabilizer_rows == [3, 15]
+    bad = {
+        "shape": [[1, 1, 0, 0]],
+        "entries": [[1, 1, 0, 0], [0, 0, 2, 2]],
+        "dependent": [[1, 1, 0, 0], [1, 1, 0, 0]],
+        "not a stabilizer": [[1, 0, 0, 0], [0, 0, 1, 1]],
+    }
+    for gens in bad.values():
+        state = PureState(2, amps, gens)
+        with pytest.raises(ValueError):
+            state.stabilizer_rows
+    gens = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
+    state = PureState(2, amps, gens)
+    gens[0, 0] = 0  # the state holds its own read-only copy
+    assert not state.stabilizers.flags.writeable
+    assert state.stabilizer_rows == [3, 12]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entlab.channels import build_cluster_noise
-from entlab.states import embed_operator, entropy_of_subset
+from entlab.states import PureState, embed_operator, entropy_of_subset
 from entlab.zoo import (
     all_subsets,
     bell,
@@ -15,6 +15,7 @@ from entlab.zoo import (
     plus_all,
     random_circuit_state,
 )
+from helpers import kron_pauli_string
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -50,6 +51,43 @@ def test_cluster_state_stabilizers():
         for j in neighbors[i]:
             op = op @ embed_operator(Z, (j,), n)
         assert np.abs(op @ psi - psi).max() < 1e-12
+
+
+def generator_letters(row, n: int) -> str:
+    """The Pauli letters of one (x|z) generator row."""
+    return "".join("IZXY"[2 * int(row[q]) + int(row[n + q])] for q in range(n))
+
+
+STABILIZER_FAMILIES = {
+    "plus_all": [plus_all(n) for n in range(1, 7)],
+    "ghz": [ghz(n) for n in range(2, 7)] + [bell()],
+    "cluster-line": [cluster_state(n, line_edges(n)) for n in range(1, 7)],
+    "cluster-ring": [cluster_state(n, line_edges(n) + [(0, n - 1)]) for n in range(3, 7)],
+    "cluster-star": [cluster_state(5, [(0, j) for j in range(1, 5)])],
+    "cluster-no-edges": [cluster_state(3, [])],
+}
+
+
+@pytest.mark.parametrize("family", sorted(STABILIZER_FAMILIES))
+def test_zoo_generators_stabilize_their_amplitudes(family):
+    """Each (x|z) row, built as a Kronecker product of its Pauli letters,
+    fixes the state, and the n rows are independent over GF(2)."""
+    for state in STABILIZER_FAMILIES[family]:
+        n, gens = state.n, state.stabilizers
+        assert gens.shape == (n, 2 * n)
+        for row in gens:
+            op = kron_pauli_string(generator_letters(row, n))
+            assert np.abs(op @ state.amplitudes - state.amplitudes).max() < 1e-12
+        # no nonempty product of generators is the identity
+        combos = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
+        assert ((combos @ gens) % 2).any(axis=1).all()
+        assert state.stabilizer_rows is not None
+
+
+def test_non_stabilizer_families_carry_no_generators():
+    states = [dicke_state(4, 2), random_circuit_state(3, 2, 0), bitflip_code_encode(0.6, 0.8)]
+    assert all(s.stabilizers is None and s.stabilizer_rows is None for s in states)
+    assert PureState(2, bell().amplitudes).stabilizer_rows is None
 
 
 def test_dicke_state_support():
