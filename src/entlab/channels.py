@@ -8,9 +8,9 @@ derive channels from checked ones, so they run only the position checks.
 ``embed`` is the one place that pads Kraus operators with identity onto a
 larger register; ``apply`` and ``compose`` go through it, and ``combine``
 places each part on its qubits and folds ``compose`` over the parts in
-order. The leak measures do not pad: they apply each operator to a pure
-input on its qubits' tensor axes. The Pauli expansion maps a channel to
-the error-probability vector of its Pauli twirl.
+order. The measures do not pad: the leak and set quantities apply each
+operator to a pure input on its qubits' tensor axes. The Pauli expansion
+maps a channel to the error-probability vector of its Pauli twirl.
 """
 
 from __future__ import annotations

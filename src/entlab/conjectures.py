@@ -9,11 +9,10 @@ scaled by a reference leak and a level c:
     4: excess_leak_set(A)    >= c * min-leak  * decomposed defect of A
 
 One function builds every verdict from the relation number: it reads the
-mean or minimum one-qubit leak and a pair (1, 2) excess from the Kraus
-branches of one noisy output, a set (3, 4) excess from ``apply``'s dense
-output, and the number alone fixes the term's name, the conditional flag
-and the note. Each public evaluator checks its arguments and supplies
-only its term.
+mean or minimum one-qubit leak and the pair (1, 2) or set (3, 4) excess
+from the Kraus branches of one noisy output, and the number alone fixes
+the term's name, the conditional flag and the note. Each public evaluator
+checks its arguments and supplies only its term.
 
 Relation 2 and 4 right-hand sides are best-found lower bounds, so their
 "satisfied" verdicts are flagged conditional; "violated" is definitive.
@@ -33,12 +32,11 @@ import numpy as np
 from .channels import QuantumChannel, _span
 from .errors import SizeLimitError
 from .measures import (
-    MAX_SET_SIZE,
     MAX_TOTAL_QUBITS,
-    _noisy_density,
     _noisy_output,
     _pair_information,
     _register_size,
+    _set_excess,
     assisted_mutual_information,
     max_entropy_defect,
     mutual_information,
@@ -115,12 +113,10 @@ def _verdict(
     The excess and the leaks come from the channel's output on |+>^m, m the
     larger of the state's size n and the channel's span, before ``term`` is
     called, so an excess that cannot be computed fails before a
-    decomposition search starts. The leaks and a pair excess read the
-    output's branch rows; a set excess solves on the dense output, as
-    ``excess_leak_set`` does.
+    decomposition search starts. The leaks and the excess read the
+    output's branch rows, as the measures of the same names do.
     """
-    plus = plus_all(max(n, _span(channel)))
-    rows = _noisy_output(channel, plus)
+    rows = _noisy_output(channel, plus_all(max(n, _span(channel))))
     leaks = {q: branch_entropy(rows, _register_size(rows), (q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
@@ -128,8 +124,7 @@ def _verdict(
         term_value, diagnostics = term()
     else:
         reference_leak = float(min(leaks.values()))
-        out = _noisy_density(channel, plus)
-        excess, excess_diagnostics = _value_and_diagnostics(max_entropy_defect(out, qubits))
+        excess, excess_diagnostics = _value_and_diagnostics(_set_excess(rows, qubits))
         term_value, term_diagnostics = term()
         diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
     if excess < VACUOUS_ATOL and (term_value < VACUOUS_ATOL or reference_leak < VACUOUS_ATOL):
@@ -201,14 +196,14 @@ def eval_relation2(
 
 
 def _decomposed_defect(
-    rho: DensityMatrix,
+    state: PureState | DensityMatrix,
     subset: tuple,
     restarts: int,
     sweeps: int,
     seed: int,
 ) -> tuple[float, dict]:
     """Best found weighted-average defect over pure decompositions of rho|_A."""
-    marginal = partial_trace(rho, subset)
+    marginal = partial_trace(as_density_matrix(state), subset)
     m = len(subset)
     if m == 2:
         # for pure pair members the defect equals twice the marginal entropy,
@@ -245,23 +240,21 @@ def eval_relation34(
     """Set relation; ``mode`` picks the marginal (3) or decomposed (4) term.
 
     The reference leak is the minimum single-qubit leak over the subset.
+    The subset's size is checked with the excess, before the term.
     """
     check_search_budget(restarts, sweeps)
-    rho = as_density_matrix(state)
-    keep = validate_subset(subset, rho.n)
-    if len(keep) < 2:
-        raise ValueError("subset must contain at least two qubits")
-    if len(keep) > MAX_SET_SIZE:
-        raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
+    if not isinstance(state, PureState):
+        state = as_density_matrix(state)
+    keep = validate_subset(subset, state.n)
     if mode == "marginal":
         return _verdict(
-            3, channel, rho.n, keep, level,
-            lambda: _value_and_diagnostics(max_entropy_defect(rho, keep)),
+            3, channel, state.n, keep, level,
+            lambda: _value_and_diagnostics(max_entropy_defect(state, keep)),
         )
     if mode == "decomposed":
         return _verdict(
-            4, channel, rho.n, keep, level,
-            lambda: _decomposed_defect(rho, keep, restarts, sweeps, seed),
+            4, channel, state.n, keep, level,
+            lambda: _decomposed_defect(state, keep, restarts, sweeps, seed),
         )
     raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
 

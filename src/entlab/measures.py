@@ -1,10 +1,11 @@
 """Leak and correlation measures for register noise.
 
-Leak quantities feed a pure input, the uniform superposition |+>^n unless
-given, through a channel and score entropies of the output. That output is
-the ensemble of branches K_k psi, kept as k rows of length 2^n: marginals
-come from the rows and S(out) from their k x k Gram matrix when it is the
-smaller side, so no 2^n x 2^n output is formed.
+Channel quantities feed a pure input, the uniform superposition |+>^n
+unless given, through a channel and score the output. That output is the
+ensemble of branches K_k psi, kept as k rows of length 2^n: marginals come
+from the rows and S(out) from their k x k Gram matrix when it is the
+smaller side, so no 2^n x 2^n output is formed. The leaks, the pair excess
+and the set excess all read these rows.
 
 Set quantities score how far a joint state sits above what its
 sub-marginals determine. ``max_entropy_defect`` and ``total_defect`` take
@@ -14,8 +15,8 @@ one of two paths, which their diagnostics name as ``method``:
   two GF(2) ranks, with no density matrix, partial trace or solve;
 - "max_entropy": any other input is densified, and each defect is a
   constrained entropy maximization whose dual value is a certified upper
-  bound. The channel-output set quantities read ``apply``'s dense output
-  and always take this path.
+  bound. ``excess_leak_set`` always takes this path, on the marginal of
+  the branch rows.
 All values are in bits.
 """
 
@@ -28,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, _span, apply
+from .channels import QuantumChannel, _span
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -51,6 +52,7 @@ from .states import (
     gf2_kernel,
     gf2_rank,
     partial_trace,
+    pure_marginal,
     validate_subset,
     von_neumann_entropy,
 )
@@ -89,14 +91,6 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.
     for i, k in enumerate(channel.kraus):
         axes[i] = (k @ psi).reshape((2,) * n)
     return rows
-
-
-def _noisy_density(channel: QuantumChannel, input_state: PureState | None) -> DensityMatrix:
-    """``apply``'s output for the same input as ``_noisy_output``, which the
-    set quantities read."""
-    if input_state is None:
-        input_state = plus_all(_span(channel))
-    return apply(channel, input_state.density_matrix())
 
 
 def _register_size(rows: np.ndarray) -> int:
@@ -242,15 +236,21 @@ def max_entropy_defect(
     """
     rows = getattr(state, "stabilizer_rows", None)
     rho = as_density_matrix(state) if rows is None else None
-    keep = validate_subset(subset, state.n)
-    m = len(keep)
-    if m < 2:
-        raise ValueError("subset must contain at least two qubits")
-    if m > MAX_SET_SIZE:
-        raise SizeLimitError(f"subset of size {m} exceeds the cap of {MAX_SET_SIZE}")
+    keep = _set_subset(subset, state.n)
     if rows is not None:
         return _stabilizer_defect(rows, state.n, keep)
     return _restricted_defect(partial_trace(rho, keep), tol, max_iter)
+
+
+def _set_subset(subset: Iterable[int], n: int) -> tuple:
+    """``subset`` of an n-qubit register as a set quantity takes it: at
+    least two qubits and at most MAX_SET_SIZE (else SizeLimitError)."""
+    keep = validate_subset(subset, n)
+    if len(keep) < 2:
+        raise ValueError("subset must contain at least two qubits")
+    if len(keep) > MAX_SET_SIZE:
+        raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
+    return keep
 
 
 def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -309,7 +309,14 @@ def excess_leak_set(
     Vanishes for product channels on the product input, where the output
     marginal is exactly the product of its sub-marginals.
     """
-    return max_entropy_defect(_noisy_density(channel, input_state), subset)
+    return _set_excess(_noisy_output(channel, input_state), subset)
+
+
+def _set_excess(rows: np.ndarray, subset: Iterable[int]) -> DefectResult:
+    """``max_entropy_defect`` of sum_k |v_k><v_k| over the rows v_k on ``subset``."""
+    n = _register_size(rows)
+    keep = _set_subset(subset, n)
+    return _restricted_defect(pure_marginal(rows, n, keep), DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 @dataclass

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entlab import DensityMatrix, PureState, conjectures, measures
+from entlab import DensityMatrix, PureState, channels, conjectures, measures
 from entlab.channels import (
     QuantumChannel,
     build_correlated_flip,
@@ -25,7 +27,7 @@ from entlab.conjectures import (
 from entlab.errors import SizeLimitError
 from entlab.measures import excess_leak, excess_leak_set, information_leak
 from entlab.optim import max_avg_pure_decomposition
-from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
+from entlab.zoo import bell, cluster_state, dicke_state, ghz, line_edges, plus_all
 from helpers import BUILT_CHANNELS, h2
 
 
@@ -47,19 +49,39 @@ def _relations(channel):
 
 def test_each_relation_builds_the_noisy_output_once(monkeypatch):
     """Every verdict builds the branch rows K_k psi once, for its leaks and
-    a pair excess. Relations 3 and 4 also build apply's dense output once,
-    for the set excess; relations 1 and 2 never do."""
+    its pair or set excess, and none calls apply for a padded dense output."""
     branches, dense = [], []
-    build, apply = conjectures._noisy_output, measures.apply
+    build, apply = conjectures._noisy_output, channels.apply
     monkeypatch.setattr(
         conjectures, "_noisy_output", lambda ch, psi: branches.append(1) or build(ch, psi)
     )
-    monkeypatch.setattr(measures, "apply", lambda ch, rho: dense.append(1) or apply(ch, rho))
+    # every entlab module that binds apply, so a new import site is counted too
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "entlab"]:
+        for attr, value in list(vars(module).items()):
+            if value is apply:
+                monkeypatch.setattr(module, attr, lambda *a, **k: dense.append(1) or apply(*a, **k))
     for relation, evaluate in enumerate(_relations(build_pairwise_correlated(3, 0.1, 0.02))[2], 1):
         branches.clear()
-        dense.clear()
         assert evaluate().relation == relation
-        assert (len(branches), len(dense)) == (1, int(relation >= 3)), relation
+        assert len(branches) == 1, relation
+    assert dense == []
+
+
+@pytest.mark.parametrize("mode", ["marginal", "decomposed"])
+def test_relation34_refuses_a_bad_subset_before_any_search(monkeypatch, mode):
+    """A subset of one qubit or above the set cap fails with the excess,
+    before the term's solve or decomposition search starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(conjectures, "max_avg_pure_decomposition", refuse)
+    monkeypatch.setattr(measures, "max_entropy_with_marginals", refuse)
+    state, channel = dicke_state(5, 2), build_dephasing(0.2)
+    with pytest.raises(ValueError, match="at least two qubits"):
+        eval_relation34(state, channel, (0,), mode=mode)
+    with pytest.raises(SizeLimitError):
+        eval_relation34(state, channel, range(5), mode=mode)
 
 
 @pytest.mark.parametrize("channel", BUILT_CHANNELS)

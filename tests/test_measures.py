@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from entlab.channels import (
     build_depolarizing,
     build_dephasing,
     combine,
+    compose,
     embed,
     identity_channel,
 )
@@ -268,6 +270,40 @@ def test_set_defect_is_stable_under_last_bit_noise():
         assert abs(max_entropy_defect(noisy, (0, 1, 2)).value - base) <= 1e-6
 
 
+@pytest.mark.parametrize("channel", BUILT_CHANNELS)
+def test_excess_leak_set_matches_the_dense_output(channel):
+    """The set excess reads the Kraus branch rows; the max-entropy defect of
+    apply's padded dense output on the same default input is its oracle.
+    One-qubit channels sit on qubit 1 of two; the subset is the register."""
+    if channel.n < 2:
+        channel = QuantumChannel(channel.kraus, qubits=(1,))
+    subset = tuple(range(channel.qubits[-1] + 1))
+    dense = apply(channel, plus_all(len(subset)).density_matrix())
+    want = max_entropy_defect(dense, subset).value
+    assert abs(excess_leak_set(channel, subset).value - want) < 1e-9
+
+
+@pytest.mark.parametrize("pattern", ["ZZZ", "parity"])
+def test_excess_leak_set_on_twelve_qubits_builds_no_dense_output(pattern):
+    """Three-qubit noise on the last three of 12 qubits has the set excess it
+    has on a 3-qubit register, and no 4096 x 4096 matrix (268 MB) is formed.
+    A ZZZ flip leaves about 0 bits; the parity noise of the test below, 1."""
+    if pattern == "ZZZ":
+        noise = build_correlated_flip(0.2, "ZZZ")
+    else:
+        noise = compose(build_correlated_flip(0.5, "IZZ"), build_correlated_flip(0.5, "ZZI"))
+    want = excess_leak_set(noise, (0, 1, 2)).value
+    far = QuantumChannel(noise.kraus, qubits=(9, 10, 11))
+    tracemalloc.start()
+    try:
+        got = excess_leak_set(far, (9, 10, 11)).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) < 1e-9
+    assert peak < 16 * 2**20
+
+
 def test_excess_leak_set_sees_parity_noise():
     """Even-weight phase flips are invisible pairwise but leak jointly.
 
@@ -275,8 +311,6 @@ def test_excess_leak_set_sees_parity_noise():
     distribution on {III, ZZI, IZZ, ZIZ}; every pair of qubits then sees
     maximally mixed flips while the triple retains one bit.
     """
-    from entlab.channels import compose
-
     ch = compose(build_correlated_flip(0.5, "IZZ"), build_correlated_flip(0.5, "ZZI"))
     for a, b in ((0, 1), (0, 2), (1, 2)):
         assert abs(excess_leak(ch, a, b)) < 1e-9
