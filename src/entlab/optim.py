@@ -20,8 +20,13 @@ Two solvers live here:
   block of restarts climbs in lockstep and one batched grid search takes
   every pair of a stage in every restart of the block. Disjoint pairs
   commute, so results are bitwise those of walking the same pairs one at a
-  time, one restart after another. Values are certified lower bounds: the
-  best decomposition is returned and checked to reconstruct the input. A
+  time, one restart after another. The built-in two-qubit objective sees a
+  mix of two rows only through their 2x2 first-qubit Grams, which are
+  linear in four real features of the mixing angles; so a grid candidate
+  is scored by one product of its features with a per-pair 4x4 map, and
+  only each pair's winning rows are formed. A generic objective forms and
+  values every candidate row. Values are certified lower bounds: the best
+  decomposition is returned and checked to reconstruct the input. A
   rank-1 input has one decomposition up to phases, so its value is exact.
 """
 
@@ -312,26 +317,36 @@ class DecompositionResult:
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """x log2 x, with 0 at and below EIGENVALUE_CLIP; x must be >= 0."""
-    return x * np.log2(x, out=np.zeros_like(x), where=x > EIGENVALUE_CLIP)
+    """x log2 x, with 0 at and below EIGENVALUE_CLIP."""
+    y = np.maximum(x, EIGENVALUE_CLIP)
+    out = np.log2(y)
+    out *= y
+    out[x <= EIGENVALUE_CLIP] = 0.0
+    return out
+
+
+def _marginal_mass(top, bot, off_sq):
+    """2 * tr M * S(M / tr M) of 2x2 Hermitian M >= 0 with diagonal (top, bot)
+    and |M_01|^2 = off_sq: the objective mass of a member whose first-qubit
+    Gram is M. The spectrum is closed form, so no LAPACK call is made."""
+    # the trace and both eigenvalues, through one x log2 x
+    parts = np.empty((3,) + top.shape)
+    trace = np.add(top, bot, out=parts[0])
+    disc = np.sqrt((top - bot) ** 2 + 4.0 * off_sq)
+    np.add(trace, disc, out=parts[1])
+    np.subtract(trace, disc, out=parts[2])
+    parts[1:] /= 2.0
+    terms = _xlog2x(parts)
+    return 2.0 * (terms[0] - terms[1] - terms[2])
 
 
 def _pair_member_values(vectors: np.ndarray) -> np.ndarray:
-    """Objective mass of unnormalized 2-qubit members: 2 * norm^2 * S(tr_b).
-
-    The first-qubit marginal is 2x2, so its spectrum is closed form; this
-    runs inside grid searches and avoids per-matrix LAPACK calls.
-    """
+    """Objective mass of unnormalized 2-qubit members: 2 * norm^2 * S(tr_b)."""
     r = vectors.reshape(-1, 2, 2)
     rc = r.conj()
     top, bot = np.einsum("bij,bij->ib", r, rc).real
     off = np.einsum("bj,bj->b", r[:, 0, :], rc[:, 1, :])
-    trace = top + bot
-    disc = np.sqrt(np.maximum((top - bot) ** 2 + 4.0 * np.abs(off) ** 2, 0.0))
-    # the trace and both eigenvalues, through one x log2 x
-    parts = np.concatenate([trace, (trace + disc) / 2.0, (trace - disc) / 2.0])
-    terms = _xlog2x(np.maximum(parts, 0.0)).reshape(3, -1)
-    return 2.0 * (terms[0] - terms[1] - terms[2])
+    return _marginal_mass(top, bot, np.abs(off) ** 2)
 
 
 def _generic_member_values(objective: Callable[[np.ndarray], float]):
@@ -392,62 +407,140 @@ def _align_pair_phase(a, b):
     return b
 
 
+def _mix_features(theta, phi):
+    """(c^2, s^2, cs cos f, cs sin f), c = cos t and s = sin t, at every
+    angle pair (t, f) of the grid theta x phi, flattened theta-major:
+    theta (..., nt) and phi (..., nf) give (..., 4, nt nf). The mix's
+    first-qubit Grams are linear in these four."""
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    cs = c * s
+    out = np.empty(theta.shape[:-1] + (4, theta.shape[-1], phi.shape[-1]))
+    out[..., 0, :, :] = c * c
+    out[..., 1, :, :] = s * s
+    np.multiply(cs, np.cos(phi)[..., None, :], out=out[..., 2, :, :])
+    np.multiply(cs, np.sin(phi)[..., None, :], out=out[..., 3, :, :])
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def _mix_coefficients(a, b):
+    """The first new row's first-qubit Gram as a linear map of the mix features.
+
+    With R the 2x2 reshape of a row (first qubit down the rows), A = R_a R_a^dag,
+    B = R_b R_b^dag and C = R_b R_a^dag, the row cos t a - sin t e^{-if} b has
+    Gram M = c^2 A + s^2 B - cs cos f (C + C^dag) - cs sin f (-i)(C - C^dag),
+    and the row sin t e^{if} a + cos t b has A + B - M. Each entry is an
+    inner product <x, y> = sum_j x_j conj(y_j) of half rows x, y (a row's
+    amplitudes at one value of the first qubit), formed from real and
+    imaginary parts. Returns each pair's (4, 4) real matrix taking the
+    features of ``_mix_features`` to the parts (M_00, M_11, Re M_01,
+    Im M_01), stacked (P, 4, 4), and the (P, 4) parts of A + B.
+    """
+    h = np.stack([a, b], axis=1).reshape(-1, 4, 1, 2)  # half rows a0, a1, b0, b1
+    x, y = h, h.transpose(0, 2, 1, 3)
+    re = x.real * y.real + x.imag * y.imag
+    im = x.imag * y.real - x.real * y.imag
+    re, im = re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]  # [pair, x, y]
+    a0, a1, b0, b1 = range(4)
+    coef = np.array([
+        [re[:, a0, a0], re[:, b0, b0], -2.0 * re[:, b0, a0], -2.0 * im[:, b0, a0]],
+        [re[:, a1, a1], re[:, b1, b1], -2.0 * re[:, b1, a1], -2.0 * im[:, b1, a1]],
+        [re[:, a0, a1], re[:, b0, b1], -(re[:, a0, b1] + re[:, b0, a1]),
+         im[:, a0, b1] - im[:, b0, a1]],
+        [im[:, a0, a1], im[:, b0, b1], -(im[:, a0, b1] + im[:, b0, a1]),
+         re[:, b0, a1] - re[:, a0, b1]],
+    ])
+    coef = np.ascontiguousarray(coef.transpose(2, 0, 1))
+    return coef, coef[:, :, 0] + coef[:, :, 1]
+
+
+def _gram_totals(coef, pair_trace, features):
+    """Summed values of both new rows of every mix, (P, G), from the (P, 4, 4)
+    maps and (P, 4) parts of A + B of ``_mix_coefficients`` and the (4, G)
+    or (P, 4, G) mix features."""
+    grams = np.empty((2, len(coef), 4, features.shape[-1]))
+    np.matmul(coef, features, out=grams[0])
+    np.subtract(pair_trace[..., None], grams[0], out=grams[1])
+    top, bot, re, im = grams.transpose(2, 0, 1, 3)
+    re *= re
+    im *= im
+    re += im
+    vals = _marginal_mass(top, bot, re)
+    return vals[0] + vals[1]
+
+
 def _grid_plan(grid, zoom_rounds, zoom_grid):
-    """Flattened (theta, phi) offsets of each round of the pair search.
+    """The (theta, phi) offsets of each round of the pair search, and the
+    mix features of round 0.
 
     Round 0 is the coarse grid and each zoom round a finer grid around the
-    best point so far, so a round's candidates are ``best + offsets``. The
-    spans shrink by a fixed sequence, so the offsets are built once per
-    search rather than once per pair.
+    best point so far, so a round's candidates are ``best + ts`` by
+    ``best + fs``. The spans shrink by a fixed sequence, so the offsets are
+    built once per search rather than once per pair. Round 0 starts every
+    pair from (0, 0), so its angles, and their features, are the offsets
+    themselves.
     """
     span_t, span_f = np.pi, 2 * np.pi
     nt, nf = grid
-    ts = np.linspace(0.0, span_t, nt, endpoint=False)
-    fs = np.linspace(0.0, span_f, nf, endpoint=False)
-    plan = [np.stack([np.repeat(ts, nf), np.tile(fs, nt)])]
+    rounds = [(np.linspace(0.0, span_t, nt, endpoint=False),
+               np.linspace(0.0, span_f, nf, endpoint=False))]
     for _ in range(zoom_rounds):
         span_t /= max(nt // 2, 2)
         span_f /= max(nf // 2, 2)
         nt, nf = zoom_grid
-        ts = np.linspace(-span_t, span_t, nt)
-        fs = np.linspace(-span_f, span_f, nf)
-        plan.append(np.stack([np.repeat(ts, nf), np.tile(fs, nt)]))
-    return plan
+        rounds.append((np.linspace(-span_t, span_t, nt), np.linspace(-span_f, span_f, nf)))
+    return rounds, _mix_features(*rounds[0])
 
 
 def _optimize_pair(a, b, value_a, values_fn, plan, depth):
     """Best U(2) mix of each row pair (a[i], b[i]), given the values of a.
 
-    Pair i runs the first depth[i] rounds of the plan. Returns each pair's
-    gain, 0 where it is not positive, and the new rows (R, 2, d) and their
-    values (R, 2), taken from the grid round that found them; rows whose
-    gain is 0 hold nothing to keep.
+    Pair i runs the first depth[i] rounds of the plan. The built-in pair
+    objective scores a round's candidates from the pairs' first-qubit Grams
+    (``_gram_totals``); any other forms the candidate rows and values them.
+    Returns each pair's gain, 0 where it is not positive, and the new rows
+    (R, 2, d), formed once from the best angles, and their values (R, 2);
+    rows whose gain is 0 hold nothing to keep.
     """
     b = _align_pair_phase(a, b)
     base = value_a + values_fn(b)
     n, d = a.shape
+    gram = values_fn is _pair_member_values
+    if gram:
+        coef, pair_trace = _mix_coefficients(a, b)
+    rounds, first_features = plan
     best_val = base.copy()
-    best_tf = np.zeros((n, 2, 1))  # (theta, phi) of each pair's best mix
-    new_rows = np.empty((n, 2, d), dtype=complex)
+    best = np.zeros((2, n, 1))  # (theta, phi) of each pair's best mix
     new_vals = np.empty((n, 2))
-    for i, dtf in enumerate(plan):
+    for i, (ts, fs) in enumerate(rounds):
         live = (depth > i).nonzero()[0]
         if live.size == 0:
             break
         # round 0 starts from 0.0, and 0.0 + offset is the offset itself
-        tf = best_tf[live] + dtf
-        rows = _pair_candidates(a[live], b[live], _mixes(tf[:, 0], tf[:, 1]))
-        vals = values_fn(rows.reshape(-1, d)).reshape(live.size, 2, -1)
-        totals = vals[:, 0] + vals[:, 1]
+        theta, phi = best[0, live] + ts, best[1, live] + fs
+        if gram:
+            features = first_features if i == 0 else _mix_features(theta, phi)
+            totals = _gram_totals(coef[live], pair_trace[live], features)
+        else:
+            mixes = _mixes(np.repeat(theta, fs.size, axis=1), np.tile(phi, ts.size))
+            rows = _pair_candidates(a[live], b[live], mixes)
+            vals = values_fn(rows.reshape(-1, d)).reshape(live.size, 2, -1)
+            totals = vals[:, 0] + vals[:, 1]
         idx = totals.argmax(axis=1)
         top = totals[np.arange(live.size), idx]
         up = (top > best_val[live]).nonzero()[0]
         won, at = live[up], idx[up]
         best_val[won] = top[up]
-        best_tf[won, :, 0] = tf[up, :, at]
-        new_rows[won] = rows[up, :, at]
-        new_vals[won] = vals[up, :, at]
+        best[0, won, 0] = theta[up, at // fs.size]
+        best[1, won, 0] = phi[up, at % fs.size]
+        if not gram:
+            new_vals[won] = vals[up, :, at]
     gain = np.where(best_val > base + 1e-10, best_val - base, 0.0)
+    kept = (gain > 0.0).nonzero()[0]
+    new_rows = np.empty((n, 2, d), dtype=complex)
+    mixes = _mixes(best[0, kept], best[1, kept])
+    new_rows[kept] = _pair_candidates(a[kept], b[kept], mixes)[:, :, 0]
+    if gram:
+        new_vals[kept] = values_fn(new_rows[kept].reshape(-1, d)).reshape(-1, 2)
     return gain, new_rows, new_vals
 
 
@@ -563,9 +656,13 @@ def max_avg_pure_decomposition(
 
     ``objective`` maps a normalized member vector to a scalar; None selects
     the built-in two-qubit objective (twice the first-qubit marginal
-    entropy), which is evaluated in batch. The ensemble has twice as many
-    members as rho has rank, t = 2 rank, and each sweep rotates every pair
-    of members once, in the t - 1 round-robin stages of ``_round_robin``.
+    entropy), which is evaluated in batch and scores a pair's grid
+    candidates from the pair's 2x2 first-qubit Grams without forming their
+    rows; any other objective is called once per candidate row. A
+    rotation's new rows are formed once, from its best angles, and valued
+    as formed. The ensemble has twice as many members as rho has rank,
+    t = 2 rank, and each sweep rotates every pair of members once, in the
+    t - 1 round-robin stages of ``_round_robin``.
     The running best value is monotone over sweeps and restarts; the final
     decomposition must reconstruct rho to 1e-8 or a RuntimeError is raised.
     ``restarts`` and ``sweeps`` must be integers, or a TypeError is raised

@@ -266,9 +266,10 @@ def ipf_max_entropy(probs: np.ndarray, n: int, keys, cycles: int = 2000) -> floa
 
 
 # The pair-rotation search as first written, one pair at a time, walking
-# each sweep's pairs in round-robin order. ``optim``'s grid plan, stacked
-# member values, passed-through values and batched stages must reproduce
-# it bitwise.
+# each sweep's pairs in round-robin order, with the pair objective's
+# candidates scored from per-pair 2x2 Grams. ``optim``'s grid plan, stacked
+# member values, passed-through values, batched Gram scoring and batched
+# stages must reproduce it bitwise.
 
 
 def _reference_xlog2x(x):
@@ -278,19 +279,25 @@ def _reference_xlog2x(x):
     return out
 
 
+def reference_marginal_mass(top, bot, off_sq):
+    """2 * tr M * S(M / tr M) of the 2x2 Grams M with diagonal (top, bot)
+    and |M_01|^2 = off_sq, from the closed-form eigenvalues."""
+    trace = top + bot
+    disc = np.sqrt(np.clip((top - bot) ** 2 + 4.0 * off_sq, 0.0, None))
+    lam_hi = np.clip((trace + disc) / 2.0, 0.0, None)
+    lam_lo = np.clip((trace - disc) / 2.0, 0.0, None)
+    return 2.0 * (
+        _reference_xlog2x(trace) - _reference_xlog2x(lam_hi) - _reference_xlog2x(lam_lo)
+    )
+
+
 def reference_pair_member_values(vectors):
     """2 * norm^2 * S(tr_b) of unnormalized 2-qubit rows, three row einsums."""
     r = vectors.reshape(-1, 2, 2)
     top = np.einsum("bj,bj->b", r[:, 0, :], r[:, 0, :].conj()).real
     bot = np.einsum("bj,bj->b", r[:, 1, :], r[:, 1, :].conj()).real
     off = np.einsum("bj,bj->b", r[:, 0, :], r[:, 1, :].conj())
-    trace = top + bot
-    disc = np.sqrt(np.clip((top - bot) ** 2 + 4.0 * np.abs(off) ** 2, 0.0, None))
-    lam_hi = np.clip((trace + disc) / 2.0, 0.0, None)
-    lam_lo = np.clip((trace - disc) / 2.0, 0.0, None)
-    return 2.0 * (
-        _reference_xlog2x(trace) - _reference_xlog2x(lam_hi) - _reference_xlog2x(lam_lo)
-    )
+    return reference_marginal_mass(top, bot, np.abs(off) ** 2)
 
 
 def reference_pair_candidates(a, b, theta, phi):
@@ -301,8 +308,53 @@ def reference_pair_candidates(a, b, theta, phi):
     return ca * a[None, :] - wneg * b[None, :], wpos * a[None, :] + ca * b[None, :]
 
 
+def _reference_inner(x, y):
+    """sum_j x_j conj(y_j) of two complex 2-vectors, from real parts."""
+    re = x.real * y.real + x.imag * y.imag
+    im = x.imag * y.real - x.real * y.imag
+    return complex(re[0] + re[1], im[0] + im[1])
+
+
+def reference_gram_totals(a, b, theta, phi):
+    """Summed pair-objective values of the two rows that
+    ``reference_pair_candidates`` mixes from a and b at each angle pair,
+    without forming them.
+
+    With R_x the 2x2 reshape of row x (first qubit down the rows), the
+    first row c a - s e^{-if} b has first-qubit Gram c^2 A + s^2 B
+    - cs (e^{if} C^dag + e^{-if} C), A = R_a R_a^dag, B = R_b R_b^dag and
+    C = R_b R_a^dag; the second row's Gram is A + B minus it. The Gram's
+    parts (M_00, M_11, Re M_01, Im M_01) are one 4x4 real matrix times the
+    features (c^2, s^2, cs cos f, cs sin f).
+    """
+    ra, rb = a.reshape(2, 2), b.reshape(2, 2)
+
+    def gram(x, y):
+        return np.array([[_reference_inner(x[i], y[k]) for k in range(2)] for i in range(2)])
+
+    def parts(m):
+        return [m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag]
+
+    big_a, big_b, big_c = gram(ra, ra), gram(rb, rb), gram(rb, ra)
+    # e^{if} C^dag + e^{-if} C = cos f (C + C^dag) + sin f (-i)(C - C^dag)
+    even = big_c + big_c.conj().T
+    odd = -1j * (big_c - big_c.conj().T)
+    linear = np.array([parts(big_a), parts(big_b), parts(-even), parts(-odd)]).T
+    c, s = np.cos(theta), np.sin(theta)
+    cs = c * s
+    first = linear @ np.array([c * c, s * s, cs * np.cos(phi), cs * np.sin(phi)])
+    totals = 0.0
+    for top, bot, re, im in (first, np.array(parts(big_a + big_b))[:, None] - first):
+        totals = totals + reference_marginal_mass(top, bot, re * re + im * im)
+    return totals
+
+
 def reference_optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
-    """Best U(2) mix of two rows by a per-pair linspace/meshgrid zoom."""
+    """Best U(2) mix of two rows by a per-pair linspace/meshgrid zoom.
+
+    The pair objective's candidates are scored by ``reference_gram_totals``;
+    any other objective's by forming both rows and valuing them.
+    """
     b = _align_pair_phase(a[None], b[None])[0]
     base = float(values_fn(np.stack([a, b])).sum())
     span_t, span_f = np.pi, 2 * np.pi
@@ -319,9 +371,12 @@ def reference_optimize_pair(a, b, values_fn, grid, zoom_rounds, zoom_grid):
         tt, ff = np.meshgrid(ts, fs, indexing="ij")
         tt = tt.reshape(-1)
         ff = ff.reshape(-1)
-        ca, cb = reference_pair_candidates(a, b, tt, ff)
-        vals = values_fn(np.concatenate([ca, cb]))
-        totals = vals[: tt.size] + vals[tt.size :]
+        if values_fn is reference_pair_member_values:
+            totals = reference_gram_totals(a, b, tt, ff)
+        else:
+            ca, cb = reference_pair_candidates(a, b, tt, ff)
+            vals = values_fn(np.concatenate([ca, cb]))
+            totals = vals[: tt.size] + vals[tt.size :]
         idx = int(np.argmax(totals))
         if totals[idx] > best_val:
             best_val = float(totals[idx])

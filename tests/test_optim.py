@@ -29,7 +29,9 @@ from entlab.optim import (
     _dual_derivatives,
     _dual_value,
     _generic_member_values,
+    _gram_totals,
     _grid_plan,
+    _mix_coefficients,
     _optimize_pair,
     _pair_member_values,
     _pauli_basis,
@@ -456,7 +458,7 @@ def pinned_searches():
         out[f"assisted-{state_seed}"] = (res.search_value, res.decomposition, res.diagnostics)
     flat = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
     dicke_pair = partial_trace(dicke_state(3, 1).density_matrix(), (0, 1))
-    # 20 restarts, of which the early stop runs 12
+    # 20 restarts, of which the early stop runs 16
     rank_two = DensityMatrix(2, random_density(np.random.default_rng(10), 2, rank=2))
     for name, rho, objective, restarts, sweeps, seed in (
         ("bell", bell().density_matrix(), None, 2, 8, 0),
@@ -482,8 +484,9 @@ def pin_record(value, decomposition, diagnostics) -> dict:
 
 def test_decomposition_trajectories_are_pinned():
     """Values, ensembles and diagnostics of eight searches, exactly as the
-    per-pair linspace/meshgrid search, walking each sweep's pairs in
-    round-robin order and run one restart after another, gave them.
+    per-pair linspace/meshgrid search, scoring the pair objective's
+    candidates from their 2x2 first-qubit Grams, walking each sweep's pairs
+    in round-robin order and run one restart after another, gave them.
 
     As with the solver pins, the exact comparison runs only with the numpy
     build the file names (the search uses no scipy); elsewhere only the
@@ -623,6 +626,30 @@ def test_pair_member_values_match_reference_bitwise(rng):
             assert np.array_equal(_pair_member_values(batch[i : i + 1]), want[i : i + 1])
 
 
+def test_gram_totals_match_row_formed_values(rng):
+    """Both new rows' values read off the pairs' 2x2 first-qubit Grams equal
+    the values of the rows themselves, formed and valued one by one, at
+    every round-0 grid point, to 1e-12 of the pair's norm^2: on pair_rows
+    (a zero b row, orthogonal rows, a product-state a), a pair of product
+    states and random pairs."""
+    pairs = pair_rows(rng)
+    pairs.append((np.kron([0.6, 0.8j], [1.0, -1.0]), np.kron([1.0, 0.0], [0.3, 0.4 - 0.2j])))
+    for _ in range(20):
+        pairs.append(tuple(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))))
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    rounds, features = _grid_plan(SEARCH_GRIDS["pair"][0], 0, (9, 9))
+    ts, fs = rounds[0]
+    coef, pair_trace = _mix_coefficients(a, b)
+    got = _gram_totals(coef, pair_trace, features)
+    tt, ff = np.repeat(ts, fs.size), np.tile(fs, ts.size)
+    for i, (x, y) in enumerate(pairs):
+        first, second = reference_pair_candidates(x, y, tt, ff)
+        want = reference_pair_member_values(first) + reference_pair_member_values(second)
+        scale = np.vdot(x, x).real + np.vdot(y, y).real
+        assert np.max(np.abs(got[i] - want)) <= 1e-12 * scale, i
+
+
 def _member_defect_2q(vec):
     """A nonlinear generic objective: 1 - |<00|v>|^4 - |<11|v>|^4."""
     return 1.0 - abs(vec[0]) ** 4 - abs(vec[3]) ** 4
@@ -632,7 +659,10 @@ def _member_defect_2q(vec):
 @pytest.mark.parametrize("depth", ["coarse", "fine", "mixed"])
 def test_optimize_pair_matches_reference_bitwise(kind, depth, rng):
     """Gain, new rows and their values equal the per-pair linspace/meshgrid
-    search's, which recomputed both rows' values; so do no-gain results.
+    search's, which scores the pair objective's candidates from the pair's
+    2x2 Grams (``reference_gram_totals``) and a generic objective's from
+    the formed rows, and values the winning rows once formed; so do no-gain
+    results.
 
     All pairs are searched in one batch, and once each on its own. Every
     pair runs the coarse depth at "coarse" and the full depth at "fine";
