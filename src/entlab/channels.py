@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,9 +143,25 @@ def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.n, _hermitize(out))
 
 
+def _check_kraus_bytes(what: str, count: int, n: int) -> None:
+    """Raise SizeLimitError if ``count`` dense n-qubit operators exceed
+    MAX_KRAUS_BYTES."""
+    size = count * 4**n * 16
+    if size > MAX_KRAUS_BYTES:
+        raise SizeLimitError(
+            f"{what} on {n} qubits needs {size} bytes of Kraus operators, "
+            f"over the cap of {MAX_KRAUS_BYTES}"
+        )
+
+
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel running ``first`` then ``second`` (Kraus products K2 K1)."""
+    """Channel running ``first`` then ``second`` (Kraus products K2 K1).
+
+    The products must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised
+    before any operator is padded or multiplied.
+    """
     n = max(_span(second), _span(first))
+    _check_kraus_bytes("compose", len(second.kraus) * len(first.kraus), n)
     a = embed(second, n)
     b = embed(first, n)
     return QuantumChannel._derived(tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus))
@@ -163,7 +180,9 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
 
     ``parts`` is a list of (channel, qubits) pairs; ``n`` defaults to one
     past the largest qubit named. The result is ``compose`` folded over the
-    placed parts in order, so part 0's Kraus index runs outermost.
+    placed parts in order, so part 0's Kraus index runs outermost. The
+    product of the parts' Kraus counts, as dense operators, must fit in
+    MAX_KRAUS_BYTES, or SizeLimitError is raised before any is built.
     """
     placed = [_place(channel, qubits) for channel, qubits in parts]
     used = [q for part in placed for q in part.qubits]
@@ -174,6 +193,7 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     check_register_size(n)
     if not placed:
         return identity_channel(n)
+    _check_kraus_bytes("combine", prod(len(part.kraus) for part in placed), n)
     return reduce(compose, [embed(part, n) for part in placed])
 
 
@@ -276,12 +296,7 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     p1, p2 = check_burst_moments(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
-    size = (2**n + 1) * 4**n * 16
-    if size > MAX_KRAUS_BYTES:
-        raise SizeLimitError(
-            f"pairwise_correlated on {n} qubits needs {size} bytes of Kraus operators, "
-            f"over the cap of {MAX_KRAUS_BYTES}"
-        )
+    _check_kraus_bytes("pairwise_correlated", 2**n + 1, n)
     eye = np.eye(2**n, dtype=complex)
     if p1 == 0.0 or p2 == 0.0:
         return QuantumChannel((eye,))

@@ -15,8 +15,10 @@ one of two paths, which their diagnostics name as ``method``:
   two GF(2) ranks, with no density matrix, partial trace or solve;
 - "max_entropy": any other input is densified, and each defect is a
   constrained entropy maximization whose dual value is a certified upper
-  bound. ``excess_leak_set`` always takes this path, on the marginal of
-  the branch rows.
+  bound. A pair's two single-qubit marginals are disjoint, so its
+  maximum is their product in closed form, with no Newton step, and its
+  defect is the pair's mutual information. ``excess_leak_set`` always
+  takes this path, on the marginal of the branch rows.
 All values are in bits.
 """
 

@@ -10,7 +10,12 @@ Two solvers live here:
   gradient is the residual of the Pauli expectations and whose Hessian is
   the Kubo-Mori covariance (Niekamp, Galla, Kleinmann and Guehne, J. Phys.
   A 46, 125301 (2013)). f bounds the entropy of every feasible state at
-  any c, so the reported entropy is a certified upper bound.
+  any c, so the reported entropy is a certified upper bound. A step
+  forms every A_P = V^dag P V from one gather and one matrix product (a
+  Pauli string has one unit entry per row) and the Hessian from their
+  upper triangles as one symmetric rank-k product. Pairwise disjoint
+  targets need no step: the maximizer is their product with the
+  maximally mixed state on the rest, and its entropy is exact.
 * ``max_avg_pure_decomposition`` searches over pure-state decompositions of
   a small mixed state for the largest weighted average of a per-member
   objective. Decompositions are parameterized by isometries acting on the
@@ -36,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .states import (
     partial_trace,
     trace_distance,
     validate_subset,
+    von_neumann_entropy,
 )
 
 DEFAULT_TOL = 1e-6
@@ -73,7 +79,7 @@ class MarginalConstraintSet:
 
     Targets are indexed by strictly increasing qubit tuples. Overlapping
     targets must agree on their common sub-register to 1e-8; disagreement
-    raises InfeasibleMarginalsError.
+    raises InfeasibleMarginalsError. ``from_state`` skips that check.
     """
 
     num_qubits: int
@@ -115,8 +121,18 @@ class MarginalConstraintSet:
 
     @classmethod
     def from_state(cls, rho: DensityMatrix, subsets: Sequence[Sequence[int]]):
-        targets = {tuple(s): partial_trace(rho, s) for s in subsets}
-        return cls(rho.n, targets)
+        """The marginals of ``rho`` on ``subsets``. Marginals of one state
+        agree by construction, so the pairwise agreement check is skipped."""
+        targets = {}
+        for subset in subsets:
+            key = validate_subset(subset, rho.n)
+            targets[key] = partial_trace(rho, key)
+        if not targets:
+            raise ValueError("constraint set is empty")
+        out = object.__new__(cls)
+        object.__setattr__(out, "num_qubits", rho.n)
+        object.__setattr__(out, "targets", targets)
+        return out
 
 
 @dataclass
@@ -145,22 +161,40 @@ def _pauli_stack_bytes(m: int, keys: Sequence[tuple]) -> int:
     return sum(3 ** len(s) for s in supports) * 16 * 4**m
 
 
-@lru_cache(maxsize=8)
-def _pauli_basis(m: int, keys: tuple):
-    """The dual's Pauli strings for sorted ``keys`` on m qubits.
+# the entries of Pauli strings; each string holds one per row
+_UNITS = np.array([1.0, -1.0, 1j, -1j])
 
-    Returns the (K, d, d) stack of every non-identity string whose support
-    lies inside some key, each once, and per key the indices of the strings
-    it owns (the first key that holds their support) with those strings
-    written on the key's own qubits, so t_P = tr(P_key t_key). A stack over
-    MAX_PAULI_STACK_BYTES raises SizeLimitError before anything is built.
+
+class _PauliBasis(NamedTuple):
+    """The dual's Pauli strings, a gather index over them and the upper
+    triangle of a d x d matrix.
+
+    ``stack`` is the (K, d, d) stack of strings. A string holds one entry
+    per row, P[s, col_P(s)] = _UNITS[u_P(s)], so for a (d, d) array V the
+    products (V^T P^T)[j, s] = P[s, col_P(s)] V[col_P(s), j] of all P are
+    one gather from the (4, d, d) array of V times each unit:
+    ``gather``[P, j, s] = u_P(s) d^2 + col_P(s) d + j. ``owned`` holds per
+    key the indices of the strings it owns (the first key that holds their
+    support) and those strings written on the key's own qubits, so that
+    t_P = tr(P_key t_key). ``upper`` holds the flat indices i d + j,
+    i <= j, and ``twice`` is 2 off the diagonal and 1 on it.
     """
-    need = _pauli_stack_bytes(m, keys)
-    if need > MAX_PAULI_STACK_BYTES:
-        raise SizeLimitError(
-            f"Pauli basis of {keys} on {m} qubits needs {need} bytes, "
-            f"over the cap of {MAX_PAULI_STACK_BYTES}"
-        )
+
+    stack: np.ndarray
+    gather: np.ndarray
+    owned: list
+    upper: np.ndarray
+    twice: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
+    """The ``_PauliBasis`` of every non-identity string on m qubits whose
+    support lies inside some key of the sorted ``keys``, each once. A stack
+    over MAX_PAULI_STACK_BYTES raises SizeLimitError before anything is
+    built; the gather index adds half the stack's bytes.
+    """
+    _check_stack_size(m, keys)
     strings, owned, seen = [], [], set()
     for k in keys:
         s = len(k)
@@ -174,55 +208,101 @@ def _pauli_basis(m: int, keys: tuple):
                 if (x or z) and full not in seen:
                     seen.add(full)
                     at.append(len(strings))
-                    strings.append(_pauli_from_masks(m, *full))
+                    strings.append(full)
                     local_strings.append(_pauli_from_masks(s, x, z))
         owned.append((np.array(at, dtype=int), np.array(local_strings).reshape(-1, 2**s, 2**s)))
-    stack = np.array(strings)
+    d = 2**m
+    stack = np.array([_pauli_from_masks(m, *full) for full in strings])
+    # row s of the string with X mask x holds its entry in column s ^ x
+    cols = np.arange(d) ^ np.array([x for x, _ in strings], dtype=np.intp)[:, None]
+    entries = np.take_along_axis(stack, cols[:, :, None], axis=2)
+    units = np.abs(entries - _UNITS).argmin(axis=2)
+    gather = (units * d * d + cols * d)[:, None, :] + np.arange(d)[None, :, None]
+    row, col = np.triu_indices(d)
+    upper, twice = row * d + col, np.where(row == col, 1.0, 2.0)
     # every caller of the cache shares these arrays
-    for arr in (stack, *(a for pair in owned for a in pair)):
+    for arr in (stack, gather, upper, twice, *(a for pair in owned for a in pair)):
         arr.flags.writeable = False
-    return stack, owned
+    return _PauliBasis(stack, gather, owned, upper, twice)
 
 
-def _dual_value(c: np.ndarray, stack: np.ndarray, t: np.ndarray):
+def _check_stack_size(m: int, keys: Sequence[tuple]) -> None:
+    need = _pauli_stack_bytes(m, keys)
+    if need > MAX_PAULI_STACK_BYTES:
+        raise SizeLimitError(
+            f"Pauli basis of {keys} on {m} qubits needs {need} bytes, "
+            f"over the cap of {MAX_PAULI_STACK_BYTES}"
+        )
+
+
+def _dual_value(c: np.ndarray, basis: _PauliBasis, t: np.ndarray):
     """f(c) = log tr e^h - c.t in nats, h = sum_P c_P P, with h's
     eigenvalues w and eigenvectors V and p = softmax(w)."""
-    w, v = np.linalg.eigh(np.tensordot(c, stack, 1))
+    k, d = basis.stack.shape[:2]
+    w, v = np.linalg.eigh((c @ basis.stack.reshape(k, d * d)).reshape(d, d))
     top = float(w[-1])
     z = np.exp(w - top)
     total = z.sum()
     return top + float(np.log(total)) - float(c @ t), w, v, z / total
 
 
-def _dual_derivatives(stack, t, w, v, p):
+def _derivative_work(basis: _PauliBasis) -> tuple:
+    """Buffers for the (K, d, d) gather, its (K, d^2) product and the
+    (K, d(d+1)/2) triangle of ``_dual_derivatives``. A solve makes them
+    once: freeing and making them anew at every step costs more than the
+    arithmetic once d = 16, since the allocator hands their pages back."""
+    k, d = basis.gather.shape[:2]
+    return (np.empty((k, d, d), dtype=complex), np.empty((k, d * d), dtype=complex),
+            np.empty((k, len(basis.upper)), dtype=complex))
+
+
+def _dual_derivatives(basis: _PauliBasis, t, w, v, p, work: tuple):
     """Gradient and Hessian of f where h has eigenpairs (w, V) and p = softmax(w).
 
     With A_P = V^dag P V, the gradient is <P> - t_P, <P> = sum_i p_i A_P[i, i],
     and the Hessian is the Kubo-Mori covariance sum_ij A_P[i, j] D_ij
     A_Q[j, i] - <P><Q>, where D holds the divided differences of p over w.
-    A_Q is Hermitian, so A_Q[j, i] = conj(A_Q[i, j]) and the sum is a real
-    product of the stacked real and imaginary parts.
+    The transposes A_P^T = (V^T P^T) conj(V) of all P come from one gather
+    (see ``_PauliBasis``) and one product. A_P is Hermitian and D real
+    symmetric, so the (i, j) and (j, i) terms of the sum are conjugates:
+    it is the real part of twice the sum over i < j plus the diagonal,
+    taken on the transposes alike. With Y_P the stacked real and imaginary
+    parts of A_P^T[i, j] sqrt(2 D_ij) over i < j and sqrt(D_ii) on i = j
+    (D >= 0), the sum is Y Y^T, a symmetric rank-k product. ``work``, from
+    ``_derivative_work``, holds the temporaries; the results do not share
+    its memory.
     """
-    a = v.conj().T @ stack @ v
-    means = np.einsum("kii,i->k", a, p).real
+    k, d = basis.gather.shape[:2]
+    vtp, a, y = work
+    # the indices are in range by construction; "clip" lets take write into
+    # ``out`` directly, where the default mode buffers
+    np.take(np.multiply.outer(_UNITS, v), basis.gather, out=vtp, mode="clip")
+    np.matmul(vtp.reshape(k * d, d), v.conj(), out=a.reshape(k * d, d))
+    means = a[:, :: d + 1].real @ p
     # (p_i - p_j) / (w_i - w_j) = max(p_i, p_j) (1 - e^-|w_i - w_j|) / |w_i - w_j|
     gap = np.abs(w[:, None] - w[None, :])
     ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0.0)
-    d = np.maximum(p[:, None], p[None, :]) * ratio
-    k = len(stack)
-    hess = (a * d).view(np.float64).reshape(k, -1) @ a.view(np.float64).reshape(k, -1).T
-    return means - t, hess - np.outer(means, means)
+    div = np.maximum(p[:, None], p[None, :]) * ratio
+    np.take(a, basis.upper, axis=1, out=y, mode="clip")
+    y *= np.sqrt(div.ravel()[basis.upper] * basis.twice)
+    parts = y.view(np.float64)
+    hess = parts @ parts.T
+    hess -= np.outer(means, means)
+    return means - t, hess
 
 
 def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """-H^-1 g by Cholesky of H + 1e-12 tr(H) I, or by least squares if
-    that fails."""
-    shifted = hess + _HESSIAN_SHIFT * np.trace(hess) * np.eye(len(hess))
+    """-H^-1 g for H + 1e-12 tr(H) I, which must pass a Cholesky test of
+    positive definiteness, or by least squares on H if it fails. The shift
+    is added to ``hess`` in place and kept there unless the test fails."""
+    diagonal = hess.diagonal().copy()
+    hess.flat[:: len(hess) + 1] += _HESSIAN_SHIFT * diagonal.sum()
     try:
-        low = np.linalg.cholesky(shifted)
+        np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
+        np.fill_diagonal(hess, diagonal)
         return np.linalg.lstsq(hess, -grad, rcond=None)[0]
-    return np.linalg.solve(low.T, np.linalg.solve(low, -grad))
+    return np.linalg.solve(hess, -grad)
 
 
 def max_entropy_with_marginals(
@@ -240,50 +320,36 @@ def max_entropy_with_marginals(
     after ``max_iter`` Newton steps. Every feasible state has entropy at
     most f(c) at any c (Gibbs' variational principle), so the reported
     entropy, f / ln 2 in bits at the last iterate, is a certified upper
-    bound. Raises ConvergenceError (carrying the final residual) if the
-    worst marginal mismatch still exceeds ``tol``, and SizeLimitError if
-    the Pauli basis would exceed MAX_PAULI_STACK_BYTES.
+    bound. When the keys are pairwise disjoint no step runs (0
+    iterations): the maximizer is the product of the targets and the
+    maximally mixed state on the qubits no key holds (subadditivity), and
+    its entropy, the sum of the targets' entropies plus one bit per such
+    qubit, is exact. Raises ConvergenceError (carrying the final residual)
+    if the worst marginal mismatch still exceeds ``tol``, and
+    SizeLimitError if the Pauli basis would exceed MAX_PAULI_STACK_BYTES,
+    on either path.
     """
     m = constraints.num_qubits
     keys = tuple(sorted(constraints.targets))
-    originals = {k: constraints.targets[k].matrix for k in keys}
-    stack, owned = _pauli_basis(m, keys)
-    t = np.empty(len(stack))
-    for k, (at, local) in zip(keys, owned):
-        t[at] = np.einsum("kij,ji->k", local, originals[k]).real
+    _check_stack_size(m, keys)
+    targets = constraints.targets
+    covered = sum(len(k) for k in keys)
+    if len({q for k in keys for q in k}) == covered:
+        sigma = _product_of_targets(m, keys, targets)
+        entropy = sum(von_neumann_entropy(targets[k]) for k in keys) + (m - covered)
+        iterations = 0
+    else:
+        sigma, entropy, iterations = _newton_solve(m, keys, targets, tol, max_iter)
 
-    c = np.zeros(len(stack))
-    f, w, v, p = _dual_value(c, stack, t)
-    stop = min(tol, _GRADIENT_TOL)
-    iterations = 0
-    while True:
-        grad, hess = _dual_derivatives(stack, t, w, v, p)
-        if 0.5 * np.linalg.norm(grad) <= stop or iterations >= max_iter:
-            break
-        step = _newton_direction(grad, hess)
-        slope = float(grad @ step)
-        # Armijo backtracking; a step that cannot lower f ends the solve
-        for _ in range(_MAX_HALVINGS):
-            trial = _dual_value(c + step, stack, t)
-            if trial[0] <= f + _ARMIJO * slope:
-                break
-            step, slope = step / 2.0, slope / 2.0
-        else:
-            break
-        c = c + step
-        f, w, v, p = trial
-        iterations += 1
-
-    sigma = _hermitize((v * p) @ v.conj().T)
     state = DensityMatrix(m, sigma / np.real(np.trace(sigma)))
     residual = 0.0
     for k in keys:
         got = marginal_matrix(state.matrix, m, k)
-        gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(got - originals[k]))))
+        gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(got - targets[k].matrix))))
         residual = max(residual, gap)
     result = MaxEntropyResult(
         state=state,
-        entropy=float(f / np.log(2.0)),
+        entropy=float(entropy),
         iterations=iterations,
         residual=residual,
         converged=residual <= tol,
@@ -295,6 +361,53 @@ def max_entropy_with_marginals(
             residual=residual,
         )
     return result
+
+
+def _product_of_targets(m: int, keys: tuple, targets: dict) -> np.ndarray:
+    """The targets on the disjoint ``keys`` tensored with I/2^r on the r
+    qubits no key holds, in register order."""
+    rest = [q for q in range(m) if not any(q in k for k in keys)]
+    order = [q for k in keys for q in k] + rest
+    sigma = np.eye(2 ** len(rest), dtype=complex) / 2 ** len(rest)
+    for k in reversed(keys):
+        sigma = np.kron(targets[k].matrix, sigma)
+    # axis i of the product holds qubit order[i]
+    axes = np.argsort(order)
+    sigma = sigma.reshape((2,) * (2 * m)).transpose([*axes, *(axes + m)])
+    return _hermitize(sigma.reshape(2**m, 2**m))
+
+
+def _newton_solve(m: int, keys: tuple, targets: dict, tol: float, max_iter: int):
+    """Damped Newton on the dual from c = 0: the last iterate's e^h / tr e^h
+    (unnormalized), f / ln 2 in bits and the number of steps taken."""
+    basis = _pauli_basis(m, keys)
+    t = np.empty(len(basis.stack))
+    for k, (at, local) in zip(keys, basis.owned):
+        t[at] = np.einsum("kij,ji->k", local, targets[k].matrix).real
+
+    c = np.zeros(len(t))
+    work = _derivative_work(basis)
+    f, w, v, p = _dual_value(c, basis, t)
+    stop = min(tol, _GRADIENT_TOL)
+    iterations = 0
+    while True:
+        grad, hess = _dual_derivatives(basis, t, w, v, p, work)
+        if 0.5 * np.linalg.norm(grad) <= stop or iterations >= max_iter:
+            break
+        step = _newton_direction(grad, hess)
+        slope = float(grad @ step)
+        # Armijo backtracking; a step that cannot lower f ends the solve
+        for _ in range(_MAX_HALVINGS):
+            trial = _dual_value(c + step, basis, t)
+            if trial[0] <= f + _ARMIJO * slope:
+                break
+            step, slope = step / 2.0, slope / 2.0
+        else:
+            break
+        c = c + step
+        f, w, v, p = trial
+        iterations += 1
+    return _hermitize((v * p) @ v.conj().T), f / np.log(2.0), iterations
 
 
 @dataclass

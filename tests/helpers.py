@@ -247,6 +247,33 @@ def reference_max_entropy(m: int, keys, targets) -> float:
     return float(res.fun) / LOG2
 
 
+def reference_dual_derivatives(stack, t, w, v, p):
+    """Gradient and Hessian of the Pauli-basis dual, as the Newton solver
+    first formed them from the dense (K, d, d) string stack: A_P = V^dag P V
+    by two batched products, <P> = sum_i p_i A_P[i, i], and the Kubo-Mori
+    covariance sum_ij A_P[i, j] D_ij A_Q[j, i] - <P><Q> with D the divided
+    differences of p over w."""
+    a = v.conj().T @ stack @ v
+    means = np.einsum("kii,i->k", a, p).real
+    gap = np.abs(w[:, None] - w[None, :])
+    ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0.0)
+    d = np.maximum(p[:, None], p[None, :]) * ratio
+    k = len(stack)
+    hess = (a * d).view(np.float64).reshape(k, -1) @ a.view(np.float64).reshape(k, -1).T
+    return means - t, hess - np.outer(means, means)
+
+
+def reference_newton_direction(grad, hess):
+    """-H^-1 g by the Cholesky factor of H + 1e-12 tr(H) I and two solves,
+    or by least squares on H if that factorization fails."""
+    shifted = hess + 1e-12 * np.trace(hess) * np.eye(len(hess))
+    try:
+        low = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
+    return np.linalg.solve(low.T, np.linalg.solve(low, -grad))
+
+
 def ipf_max_entropy(probs: np.ndarray, n: int, keys, cycles: int = 2000) -> float:
     """Max Shannon entropy in bits of an n-bit distribution with the
     marginals of ``probs`` on each key, by iterative proportional fitting

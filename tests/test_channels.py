@@ -354,6 +354,35 @@ def test_pairwise_correlated_cap_raises_before_allocating(n):
     assert peak < 16 * 4**n  # less than one complex operator
 
 
+def _depolarized_register():
+    """Depolarizing noise on each of 12 qubits: 4^12 products of 12 qubits."""
+    return combine([(build_depolarizing(0.1), (q,)) for q in range(12)])
+
+
+def _composed_wide_pair():
+    """Depolarizing noise on qubits 0 and 1 of 2, then on qubit 11: 64
+    products of 12 qubits, 17 GB."""
+    pair = combine([(build_depolarizing(0.1), (0,)), (build_depolarizing(0.1), (1,))])
+    return compose(build_depolarizing(0.1, 11), pair)
+
+
+@pytest.mark.parametrize(
+    "build, name", [(_depolarized_register, "combine"), (_composed_wide_pair, "compose")]
+)
+def test_kraus_products_cap_raises_before_allocating(build, name):
+    """Over the cap, combine and compose raise before any 12-qubit operator
+    is padded or multiplied."""
+    n = 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"{name} on {n} qubits"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**n  # less than one complex operator
+
+
 def test_pauli_expansion_unit_flip():
     # deterministic X on qubit 0 of two
     ch = QuantumChannel((np.kron(X, I2),))

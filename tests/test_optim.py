@@ -20,18 +20,22 @@ from entlab.measures import (
     assisted_mutual_information,
     excess_leak_set,
     max_entropy_defect,
+    mutual_information,
     total_defect,
 )
 from entlab.optim import (
     MAX_PAULI_STACK_BYTES,
     MarginalConstraintSet,
     _align_pair_phase,
+    _derivative_work,
     _dual_derivatives,
     _dual_value,
     _generic_member_values,
     _gram_totals,
     _grid_plan,
     _mix_coefficients,
+    _newton_direction,
+    _newton_solve,
     _optimize_pair,
     _pair_member_values,
     _pauli_basis,
@@ -57,7 +61,9 @@ from helpers import (
     ipf_max_entropy,
     random_density,
     reference_decomposition_search,
+    reference_dual_derivatives,
     reference_max_entropy,
+    reference_newton_direction,
     reference_optimize_pair,
     reference_pair_candidates,
     reference_pair_member_values,
@@ -69,21 +75,35 @@ DECOMPOSITIONS = Path(__file__).parent / "data" / "decomposition_trajectories.js
 
 
 def test_constraint_set_from_state_roundtrip(rng):
-    rho = DensityMatrix(3, random_density(rng, 3))
-    cs = MarginalConstraintSet.from_state(rho, [(0, 1), (2,)])
-    assert cs.num_qubits == 3
-    assert set(cs.targets) == {(0, 1), (2,)}
-    want = partial_trace(rho, (0, 1)).matrix
-    assert np.abs(cs.targets[(0, 1)].matrix - want).max() < 1e-12
+    """from_state's targets are the state's partial traces, bit for bit,
+    on overlapping and disjoint keys, under sorted keys."""
+    rho = DensityMatrix(4, random_density(rng, 4))
+    subsets = [(0, 1), (2,), (3, 1), (1, 2, 3)]
+    cs = MarginalConstraintSet.from_state(rho, subsets)
+    assert cs.num_qubits == 4
+    assert list(cs.targets) == [(0, 1), (2,), (1, 3), (1, 2, 3)]
+    for key, target in cs.targets.items():
+        assert isinstance(target, DensityMatrix)
+        assert np.array_equal(target.matrix, partial_trace(rho, key).matrix)
+    with pytest.raises(ValueError):
+        MarginalConstraintSet.from_state(rho, [])
+    with pytest.raises(ValueError):
+        MarginalConstraintSet.from_state(rho, [(0, 4)])
 
 
-def test_constraint_set_rejects_conflicts():
+def test_constraint_set_rejects_conflicts(rng):
     # pair target says qubit 0 is pure, single target says it is mixed
     pure00 = np.zeros((4, 4), dtype=complex)
     pure00[0, 0] = 1.0
     flat = np.eye(2, dtype=complex) / 2
     with pytest.raises(InfeasibleMarginalsError):
         MarginalConstraintSet(2, {(0, 1): pure00, (0,): flat})
+    # the marginals of two different states, which from_state never mixes,
+    # still meet the agreement check in the public constructor
+    first, second = (DensityMatrix(3, random_density(rng, 3)) for _ in range(2))
+    targets = {(0, 1): partial_trace(first, (0, 1)), (1, 2): partial_trace(second, (1, 2))}
+    with pytest.raises(InfeasibleMarginalsError, match=r"disagree on \(1,\)"):
+        MarginalConstraintSet(3, targets)
 
 
 def test_max_entropy_product_of_singles(rng):
@@ -137,15 +157,15 @@ DUAL_CASES = {
 
 
 def dual_case(case, rng):
-    """The Pauli stack of a DUAL_CASES entry and the targets t_P = tr(P rho)
+    """The Pauli basis of a DUAL_CASES entry and the targets t_P = tr(P rho)
     of a random full-register rho, read off the keys' own marginals."""
     m, keys = DUAL_CASES[case]
     rho = random_density(rng, m)
-    stack, owned = _pauli_basis(m, tuple(keys))
-    t = np.empty(len(stack))
-    for k, (at, local) in zip(keys, owned):
+    basis = _pauli_basis(m, tuple(keys))
+    t = np.empty(len(basis.stack))
+    for k, (at, local) in zip(keys, basis.owned):
         t[at] = np.einsum("kij,ji->k", local, marginal_matrix(rho, m, k)).real
-    return stack, t, rho
+    return basis, t, rho
 
 
 @pytest.mark.parametrize("case", DUAL_CASES)
@@ -153,7 +173,8 @@ def test_pauli_basis_counts_strings_and_reads_targets(case, rng):
     """Every non-identity string inside some key appears once, the byte
     estimate is the stack's size, and each target is tr(P rho)."""
     m, keys = DUAL_CASES[case]
-    stack, t, rho = dual_case(case, rng)
+    basis, t, rho = dual_case(case, rng)
+    stack = basis.stack
     supports = {s for k in keys for size in range(1, len(k) + 1) for s in combinations(k, size)}
     assert len(stack) == sum(3 ** len(s) for s in supports)
     assert stack.nbytes == _pauli_stack_bytes(m, keys)
@@ -167,19 +188,20 @@ def test_pauli_basis_sizes():
     triples of 4."""
     for m, want in ((2, 6), (3, 36), (4, 174)):
         keys = tuple(combinations(range(m), m - 1))
-        assert len(_pauli_basis(m, keys)[0]) == want
+        assert len(_pauli_basis(m, keys).stack) == want
 
 
 @pytest.mark.parametrize("case", DUAL_CASES)
 def test_dual_derivatives_match_finite_differences(case, rng):
     """The gradient and Hessian are central differences of f and of the
     gradient, at zero and at random multipliers."""
-    stack, t, _ = dual_case(case, rng)
-    size = len(stack)
+    basis, t, _ = dual_case(case, rng)
+    size = len(t)
+    work = _derivative_work(basis)
 
     def derivatives_at(c):
-        _, w, v, p = _dual_value(c, stack, t)
-        return _dual_derivatives(stack, t, w, v, p)
+        _, w, v, p = _dual_value(c, basis, t)
+        return _dual_derivatives(basis, t, w, v, p, work)
 
     step = 1e-5
     for c in (np.zeros(size), 0.3 * rng.normal(size=size)):
@@ -188,10 +210,44 @@ def test_dual_derivatives_match_finite_differences(case, rng):
         for i in range(size):
             e = np.zeros(size)
             e[i] = step
-            df = (_dual_value(c + e, stack, t)[0] - _dual_value(c - e, stack, t)[0]) / (2 * step)
+            df = (_dual_value(c + e, basis, t)[0] - _dual_value(c - e, basis, t)[0]) / (2 * step)
             dg = (derivatives_at(c + e)[0] - derivatives_at(c - e)[0]) / (2 * step)
             assert abs(df - grad[i]) < 1e-7
             assert np.abs(dg - hess[:, i]).max() < 1e-7
+
+
+@pytest.mark.parametrize("case", DUAL_CASES)
+def test_lean_newton_step_matches_dense_formulas(case, rng):
+    """The gathered derivatives and the one-solve direction agree with the
+    dense-stack formulas they replace, to 1e-12, at random multipliers on
+    keys of one to three qubits. The directions are compared where the
+    Hessian is well conditioned (at scale 0.1 its condition number is at
+    most 20 here); elsewhere any two solves differ by about cond(H) eps."""
+    basis, t, _ = dual_case(case, rng)
+    work = _derivative_work(basis)
+    for scale in (0.1, 0.3, 1.0):
+        c = scale * rng.normal(size=len(t))
+        _, w, v, p = _dual_value(c, basis, t)
+        grad, hess = _dual_derivatives(basis, t, w, v, p, work)
+        want_grad, want_hess = reference_dual_derivatives(basis.stack, t, w, v, p)
+        assert np.abs(grad - want_grad).max() < 1e-12
+        assert np.abs(hess - want_hess).max() < 1e-12
+        assert np.array_equal(hess, hess.T)
+        if scale == 0.1:
+            want = reference_newton_direction(want_grad, want_hess)
+            got = _newton_direction(grad, hess)
+            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_newton_direction_falls_back_on_the_unshifted_hessian():
+    """An indefinite Hessian fails the Cholesky test; least squares then
+    runs on the Hessian as given, with the in-place shift undone."""
+    hess = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 3.0]])
+    grad = np.array([1.0, -2.0, 0.5])
+    given = hess.copy()
+    got = _newton_direction(grad, hess)
+    assert np.array_equal(hess, given)
+    assert np.array_equal(got, reference_newton_direction(grad, given))
 
 
 def test_pauli_stack_cap_raises_before_allocating():
@@ -268,6 +324,53 @@ def test_max_entropy_mixed_size_targets(rng):
     want = von_neumann_entropy(rho01) + von_neumann_entropy(rho2)
     assert abs(res.entropy - want) < 1e-6
     assert np.abs(res.state.matrix - np.kron(rho01.matrix, rho2.matrix)).max() < 1e-6
+
+
+@st.composite
+def disjoint_targets(draw):
+    """m qubits, each in one of up to three keys or in none, and a random
+    full-rank target on each key."""
+    m = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(-1, 2), min_size=m, max_size=m))
+    keys = sorted({tuple(q for q in range(m) if labels[q] == g) for g in set(labels) - {-1}})
+    if not keys:
+        keys = [(draw(st.integers(0, m - 1)),)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return m, {k: DensityMatrix(len(k), random_density(rng, len(k))) for k in keys}
+
+
+@settings(max_examples=25, deadline=None)
+@given(disjoint_targets())
+@example((3, {(0, 2): DensityMatrix(2, random_density(np.random.default_rng(1), 2)),
+              (1,): DensityMatrix(1, random_density(np.random.default_rng(2), 1))}))
+@example((4, {(0, 2): DensityMatrix(2, random_density(np.random.default_rng(3), 2)),
+              (1,): DensityMatrix(1, random_density(np.random.default_rng(4), 1))}))
+def test_product_path_matches_newton_on_disjoint_keys(case):
+    """On disjoint keys, interleaved or leaving qubits uncovered, the closed
+    form takes no step and agrees with Newton on the same dual."""
+    m, targets = case
+    res = max_entropy_with_marginals(MarginalConstraintSet(m, targets))
+    assert res.iterations == 0 and res.residual < 1e-12
+    keys = tuple(sorted(targets))
+    sigma, entropy, _ = _newton_solve(m, keys, targets, 1e-9, 500)
+    # Newton's dual value bounds the exact maximum from above
+    assert res.entropy - 1e-12 <= entropy < res.entropy + 1e-8
+    assert np.abs(res.state.matrix - sigma / np.trace(sigma).real).max() < 1e-7
+    uncovered = m - sum(len(k) for k in keys)
+    want = sum(von_neumann_entropy(t) for t in targets.values()) + uncovered
+    assert res.entropy == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth, seed", [(2, 0), (2, 1), (3, 4)])
+def test_pair_terms_are_mutual_information(depth, seed):
+    """A pair's two single-qubit targets are disjoint, so its defect takes
+    the closed form and is the pair's mutual information."""
+    state = random_circuit_state(4, depth, seed)
+    res = total_defect(state, max_subset_size=3)
+    for pair in combinations(range(4), 2):
+        assert abs(res.terms[pair] - mutual_information(state, *pair)) < 1e-12
+    diagnostics = max_entropy_defect(state, (0, 3)).diagnostics
+    assert diagnostics["iterations"] == 0 and diagnostics["residual"] < 1e-12
 
 
 def test_solver_trajectories_are_pinned():
@@ -371,7 +474,7 @@ def test_rank_one_decomposition_is_exact():
 
     circuit = random_circuit_state(3, 3, 0).density_matrix()
     value, diagnostics = _decomposed_defect(circuit, (0, 1, 2), restarts=1, sweeps=1, seed=1)
-    assert value == 1.0319441257153283e-09
+    assert value == 1.031933874750516e-09
     assert value == rank_one_value(circuit, _nested_defect)
     assert [diagnostics[k] for k in ("restarts", "sweeps_used", "cardinality")] == rank_one
 
