@@ -160,8 +160,7 @@ def eval_relation1(
     level: float = 1.0,
 ) -> RelationVerdict:
     """Pair relation with the plain mutual information on the right."""
-    if not isinstance(state, PureState):
-        state = as_density_matrix(state)
+    state = state if isinstance(state, PureState) else as_density_matrix(state)
     pair = validate_subset((a, b), state.n)
     return _verdict(
         1, channel, state.n, pair, level, lambda: (mutual_information(state, *pair), {})
@@ -184,15 +183,15 @@ def eval_relation2(
     is conditional; a violated one is definitive.
     """
     check_search_budget(restarts, sweeps)
-    rho = as_density_matrix(state)
-    pair = validate_subset((a, b), rho.n)
+    state = state if isinstance(state, PureState) else as_density_matrix(state)
+    pair = validate_subset((a, b), state.n)
 
     def term():
         return _value_and_diagnostics(
-            assisted_mutual_information(rho, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
+            assisted_mutual_information(state, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
         )
 
-    return _verdict(2, channel, rho.n, pair, level, term)
+    return _verdict(2, channel, state.n, pair, level, term)
 
 
 def _decomposed_defect(
@@ -203,7 +202,7 @@ def _decomposed_defect(
     seed: int,
 ) -> tuple[float, dict]:
     """Best found weighted-average defect over pure decompositions of rho|_A."""
-    marginal = partial_trace(as_density_matrix(state), subset)
+    marginal = partial_trace(state, subset)
     m = len(subset)
     if m == 2:
         # for pure pair members the defect equals twice the marginal entropy,
@@ -243,8 +242,7 @@ def eval_relation34(
     The subset's size is checked with the excess, before the term.
     """
     check_search_budget(restarts, sweeps)
-    if not isinstance(state, PureState):
-        state = as_density_matrix(state)
+    state = state if isinstance(state, PureState) else as_density_matrix(state)
     keep = validate_subset(subset, state.n)
     if mode == "marginal":
         return _verdict(

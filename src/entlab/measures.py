@@ -13,9 +13,9 @@ one of two paths, which their diagnostics name as ``method``:
 - "stabilizer": a PureState that carries stabilizer generators (``ghz``,
   ``plus_all`` and every ``cluster_state``) gets each defect exactly from
   two GF(2) ranks, with no density matrix, partial trace or solve;
-- "max_entropy": any other input is densified, and each defect is a
-  constrained entropy maximization whose dual value is a certified upper
-  bound. A pair's two single-qubit marginals are disjoint, so its
+- "max_entropy": any other input, a PureState's marginals read from its
+  amplitudes, gets each defect as a max-entropy dual value, a certified
+  upper bound. A pair's two single-qubit marginals are disjoint, so its
   maximum is their product in closed form, with no Newton step, and its
   defect is the pair's mutual information. ``excess_leak_set`` always
   takes this path, on the marginal of the branch rows.
@@ -47,7 +47,6 @@ from .optim import (
 from .states import (
     DensityMatrix,
     PureState,
-    as_density_matrix,
     branch_entropy,
     check_probability,
     entropy_of_subset,
@@ -62,7 +61,6 @@ from .zoo import plus_all
 
 MAX_SET_SIZE = 4
 MAX_TOTAL_QUBITS = 8
-_PURITY_ATOL = 1e-8
 
 
 def binary_entropy(p: float) -> float:
@@ -180,10 +178,8 @@ def assisted_mutual_information(
     returned decomposition.
     """
     check_search_budget(restarts, sweeps)
-    rho = as_density_matrix(state)
-    pair = validate_subset((a, b), rho.n)
-    marginal = partial_trace(rho, pair)
-    floor = mutual_information(rho, a, b)
+    marginal = partial_trace(state, (a, b))
+    floor = mutual_information(state, a, b)
     # Search in the local eigenbasis of the one-qubit marginals. The target
     # is invariant under per-qubit unitaries, so this fixes the frame and
     # makes the reported value independent of how the input was oriented.
@@ -231,17 +227,17 @@ def max_entropy_defect(
 
     On a PureState with stabilizer generators the value is exact (see
     ``_stabilizer_defect``) and ``tol`` and ``max_iter`` go unused.
-    Otherwise the maximum is the solver's dual value, a certified upper
-    bound, so the value never sits below the true defect. For pairs this
-    equals the mutual information. Subset sizes above MAX_SET_SIZE raise
-    SizeLimitError.
+    Otherwise the maximum is the solver's dual value on the subset's
+    ``partial_trace``, a certified upper bound, so the value never sits
+    below the true defect; for pairs it is the mutual information. A subset
+    above MAX_SET_SIZE raises SizeLimitError, a non-state TypeError.
     """
-    rows = getattr(state, "stabilizer_rows", None)
-    rho = as_density_matrix(state) if rows is None else None
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     keep = _set_subset(subset, state.n)
-    if rows is not None:
-        return _stabilizer_defect(rows, state.n, keep)
-    return _restricted_defect(partial_trace(rho, keep), tol, max_iter)
+    if getattr(state, "stabilizer_rows", None) is None:
+        return _restricted_defect(partial_trace(state, keep), tol, max_iter)
+    return _stabilizer_defect(state.stabilizer_rows, state.n, keep)
 
 
 def _set_subset(subset: Iterable[int], n: int) -> tuple:
@@ -344,22 +340,23 @@ def total_defect(
     Only proper subsets are enumerated; the full register is added as one
     extra term when ``include_full`` is True, or automatically when the
     register has at most MAX_SET_SIZE qubits (include_full=None). Requires
-    a pure input on at most MAX_TOTAL_QUBITS qubits; singletons never
-    contribute. A PureState with stabilizer generators gets every term
-    exactly, as ``max_entropy_defect`` does, and no solver runs. Any other
-    input is densified and solved: subsets with bitwise equal marginals
-    share one solve, and ``optimizer_iterations`` counts the solves that
-    ran. ``diagnostics["method"]`` names the path.
+    a pure input on at most MAX_TOTAL_QUBITS qubits (a DensityMatrix's
+    purity is checked; a PureState is pure by construction); singletons
+    never contribute. A PureState with stabilizer generators gets every
+    term exactly, as ``max_entropy_defect`` does, and no solver runs. Any
+    other input is solved on each subset's ``partial_trace``: subsets with
+    bitwise equal marginals share one solve, and ``optimizer_iterations``
+    counts the solves that ran. ``diagnostics["method"]`` names the path.
     """
-    rows = getattr(state, "stabilizer_rows", None)
-    rho = as_density_matrix(state) if rows is None else None
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     n = state.n
     if n > MAX_TOTAL_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
-    if rho is not None and not rho.is_pure(_PURITY_ATOL):
-        raise ValueError(f"input must be pure (purity {rho.purity():.6f})")
+    if isinstance(state, DensityMatrix) and not state.is_pure():
+        raise ValueError(f"input must be pure (purity {state.purity():.6f})")
     cap = min(operator.index(max_subset_size), MAX_SET_SIZE)
     if cap < 2:
         raise ValueError("max_subset_size must be at least 2")
@@ -373,11 +370,12 @@ def total_defect(
     subsets = [subset for size in sizes for subset in combinations(full, size)]
     if include_full:
         subsets.append(full)
+    rows = getattr(state, "stabilizer_rows", None)
     if rows is not None:
         terms = {subset: _stabilizer_defect(rows, n, subset).value for subset in subsets}
         diagnostics = {"method": "stabilizer"}
     else:
-        terms, diagnostics = _solved_terms(rho, subsets)
+        terms, diagnostics = _solved_terms(state, subsets)
     total = sum(value for subset, value in terms.items() if subset != full)
     full_term = terms.get(full)
     return TotalDefectResult(
@@ -391,7 +389,7 @@ def total_defect(
     )
 
 
-def _solved_terms(rho: DensityMatrix, subsets: list) -> tuple[dict, dict]:
+def _solved_terms(state: PureState | DensityMatrix, subsets: list) -> tuple[dict, dict]:
     """Each subset's defect by a max-entropy solve, with the solves' diagnostics."""
     terms: dict[tuple, float] = {}
     # a defect depends only on the restricted state
@@ -399,7 +397,7 @@ def _solved_terms(rho: DensityMatrix, subsets: list) -> tuple[dict, dict]:
     iterations = 0
     worst_residual = 0.0
     for subset in subsets:
-        restricted = partial_trace(rho, subset)
+        restricted = partial_trace(state, subset)
         key = restricted.matrix.tobytes()
         if key not in solved:
             res = _restricted_defect(restricted, DEFAULT_TOL, DEFAULT_MAX_ITER)

