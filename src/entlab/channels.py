@@ -1,22 +1,20 @@
-"""Quantum channels as Kraus lists, with builders for correlated noise.
+"""Quantum channels as staged Kraus lists, with builders for correlated noise.
 
-A channel is stored as a tuple of Kraus operators K_k with
-sum_k K_k^dagger K_k = I, together with the register positions ``qubits``
-it acts on (0..n-1 unless declared). A caller's Kraus list is checked to
-1e-9 when its channel is built; ``embed``, ``compose`` and ``combine``
-derive channels from checked ones, so they run only the position checks.
-``embed`` is the one place that pads Kraus operators with identity onto a
-larger register; ``apply`` and ``compose`` go through it, and ``combine``
-places each part on its qubits and folds ``compose`` over the parts in
-order. The measures do not pad: the leak and set quantities apply each
-operator to a pure input on its qubits' tensor axes. The Pauli expansion
-maps a channel to the error-probability vector of its Pauli twirl.
+A channel acts on the register positions ``qubits`` (0..n-1 unless
+declared) and is stored as ``stages``, read-only stacks of Kraus
+operators on some of those positions; its Kraus operators are the
+products of one operator per stage, identity elsewhere. A caller's Kraus
+list is one stage on all of ``qubits``, checked to sum_k K^dagger K = I
+within 1e-9. ``combine`` and ``embed`` only place checked stages, so a
+product channel stays factored. ``kraus`` forms the dense operators when
+first read, for ``apply``, ``compose`` and the Pauli expansion (the
+error-probability vector of the Pauli twirl); the measures instead
+contract each stage on its positions' tensor axes of a pure input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .states import DensityMatrix, _hermitize, _position, check_probability
-from .states import check_register_size, embed_operator
+from .states import check_register_size
 from .zoo import _validate_edges, _qubit_bits, haar_unitary
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -44,24 +42,28 @@ MAX_EXPANSION_QUBITS = 6
 MAX_KRAUS_BYTES = 2**32
 
 
-@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map in Kraus form.
 
     Parameters
     ----------
     kraus : sequence of ndarray
-        Square operators of a common power-of-two dimension.
+        Square operators of a common power-of-two dimension with
+        sum_k K_k^dagger K_k = I, to CPTP_ATOL in every entry.
     qubits : tuple of int, optional
         Strictly increasing register positions the channel acts on when
         applied to a larger register; positions 0..n-1 when omitted.
+
+    ``stages`` holds (ops, positions) pairs, ops a read-only (m, 2^k, 2^k)
+    stack on k of the positions in ``qubits``; the Kraus index of stage 0
+    runs outermost. ``kraus`` is the tuple of dense operators on
+    ``qubits``, formed on first read.
     """
 
-    kraus: tuple
-    qubits: tuple | None = None
+    __slots__ = ("qubits", "stages", "_kraus")
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+    def __init__(self, kraus, qubits=None):
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
@@ -69,52 +71,110 @@ class QuantumChannel:
         if d < 1 or 2**n != d:
             raise ValueError(f"Kraus dimension {d} is not a power of two")
         check_register_size(n)
-        for op in ops:
-            if op.shape != (d, d):
-                raise ValueError("Kraus operators must share one square shape")
-        total = sum(op.conj().T @ op for op in ops)
-        if not np.allclose(total, np.eye(d), atol=CPTP_ATOL):
-            gap = float(np.max(np.abs(total - np.eye(d))))
+        if any(op.shape != (d, d) for op in ops):
+            raise ValueError("Kraus operators must share one square shape")
+        stack = np.array(ops)
+        # sum_k K^dagger K from one real product over the stack's (re, im)
+        # columns, so no conjugate copy of the stack is made
+        cols = stack.reshape(-1, d).view(float)
+        g = cols.T @ cols
+        re, im = g[0::2, 0::2] + g[1::2, 1::2] - np.eye(d), g[0::2, 1::2] - g[1::2, 0::2]
+        gap = float(np.hypot(re, im).max())
+        if not gap <= CPTP_ATOL:
             raise ValueError(f"Kraus operators are not trace preserving (gap {gap:.2e})")
-        self._settle(tuple(op.copy() for op in ops), self.qubits)
+        pos = _positions(qubits, n)
+        self._settle(((stack, pos),), pos)
 
-    def _settle(self, ops: tuple, qubits) -> None:
-        """Store ``ops`` read-only and ``qubits`` after the position checks."""
-        for op in ops:
-            op.flags.writeable = False
-        n = int(np.log2(ops[0].shape[0]))
-        pos = tuple(range(n)) if qubits is None else tuple(map(_position, qubits))
-        if len(pos) != n:
-            raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
-        if sorted(set(pos)) != list(pos):
-            raise ValueError(f"positions must be strictly increasing, got {pos}")
-        if pos and pos[0] < 0:
-            raise ValueError("negative qubit position")
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "qubits", pos)
+    def _settle(self, stages: tuple, qubits: tuple) -> None:
+        for ops, _ in stages:
+            ops.flags.writeable = False
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "_kraus", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuantumChannel is read-only, cannot set {name!r}")
+
+    def __reduce__(self):
+        return QuantumChannel._derived, (self.stages, self.qubits)
 
     @classmethod
-    def _derived(cls, ops: tuple, qubits=None) -> "QuantumChannel":
-        """A channel whose operators come from checked channels by padding,
-        products or placement, which keep sum_k K^dagger K = I: only the
-        position checks run. ``ops`` must be complex arrays nothing else
-        writes to."""
+    def _derived(cls, stages: tuple, qubits: Iterable[int]) -> "QuantumChannel":
+        """A channel whose stages come from checked channels by placement or
+        products, which keep sum_k K^dagger K = I: no check runs. ``qubits``
+        must be valid positions that hold every stage's, and the stacks
+        complex arrays nothing else writes to."""
         channel = object.__new__(cls)
-        channel._settle(ops, qubits)
+        channel._settle(stages, tuple(qubits))
         return channel
 
     @property
     def n(self) -> int:
-        return int(np.log2(self.kraus[0].shape[0]))
+        return len(self.qubits)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return 2**self.n
+
+    @property
+    def kraus(self) -> tuple:
+        """The dense Kraus operators on ``qubits``, formed on first read."""
+        if self._kraus is None:
+            object.__setattr__(self, "_kraus", tuple(_dense_kraus(self.stages, self.qubits)))
+        return self._kraus
+
+
+def _positions(qubits, n: int) -> tuple:
+    """``qubits`` as the positions of an n-qubit channel, 0..n-1 when None."""
+    pos = tuple(range(n)) if qubits is None else tuple(map(_position, qubits))
+    if len(pos) != n:
+        raise ValueError(f"{n}-qubit channel declared on {len(pos)} positions")
+    if sorted(set(pos)) != list(pos):
+        raise ValueError(f"positions must be strictly increasing, got {pos}")
+    if pos and pos[0] < 0:
+        raise ValueError("negative qubit position")
+    return pos
+
+
+def _kraus_count(channel: QuantumChannel) -> int:
+    return prod(len(ops) for ops, _ in channel.stages)
+
+
+def _tensor_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-to-right tensor product of (m_i, d_i, d_i) operator stacks: the
+    (prod m_i, prod d_i, prod d_i) stack of products, whose index and
+    tensor factors run in list order, the first outermost."""
+    out = stacks[0]
+    for ops in stacks[1:]:
+        m, d = len(out) * len(ops), out.shape[1] * ops.shape[1]
+        out = (out[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m, d, d)
+    return out
+
+
+def _dense_kraus(stages: tuple, qubits: tuple) -> np.ndarray:
+    """The (K, 2^n, 2^n) Kraus stack on the n positions ``qubits``: the
+    stages' stacks tensored left to right, the identity on the positions
+    no stage names, and one axis permutation into the order of ``qubits``.
+    SizeLimitError if the K operators exceed MAX_KRAUS_BYTES."""
+    order = [q for _, pos in stages for q in pos]
+    rest = [q for q in qubits if q not in order]
+    stacks = [ops for ops, _ in stages]
+    if rest or not stacks:
+        stacks.append(np.eye(2 ** len(rest), dtype=complex)[None])
+    n, count = len(qubits), prod(len(ops) for ops in stacks)
+    _check_kraus_bytes("channel", count, n)
+    where = {q: i for i, q in enumerate(order + rest)}
+    axes = [where[q] for q in qubits]
+    t = _tensor_stacks(stacks).reshape((count,) + (2,) * (2 * n))
+    t = t.transpose([0] + [1 + i for i in axes] + [1 + n + i for i in axes])
+    full = t.reshape(count, 2**n, 2**n)
+    full.flags.writeable = False
+    return full
 
 
 def identity_channel(n: int) -> QuantumChannel:
     check_register_size(n)
-    return QuantumChannel((np.eye(2**n, dtype=complex),))
+    return QuantumChannel._derived((), range(n))
 
 
 def _span(channel: QuantumChannel) -> int:
@@ -122,18 +182,23 @@ def _span(channel: QuantumChannel) -> int:
     return channel.qubits[-1] + 1 if channel.qubits else 0
 
 
-def embed(channel: QuantumChannel, n: int) -> QuantumChannel:
-    """Pad a sub-register channel with identity up to an n-qubit register.
-
-    A channel that already sits on qubits 0..n-1 is returned as it is.
-    """
-    pos = channel.qubits
+def _check_fit(channel: QuantumChannel, n: int) -> None:
     if _span(channel) > n:
-        raise ValueError(f"channel on qubits {pos} does not fit in {n} qubits")
-    if pos == tuple(range(n)):
+        raise ValueError(f"channel on qubits {channel.qubits} does not fit in {n} qubits")
+
+
+def embed(channel: QuantumChannel, n: int) -> QuantumChannel:
+    """The channel on an n-qubit register, identity on the other qubits.
+
+    Its stages are kept, so the padded operators are formed only when its
+    ``kraus`` is read. A channel that already sits on qubits 0..n-1 is
+    returned as it is.
+    """
+    _check_fit(channel, n)
+    if channel.qubits == tuple(range(n)):
         return channel
     check_register_size(n)
-    return QuantumChannel._derived(tuple(embed_operator(k, pos, n) for k in channel.kraus))
+    return QuantumChannel._derived(channel.stages, range(n))
 
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -161,28 +226,36 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     before any operator is padded or multiplied.
     """
     n = max(_span(second), _span(first))
-    _check_kraus_bytes("compose", len(second.kraus) * len(first.kraus), n)
-    a = embed(second, n)
-    b = embed(first, n)
-    return QuantumChannel._derived(tuple(k2 @ k1 for k2 in a.kraus for k1 in b.kraus))
+    _check_kraus_bytes("compose", _kraus_count(second) * _kraus_count(first), n)
+    pairs = list(product(embed(second, n).kraus, embed(first, n).kraus))
+    ops = np.empty((len(pairs), 2**n, 2**n), dtype=complex)
+    for out, (k2, k1) in zip(ops, pairs):
+        np.matmul(k2, k1, out=out)
+    pos = tuple(range(n))
+    return QuantumChannel._derived(((ops, pos),), pos)
 
 
 def _place(channel, qubits) -> QuantumChannel:
-    """``channel``'s operators on ``qubits``; anything but a QuantumChannel
-    has its Kraus operators checked first."""
-    if isinstance(channel, QuantumChannel):
-        return QuantumChannel._derived(channel.kraus, qubits)
-    return QuantumChannel(channel.kraus, qubits=qubits)
+    """``channel`` on the register positions ``qubits``, its stages moved
+    with it; anything but a QuantumChannel has its Kraus operators checked
+    first."""
+    if not isinstance(channel, QuantumChannel):
+        return QuantumChannel(channel.kraus, qubits=qubits)
+    pos = _positions(qubits, channel.n)
+    where = dict(zip(channel.qubits, pos))
+    stages = tuple((ops, tuple(where[q] for q in qs)) for ops, qs in channel.stages)
+    return QuantumChannel._derived(stages, pos)
 
 
 def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     """Tensor sub-register channels over disjoint qubit sets, identity elsewhere.
 
     ``parts`` is a list of (channel, qubits) pairs; ``n`` defaults to one
-    past the largest qubit named. The result is ``compose`` folded over the
-    placed parts in order, so part 0's Kraus index runs outermost. The
-    product of the parts' Kraus counts, as dense operators, must fit in
-    MAX_KRAUS_BYTES, or SizeLimitError is raised before any is built.
+    past the largest qubit named. The result keeps the placed parts'
+    stages in order, so part 0's Kraus index runs outermost, and forms no
+    operator until its ``kraus`` is read. The product of the parts' Kraus
+    counts, as dense n-qubit operators, must fit in MAX_KRAUS_BYTES, or
+    SizeLimitError is raised.
     """
     placed = [_place(channel, qubits) for channel, qubits in parts]
     used = [q for part in placed for q in part.qubits]
@@ -191,10 +264,11 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     if n is None:
         n = max(used, default=-1) + 1
     check_register_size(n)
-    if not placed:
-        return identity_channel(n)
-    _check_kraus_bytes("combine", prod(len(part.kraus) for part in placed), n)
-    return reduce(compose, [embed(part, n) for part in placed])
+    for part in placed:
+        _check_fit(part, n)
+    stages = tuple(stage for part in placed for stage in part.stages)
+    _check_kraus_bytes("combine", prod(map(_kraus_count, placed)), n)
+    return QuantumChannel._derived(stages, range(n))
 
 
 def _filter_kraus(weighted: Sequence[tuple[float, np.ndarray]]) -> tuple:
@@ -344,12 +418,10 @@ def build_cluster_noise(
     eps = check_probability(eps)
     edge_list = _validate_edges(n, edges)
     rng = np.random.default_rng(seed)
-    pre = np.array([[1.0]], dtype=complex)
-    post = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        pre = np.kron(pre, haar_unitary(2, rng))
-    for _ in range(n):
-        post = np.kron(post, haar_unitary(2, rng))
+    # two layers of n one-qubit unitaries, the first drawn first
+    pre, post = [
+        _tensor_stacks([haar_unitary(2, rng)[None] for _ in range(n)])[0] for _layer in range(2)
+    ]
     cz_diag = np.ones(2**n, dtype=complex)
     for i, j in edge_list:
         both = (_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)

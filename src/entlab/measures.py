@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, _span
+from .channels import QuantumChannel, _check_fit, _span
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -75,21 +75,25 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.
     """The branches K_k psi of the channel on ``input_state`` (by default
     |+>^n on the smallest register that holds the channel), one row each.
 
-    The output state is sum_k |K_k psi><K_k psi|. A channel on some of
-    the qubits acts on their tensor axes, so no padded operator is built.
+    The output state is sum_k |K_k psi><K_k psi|. Each stage of the
+    channel acts on its positions' tensor axes of the rows so far, so no
+    padded operator or product of the stages' operators is formed; the
+    rows come out in the order of ``channel.kraus``.
     """
     if input_state is None:
         input_state = plus_all(_span(channel))
-    n, pos = input_state.n, channel.qubits
-    if _span(channel) > n:
-        raise ValueError(f"channel on qubits {pos} does not fit in {n} qubits")
-    perm = list(pos) + [q for q in range(n) if q not in pos]
-    psi = input_state.amplitudes.reshape((2,) * n).transpose(perm).reshape(2 ** len(pos), -1)
-    rows = np.empty((len(channel.kraus), 2**n), dtype=complex)
-    # the rows' tensor axes in the order of ``perm``, so each branch is written in place
-    axes = rows.reshape((len(rows),) + (2,) * n).transpose([0] + [1 + q for q in perm])
-    for i, k in enumerate(channel.kraus):
-        axes[i] = (k @ psi).reshape((2,) * n)
+    n = input_state.n
+    _check_fit(channel, n)
+    rows = input_state.amplitudes.reshape(1, 2**n)
+    for ops, pos in channel.stages:
+        order = list(pos) + [q for q in range(n) if q not in pos]
+        b, m = len(rows), len(ops)
+        psi = rows.reshape((b,) + (2,) * n).transpose([0] + [1 + q for q in order])
+        out = np.empty((b, m) + (2,) * n, dtype=complex)
+        # the new rows' tensor axes in the order of ``order``, so each branch is written in place
+        axes = out.transpose([0, 1] + [2 + q for q in order])
+        axes[...] = np.matmul(ops, psi.reshape(b, 1, 2 ** len(pos), -1)).reshape(axes.shape)
+        rows = out.reshape(b * m, 2**n)
     return rows
 
 

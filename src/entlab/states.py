@@ -310,14 +310,11 @@ def branch_entropy(rows: np.ndarray, n: int, keep: Iterable[int]) -> float:
 
     With M as in ``pure_marginal``, M^dagger M is the state of the other
     qubits together with the branch index k and has the same nonzero
-    spectrum as M M^dagger; the smaller of the two is diagonalized. The
-    complement side keeps DensityMatrix's unit-trace and positivity checks.
+    spectrum as M M^dagger; the smaller of the two is diagonalized, after
+    the unit-trace and positivity checks a DensityMatrix would run.
     """
-    keep_t = validate_subset(keep, n, allow_empty=True)
-    m = _split_rows(rows, n, keep_t)
-    if m.shape[0] <= m.shape[1]:
-        return von_neumann_entropy(DensityMatrix(len(keep_t), _hermitize(m @ m.conj().T)))
-    gram = _hermitize(m.conj().T @ m)
+    m = _split_rows(rows, n, validate_subset(keep, n, allow_empty=True))
+    gram = _hermitize(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
     _check_unit_trace(gram)
     return spectrum_entropy(_checked_spectrum(gram))
 

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
@@ -77,6 +78,17 @@ def test_channel_constructor_validates():
         QuantumChannel((I2,), qubits=(1, 0))
 
 
+def test_trace_preservation_is_checked_to_the_same_width_in_every_entry():
+    """sum_k K^dagger K must equal I to 1e-9 on the diagonal as off it: a
+    relative tolerance of 1e-5 would let a 1e-7 diagonal error through."""
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel([np.sqrt(1 + 1e-7) * I2])
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel([I2 + 0.5e-7 * X])  # K^dagger K = I + 1e-7 X + O(1e-15)
+    QuantumChannel([np.sqrt(1 + 1e-10) * I2])
+    QuantumChannel([I2 + 0.5e-10 * X])
+
+
 def test_caller_kraus_lists_are_still_checked():
     """Derived channels skip the trace-preserving check; a caller's Kraus
     list does not, whether it reaches QuantumChannel directly or is placed
@@ -154,6 +166,33 @@ def test_combine_kraus_order_is_part_order():
     ]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_placement_forms_no_operator():
+    """combine, embed and identity_channel keep stages: on 12 qubits none
+    of them allocates a 4096 x 4096 operator (268 MB) before ``kraus`` is
+    read."""
+    tracemalloc.start()
+    try:
+        placed = combine([(build_dephasing(0.2), (5,))], n=12)
+        wide = embed(build_correlated_flip(0.2, "ZZ"), 12)
+        idle = identity_channel(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [len(ch.stages) for ch in (placed, wide, idle)] == [1, 1, 0]
+    assert placed.n == wide.n == idle.n == 12
+    assert np.array_equal(identity_channel(3).kraus[0], np.eye(8))
+
+
+def test_channels_are_read_only_and_pickle_by_their_stages():
+    ch = combine([(build_depolarizing(0.3), (2,)), (build_dephasing(0.4), (0,))], n=4)
+    with pytest.raises(AttributeError, match="read-only"):
+        ch.qubits = (0,)
+    copy = pickle.loads(pickle.dumps(ch))
+    assert copy.qubits == ch.qubits and len(copy.stages) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(copy.kraus, ch.kraus))
 
 
 def test_embed_returns_a_placed_channel_unchanged():

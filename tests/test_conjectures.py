@@ -228,6 +228,17 @@ def test_relations_accept_a_channel_narrower_than_the_state(relation, n, qubits)
     assert a.verdict == b.verdict
 
 
+def test_relation1_on_twelve_qubits_forms_no_kraus_operator(monkeypatch):
+    """One dephased qubit placed with combine on |+>^12: the verdict reads
+    the channel's one stage on qubit 5, so the leak is H2(eps/2) and the
+    two dense 4096 x 4096 Kraus operators (537 MB) are never formed."""
+    channel = combine([(build_dephasing(0.2), (5,))], n=12)
+    monkeypatch.setattr(QuantumChannel, "kraus", property(lambda ch: pytest.fail("kraus formed")))
+    v = eval_relation1(plus_all(12), channel, 5, 6)
+    assert abs(v.leaks[5] - h2(0.1)) < 1e-12
+    assert v.leaks[6] == 0.0 and abs(v.excess) < 1e-12
+
+
 def test_relation4_decomposed_mode():
     # two overlapping pair flips: pairwise invisible, jointly a full bit
     ch = compose(build_correlated_flip(0.5, "IZZ"), build_correlated_flip(0.5, "ZZI"))

@@ -1,5 +1,6 @@
 import tracemalloc
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from entlab.channels import (
 )
 from entlab.errors import SizeLimitError
 from entlab.measures import (
+    _noisy_output,
     assisted_mutual_information,
     binary_entropy,
     environment_information,
@@ -31,7 +33,7 @@ from entlab.measures import (
     mutual_information,
     total_defect,
 )
-from entlab.states import entropy_of_subset, partial_trace, von_neumann_entropy
+from entlab.states import entropy_of_subset, partial_trace, pure_marginal, von_neumann_entropy
 from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
 from helpers import (
     BUILT_CHANNELS,
@@ -157,6 +159,54 @@ def test_leak_measures_of_pure_inputs_match_oracles(case):
     for a, b in combinations(subset, 2):
         want = leak((a,)) + leak((b,)) - leak((a, b))
         assert abs(excess_leak(channel, a, b, **kwargs) - want) < 1e-12
+
+
+@st.composite
+def placed_parts(draw):
+    """A combine of one to three random Kraus parts on disjoint positions of
+    an n <= 6 register, in any order, with a random pure input and subset.
+    A part holds one or two qubits, not always adjacent; a two-qubit part
+    may itself be a combine of one-qubit parts placed in reverse, and the
+    register may keep qubits no part names."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    free = list(range(n))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        if not free:
+            break
+        qubits = sorted(draw(st.sets(st.sampled_from(free), min_size=1, max_size=2)))
+        free = [q for q in free if q not in qubits]
+        if len(qubits) == 2 and draw(st.booleans()):
+            first, second = (QuantumChannel(random_kraus(rng, 1, 2)) for _ in range(2))
+            part = combine([(first, (1,)), (second, (0,))])
+        else:
+            part = QuantumChannel(random_kraus(rng, len(qubits), draw(st.integers(1, 3))))
+        parts.append((part, qubits))
+    psi = PureState(n, random_pure(rng, n))
+    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return parts, combine(parts, n=n), psi, subset
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(placed_parts())
+def test_stage_rows_match_the_dense_kraus_rows(case):
+    """The branch rows contracted one stage at a time against the rows of
+    the dense ``kraus`` operators, row by row and as the marginal on the
+    subset, to 1e-12; ``kraus`` against the products of the parts'
+    operators padded entry by entry, part 0's choice outermost."""
+    parts, channel, psi, subset = case
+    n = psi.n
+    padded = [[padded_operator_oracle(k, qubits, n) for k in part.kraus] for part, qubits in parts]
+    want_ops = [reduce(np.matmul, ops, np.eye(2**n)) for ops in product(*padded)]
+    assert len(channel.kraus) == len(want_ops)
+    assert max(np.abs(k - w).max() for k, w in zip(channel.kraus, want_ops)) < 1e-12
+    rows = _noisy_output(channel, psi)
+    dense = np.stack([k @ psi.amplitudes for k in channel.kraus])
+    assert rows.shape == dense.shape
+    assert np.abs(rows - dense).max() < 1e-12
+    want = partial_trace_oracle(dense.T @ dense.conj(), n, subset)
+    assert np.abs(pure_marginal(rows, n, subset).matrix - want).max() < 1e-12
 
 
 def test_environment_information_matches_dilation(rng):
