@@ -2,19 +2,20 @@
 
 A channel acts on the register positions ``qubits`` (0..n-1 unless
 declared) and is stored as ``stages``, read-only stacks of Kraus
-operators on some of those positions; its Kraus operators are the
-products of one operator per stage, identity elsewhere. A caller's Kraus
-list is one stage on all of ``qubits``, checked to sum_k K^dagger K = I
-within 1e-9. ``combine`` and ``embed`` only place checked stages, so a
-product channel stays factored. ``kraus`` forms the dense operators when
-first read, for ``apply``, ``compose`` and the Pauli expansion (the
-error-probability vector of the Pauli twirl); the measures instead
-contract each stage on its positions' tensor axes of a pure input.
+operators on some of those positions that act in list order, stage 0
+first; its Kraus operators are the products of one operator per stage,
+identity elsewhere. A caller's Kraus list is one stage on all of
+``qubits``, checked to sum_k K^dagger K = I within 1e-9. ``combine``,
+``embed`` and ``compose`` only place or chain checked stages, so a
+product or a sequence of channels stays factored. One kernel,
+``_run_stages``, contracts the stages on their positions' tensor axes of
+a stack: on a pure input it gives the measures' branch rows, and on the
+identity the dense ``kraus``, formed when first read for ``apply`` and the
+Pauli expansion (the error-probability vector of the Pauli twirl).
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
@@ -55,8 +56,9 @@ class QuantumChannel:
         applied to a larger register; positions 0..n-1 when omitted.
 
     ``stages`` holds (ops, positions) pairs, ops a read-only (m, 2^k, 2^k)
-    stack on k of the positions in ``qubits``; the Kraus index of stage 0
-    runs outermost. ``kraus`` is the tuple of dense operators on
+    stack on k of the positions in ``qubits``. The stages act in list
+    order, stage 0 first, and may share positions; the Kraus index of
+    stage 0 runs outermost. ``kraus`` is the tuple of dense operators on
     ``qubits``, formed on first read.
     """
 
@@ -120,7 +122,7 @@ class QuantumChannel:
     def kraus(self) -> tuple:
         """The dense Kraus operators on ``qubits``, formed on first read."""
         if self._kraus is None:
-            object.__setattr__(self, "_kraus", tuple(_dense_kraus(self.stages, self.qubits)))
+            object.__setattr__(self, "_kraus", tuple(_dense_kraus(self)))
         return self._kraus
 
 
@@ -151,23 +153,38 @@ def _tensor_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _dense_kraus(stages: tuple, qubits: tuple) -> np.ndarray:
-    """The (K, 2^n, 2^n) Kraus stack on the n positions ``qubits``: the
-    stages' stacks tensored left to right, the identity on the positions
-    no stage names, and one axis permutation into the order of ``qubits``.
-    SizeLimitError if the K operators exceed MAX_KRAUS_BYTES."""
-    order = [q for _, pos in stages for q in pos]
-    rest = [q for q in qubits if q not in order]
-    stacks = [ops for ops, _ in stages]
-    if rest or not stacks:
-        stacks.append(np.eye(2 ** len(rest), dtype=complex)[None])
-    n, count = len(qubits), prod(len(ops) for ops in stacks)
-    _check_kraus_bytes("channel", count, n)
-    where = {q: i for i, q in enumerate(order + rest)}
-    axes = [where[q] for q in qubits]
-    t = _tensor_stacks(stacks).reshape((count,) + (2,) * (2 * n))
-    t = t.transpose([0] + [1 + i for i in axes] + [1 + n + i for i in axes])
-    full = t.reshape(count, 2**n, 2**n)
+def _run_stages(stages: tuple, src: np.ndarray) -> np.ndarray:
+    """The stages run in list order on a (b, 2^n, c) stack whose n tensor
+    axes are register positions 0..n-1: the (b K, 2^n, c) stack, b's index
+    outermost, then stage 0's Kraus index. A stage's (m, 2^k, 2^k)
+    operators act on its positions' axes as one (m 2^k, 2^k) product, so
+    no padded operator is formed. On a state vector (b = c = 1) this gives
+    the branches K psi, on the identity the Kraus operators."""
+    b, d, c = src.shape
+    n = d.bit_length() - 1
+    for ops, pos in stages:
+        m, dk = ops.shape[:2]
+        rest = [q for q in range(n) if q not in pos]
+        t = src.reshape((b,) + (2,) * n + (c,))
+        lead = t.transpose([1 + q for q in pos] + [0] + [1 + q for q in rest] + [n + 1])
+        out = np.empty((b, m) + (2,) * n + (c,), dtype=complex)
+        # the new stack's axes in the order of the product's, so it is written in place
+        view = out.transpose([1] + [2 + q for q in pos] + [0] + [2 + q for q in rest] + [n + 2])
+        view[...] = (ops.reshape(m * dk, dk) @ lead.reshape(dk, -1)).reshape(view.shape)
+        b, src = b * m, out.reshape(b * m, d, c)
+    return src
+
+
+def _dense_kraus(channel: QuantumChannel) -> np.ndarray:
+    """The (K, 2^n, 2^n) Kraus stack on the channel's n positions: its one
+    stage when that acts on all of them, else the stages run on the
+    identity (every builder that leaves other stages places them on
+    0..n-1). SizeLimitError if the K operators exceed MAX_KRAUS_BYTES."""
+    stages, n = channel.stages, channel.n
+    if len(stages) == 1 and stages[0][1] == channel.qubits:
+        return stages[0][0]
+    _check_kraus_bytes("channel", _kraus_count(channel), n)
+    full = _run_stages(stages, np.eye(2**n, dtype=complex)[None])
     full.flags.writeable = False
     return full
 
@@ -222,17 +239,14 @@ def _check_kraus_bytes(what: str, count: int, n: int) -> None:
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """Channel running ``first`` then ``second`` (Kraus products K2 K1).
 
-    The products must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised
-    before any operator is padded or multiplied.
+    Its stages are ``first``'s then ``second``'s, in that order, on one
+    past the last qubit either names, so ``first``'s Kraus index runs
+    outermost and no operator is formed until ``kraus`` is read. The
+    products must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised.
     """
-    n = max(_span(second), _span(first))
+    n = check_register_size(max(_span(second), _span(first)))
     _check_kraus_bytes("compose", _kraus_count(second) * _kraus_count(first), n)
-    pairs = list(product(embed(second, n).kraus, embed(first, n).kraus))
-    ops = np.empty((len(pairs), 2**n, 2**n), dtype=complex)
-    for out, (k2, k1) in zip(ops, pairs):
-        np.matmul(k2, k1, out=out)
-    pos = tuple(range(n))
-    return QuantumChannel._derived(((ops, pos),), pos)
+    return QuantumChannel._derived(first.stages + second.stages, range(n))
 
 
 def _place(channel, qubits) -> QuantumChannel:

@@ -43,7 +43,7 @@ from .measures import (
     total_defect,
 )
 from .optim import check_search_budget, max_avg_pure_decomposition
-from .states import DensityMatrix, PureState, as_density_matrix, branch_entropy
+from .states import DensityMatrix, PureState, branch_entropy, check_state
 from .states import partial_trace, validate_subset
 from .zoo import plus_all
 
@@ -160,7 +160,7 @@ def eval_relation1(
     level: float = 1.0,
 ) -> RelationVerdict:
     """Pair relation with the plain mutual information on the right."""
-    state = state if isinstance(state, PureState) else as_density_matrix(state)
+    check_state(state)
     pair = validate_subset((a, b), state.n)
     return _verdict(
         1, channel, state.n, pair, level, lambda: (mutual_information(state, *pair), {})
@@ -183,7 +183,7 @@ def eval_relation2(
     is conditional; a violated one is definitive.
     """
     check_search_budget(restarts, sweeps)
-    state = state if isinstance(state, PureState) else as_density_matrix(state)
+    check_state(state)
     pair = validate_subset((a, b), state.n)
 
     def term():
@@ -242,7 +242,7 @@ def eval_relation34(
     The subset's size is checked with the excess, before the term.
     """
     check_search_budget(restarts, sweeps)
-    state = state if isinstance(state, PureState) else as_density_matrix(state)
+    check_state(state)
     keep = validate_subset(subset, state.n)
     if mode == "marginal":
         return _verdict(

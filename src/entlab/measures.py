@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_fit, _span
+from .channels import QuantumChannel, _check_fit, _run_stages, _span
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -49,6 +49,7 @@ from .states import (
     PureState,
     branch_entropy,
     check_probability,
+    check_state,
     entropy_of_subset,
     gf2_kernel,
     gf2_rank,
@@ -75,26 +76,17 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.
     """The branches K_k psi of the channel on ``input_state`` (by default
     |+>^n on the smallest register that holds the channel), one row each.
 
-    The output state is sum_k |K_k psi><K_k psi|. Each stage of the
-    channel acts on its positions' tensor axes of the rows so far, so no
-    padded operator or product of the stages' operators is formed; the
-    rows come out in the order of ``channel.kraus``.
+    The output state is sum_k |K_k psi><K_k psi|. The channel's stages run
+    on their positions' tensor axes of psi (``_run_stages``), so no padded
+    operator or product of the stages' operators is formed; the rows come
+    out in the order of ``channel.kraus``.
     """
     if input_state is None:
         input_state = plus_all(_span(channel))
     n = input_state.n
     _check_fit(channel, n)
-    rows = input_state.amplitudes.reshape(1, 2**n)
-    for ops, pos in channel.stages:
-        order = list(pos) + [q for q in range(n) if q not in pos]
-        b, m = len(rows), len(ops)
-        psi = rows.reshape((b,) + (2,) * n).transpose([0] + [1 + q for q in order])
-        out = np.empty((b, m) + (2,) * n, dtype=complex)
-        # the new rows' tensor axes in the order of ``order``, so each branch is written in place
-        axes = out.transpose([0, 1] + [2 + q for q in order])
-        axes[...] = np.matmul(ops, psi.reshape(b, 1, 2 ** len(pos), -1)).reshape(axes.shape)
-        rows = out.reshape(b * m, 2**n)
-    return rows
+    psi = input_state.amplitudes.reshape(1, 2**n, 1)
+    return _run_stages(channel.stages, psi).reshape(-1, 2**n)
 
 
 def _register_size(rows: np.ndarray) -> int:
@@ -236,8 +228,7 @@ def max_entropy_defect(
     below the true defect; for pairs it is the mutual information. A subset
     above MAX_SET_SIZE raises SizeLimitError, a non-state TypeError.
     """
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    check_state(state)
     keep = _set_subset(subset, state.n)
     if getattr(state, "stabilizer_rows", None) is None:
         return _restricted_defect(partial_trace(state, keep), tol, max_iter)
@@ -352,8 +343,7 @@ def total_defect(
     bitwise equal marginals share one solve, and ``optimizer_iterations``
     counts the solves that ran. ``diagnostics["method"]`` names the path.
     """
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    check_state(state)
     n = state.n
     if n > MAX_TOTAL_QUBITS:
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")

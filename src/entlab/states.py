@@ -229,10 +229,10 @@ class DensityMatrix:
         return self.purity() >= 1.0 - atol
 
 
-def as_density_matrix(state: "PureState | DensityMatrix") -> DensityMatrix:
-    if isinstance(state, PureState):
-        return state.density_matrix()
-    if isinstance(state, DensityMatrix):
+def check_state(state: "PureState | DensityMatrix") -> "PureState | DensityMatrix":
+    """``state`` as it is if it is a PureState or DensityMatrix; TypeError
+    otherwise."""
+    if isinstance(state, (PureState, DensityMatrix)):
         return state
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
@@ -273,13 +273,12 @@ def marginal_matrix(mat: np.ndarray, n: int, keep: Sequence[int]) -> np.ndarray:
 def partial_trace(state: "PureState | DensityMatrix", keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on ``keep``, a PureState's from its amplitudes (see
     ``pure_marginal``); an empty subset leaves the 1x1 trace."""
-    if isinstance(state, PureState):
+    if isinstance(check_state(state), PureState):
         return pure_marginal(state.amplitudes, state.n, keep)
-    rho = as_density_matrix(state)
-    keep_t = validate_subset(keep, rho.n, allow_empty=True)
-    if len(keep_t) == rho.n:
-        return rho
-    out = marginal_matrix(rho.matrix, rho.n, keep_t)
+    keep_t = validate_subset(keep, state.n, allow_empty=True)
+    if len(keep_t) == state.n:
+        return state
+    out = marginal_matrix(state.matrix, state.n, keep_t)
     return DensityMatrix(len(keep_t), _hermitize(out))
 
 
@@ -394,31 +393,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def state_distance(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:
     """(fidelity, trace distance) pair for two states on one register."""
     return fidelity(rho, sigma), trace_distance(rho, sigma)
-
-
-def embed_operator(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
-    """Extend an operator on the qubits ``positions`` by identity elsewhere.
-
-    ``positions`` must be strictly increasing; the operator's tensor factors
-    are taken in that order. Works for any square operator (Kraus factors,
-    Hermitian multipliers, unitaries).
-    """
-    positions = tuple(int(q) for q in positions)
-    k = len(positions)
-    if sorted(set(positions)) != list(positions):
-        raise ValueError(f"positions must be strictly increasing, got {positions}")
-    if positions and (positions[0] < 0 or positions[-1] >= n):
-        raise ValueError(f"positions {positions} outside register of size {n}")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    if k == n:
-        return op
-    rest = [q for q in range(n) if q not in positions]
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    # current tensor-factor order: positions then rest; undo the permutation
-    perm = list(positions) + rest
-    inv = np.argsort(perm)
-    t = full.reshape((2,) * (2 * n))
-    axes = list(inv) + [n + int(i) for i in inv]
-    return t.transpose(axes).reshape(2**n, 2**n)

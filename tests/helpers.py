@@ -24,7 +24,7 @@ from entlab.channels import (
     build_random_unitary_noise,
 )
 from entlab.optim import _align_pair_phase
-from entlab.states import EIGENVALUE_CLIP, embed_operator, marginal_matrix
+from entlab.states import EIGENVALUE_CLIP, marginal_matrix
 
 LOG2 = np.log(2.0)
 
@@ -107,6 +107,23 @@ def padded_operator_oracle(op: np.ndarray, positions, n: int) -> np.ndarray:
             if all(bit(i, q, n) == bit(j, q, n) for q in rest):
                 out[i, j] = op[sub(i), sub(j)]
     return out
+
+
+def embed_operator(op: np.ndarray, positions, n: int) -> np.ndarray:
+    """``op`` on the qubits ``positions`` (increasing, in its tensor order)
+    and identity on the rest, by one Kronecker product with the identity
+    and one axis permutation. Works for any square operator (Kraus
+    factors, Hermitian multipliers, unitaries)."""
+    positions = tuple(int(q) for q in positions)
+    k = len(positions)
+    op = np.asarray(op, dtype=complex)
+    assert op.shape == (2**k, 2**k)
+    rest = [q for q in range(n) if q not in positions]
+    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    # tensor factors now run positions then rest; undo that permutation
+    inv = np.argsort(list(positions) + rest)
+    t = full.reshape((2,) * (2 * n))
+    return t.transpose(list(inv) + [n + int(i) for i in inv]).reshape(2**n, 2**n)
 
 
 def random_kraus(rng, n: int, k: int) -> list:

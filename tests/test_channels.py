@@ -30,7 +30,13 @@ from entlab.channels import (
 from entlab.errors import SizeLimitError
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
-from helpers import BUILT_CHANNELS, kron_pairwise_kraus, kron_pauli_string, random_density
+from helpers import (
+    BUILT_CHANNELS,
+    kron_pairwise_kraus,
+    kron_pauli_string,
+    random_density,
+    random_kraus,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,20 +175,21 @@ def test_combine_kraus_order_is_part_order():
 
 
 def test_placement_forms_no_operator():
-    """combine, embed and identity_channel keep stages: on 12 qubits none
-    of them allocates a 4096 x 4096 operator (268 MB) before ``kraus`` is
-    read."""
+    """combine, embed, compose and identity_channel keep stages: on 12
+    qubits none of them allocates a 4096 x 4096 operator (268 MB) before
+    ``kraus`` is read."""
     tracemalloc.start()
     try:
         placed = combine([(build_dephasing(0.2), (5,))], n=12)
         wide = embed(build_correlated_flip(0.2, "ZZ"), 12)
         idle = identity_channel(12)
+        chained = compose(build_dephasing(0.2, 11), build_dephasing(0.2, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert [len(ch.stages) for ch in (placed, wide, idle)] == [1, 1, 0]
-    assert placed.n == wide.n == idle.n == 12
+    assert [len(ch.stages) for ch in (placed, wide, idle, chained)] == [1, 1, 0, 2]
+    assert placed.n == wide.n == idle.n == chained.n == 12
     assert np.array_equal(identity_channel(3).kraus[0], np.eye(8))
 
 
@@ -275,7 +282,7 @@ def test_embed_places_channel(rng):
     assert np.abs(got - np.kron(a, X @ b @ X)).max() < 1e-12
 
 
-def test_compose_order():
+def test_compose_order(rng):
     # second after first; phase damping factors multiply
     e1, e2 = 0.3, 0.5
     both = compose(build_dephasing(e2), build_dephasing(e1))
@@ -285,6 +292,12 @@ def test_compose_order():
     assert np.abs(got - step).max() < 1e-12
     # off-diagonal contraction is (1-e1)(1-e2)
     assert abs(got[0, 1].real - 0.5 * (1 - e1) * (1 - e2)) < 1e-12
+    # the Kraus operators are the products K2 K1, first's index outermost
+    a, b = QuantumChannel(random_kraus(rng, 2, 3)), build_correlated_flip(0.2, "XY")
+    got = compose(b, a).kraus
+    want = [kb @ ka for ka in a.kraus for kb in b.kraus]
+    assert len(got) == len(want)
+    assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-15
 
 
 FEASIBLE_MOMENTS = [

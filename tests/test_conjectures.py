@@ -228,15 +228,27 @@ def test_relations_accept_a_channel_narrower_than_the_state(relation, n, qubits)
     assert a.verdict == b.verdict
 
 
-def test_relation1_on_twelve_qubits_forms_no_kraus_operator(monkeypatch):
-    """One dephased qubit placed with combine on |+>^12: the verdict reads
-    the channel's one stage on qubit 5, so the leak is H2(eps/2) and the
-    two dense 4096 x 4096 Kraus operators (537 MB) are never formed."""
-    channel = combine([(build_dephasing(0.2), (5,))], n=12)
+@pytest.mark.parametrize(
+    "build, pair, dephased",
+    [
+        (lambda: combine([(build_dephasing(0.2), (5,))], n=12), (5, 6), (5,)),
+        (lambda: compose(build_dephasing(0.2, 11), build_dephasing(0.2, 0)), (0, 11), (0, 11)),
+    ],
+    ids=["combine", "compose"],
+)
+def test_relation1_on_twelve_qubits_forms_no_kraus_operator(monkeypatch, build, pair, dephased):
+    """Dephased qubits on |+>^12, placed with combine or chained with
+    compose: the channel is built and the verdict read from its stages, so
+    each dephased qubit leaks H2(eps/2) and no dense 4096 x 4096 Kraus
+    operator (537 MB for two, 2 GiB for compose's four) is formed."""
     monkeypatch.setattr(QuantumChannel, "kraus", property(lambda ch: pytest.fail("kraus formed")))
-    v = eval_relation1(plus_all(12), channel, 5, 6)
-    assert abs(v.leaks[5] - h2(0.1)) < 1e-12
-    assert v.leaks[6] == 0.0 and abs(v.excess) < 1e-12
+    v = eval_relation1(plus_all(12), build(), *pair)
+    for q in pair:
+        if q in dephased:
+            assert abs(v.leaks[q] - h2(0.1)) < 1e-12
+        else:
+            assert v.leaks[q] == 0.0
+    assert abs(v.excess) < 1e-12
 
 
 def test_relation4_decomposed_mode():

@@ -166,8 +166,10 @@ def placed_parts(draw):
     """A combine of one to three random Kraus parts on disjoint positions of
     an n <= 6 register, in any order, with a random pure input and subset.
     A part holds one or two qubits, not always adjacent; a two-qubit part
-    may itself be a combine of one-qubit parts placed in reverse, and the
-    register may keep qubits no part names."""
+    may itself be a combine of one-qubit parts placed in reverse, any part
+    a compose of two random Kraus lists on its qubits, and the register may
+    keep qubits no part names. Each part comes with its Kraus operators
+    formed from the raw lists, the first list's index outermost."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 6))
     free = list(range(n))
@@ -177,15 +179,22 @@ def placed_parts(draw):
             break
         qubits = sorted(draw(st.sets(st.sampled_from(free), min_size=1, max_size=2)))
         free = [q for q in free if q not in qubits]
-        if len(qubits) == 2 and draw(st.booleans()):
-            first, second = (QuantumChannel(random_kraus(rng, 1, 2)) for _ in range(2))
-            part = combine([(first, (1,)), (second, (0,))])
+        k = len(qubits)
+        if k == 2 and draw(st.booleans()):
+            first, second = (random_kraus(rng, 1, 2) for _ in range(2))
+            part = combine([(QuantumChannel(first), (1,)), (QuantumChannel(second), (0,))])
+            ops = [np.kron(k0, k1) for k1 in first for k0 in second]
+        elif draw(st.booleans()):
+            first, second = (random_kraus(rng, k, draw(st.integers(1, 3))) for _ in range(2))
+            part = compose(QuantumChannel(second), QuantumChannel(first))
+            ops = [k2 @ k1 for k1 in first for k2 in second]
         else:
-            part = QuantumChannel(random_kraus(rng, len(qubits), draw(st.integers(1, 3))))
-        parts.append((part, qubits))
+            ops = random_kraus(rng, k, draw(st.integers(1, 3)))
+            part = QuantumChannel(ops)
+        parts.append((part, qubits, ops))
     psi = PureState(n, random_pure(rng, n))
     subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    return parts, combine(parts, n=n), psi, subset
+    return parts, combine([(part, qubits) for part, qubits, _ in parts], n=n), psi, subset
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -194,10 +203,11 @@ def test_stage_rows_match_the_dense_kraus_rows(case):
     """The branch rows contracted one stage at a time against the rows of
     the dense ``kraus`` operators, row by row and as the marginal on the
     subset, to 1e-12; ``kraus`` against the products of the parts'
-    operators padded entry by entry, part 0's choice outermost."""
+    operators, formed from their raw Kraus lists and padded entry by entry,
+    part 0's choice outermost."""
     parts, channel, psi, subset = case
     n = psi.n
-    padded = [[padded_operator_oracle(k, qubits, n) for k in part.kraus] for part, qubits in parts]
+    padded = [[padded_operator_oracle(k, qubits, n) for k in ops] for _, qubits, ops in parts]
     want_ops = [reduce(np.matmul, ops, np.eye(2**n)) for ops in product(*padded)]
     assert len(channel.kraus) == len(want_ops)
     assert max(np.abs(k - w).max() for k, w in zip(channel.kraus, want_ops)) < 1e-12

@@ -16,10 +16,9 @@ from entlab.errors import PositivityError, SizeLimitError
 from entlab.measures import binary_entropy
 from entlab.states import (
     _hermitize,
-    as_density_matrix,
     branch_entropy,
     check_register_size,
-    embed_operator,
+    check_state,
     entropy_of_subset,
     fidelity,
     partial_trace,
@@ -32,6 +31,7 @@ from entlab.states import (
 )
 from entlab.sync import binomial_tail, quantum_randomization_demo, repetition_majority_error
 from helpers import (
+    embed_operator,
     entropy_oracle,
     h2,
     haar,
@@ -320,12 +320,13 @@ def test_fidelity_and_trace_distance(rng):
         assert t <= np.sqrt(max(0.0, 1 - f)) + 1e-9
 
 
-def test_as_density_matrix_accepts_both():
+def test_check_state_accepts_both():
     psi = PureState(1, np.array([1.0, 0.0], dtype=complex))
-    rho = as_density_matrix(psi)
-    assert isinstance(rho, DensityMatrix)
-    assert as_density_matrix(rho) is rho
-    assert np.abs(rho.matrix - np.diag([1.0, 0.0])).max() < 1e-12
+    rho = psi.density_matrix()
+    assert check_state(psi) is psi
+    assert check_state(rho) is rho
+    with pytest.raises(TypeError, match="^expected PureState or DensityMatrix, got ndarray$"):
+        check_state(rho.matrix)
 
 
 def test_purity_flags(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entlab.channels import build_cluster_noise
-from entlab.states import PureState, embed_operator, entropy_of_subset
+from entlab.states import PureState, entropy_of_subset
 from entlab.zoo import (
     all_subsets,
     bell,
@@ -15,7 +15,7 @@ from entlab.zoo import (
     plus_all,
     random_circuit_state,
 )
-from helpers import kron_pauli_string
+from helpers import embed_operator, kron_pauli_string
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
