@@ -4,14 +4,21 @@ A channel acts on the register positions ``qubits`` (0..n-1 unless
 declared) and is stored as ``stages``, read-only stacks of Kraus
 operators on some of those positions that act in list order, stage 0
 first; its Kraus operators are the products of one operator per stage,
-identity elsewhere. A caller's Kraus list is one stage on all of
-``qubits``, checked to sum_k K^dagger K = I within 1e-9. ``combine``,
-``embed`` and ``compose`` only place or chain checked stages, so a
-product or a sequence of channels stays factored. One kernel,
-``_run_stages``, contracts the stages on their positions' tensor axes of
-a stack: on a pure input it gives the measures' branch rows, and on the
-identity the dense ``kraus``, formed when first read for ``apply`` and the
-Pauli expansion (the error-probability vector of the Pauli twirl).
+identity elsewhere. A caller's Kraus list or (m, d, d) stack is copied
+once into one stage on all of ``qubits``, checked to
+sum_k K^dagger K = I within 1e-9. ``combine``, ``embed`` and ``compose``
+only place or chain checked stages, so a product or a sequence of
+channels stays factored. One kernel, ``_run_stages``, contracts the
+stages on their positions' tensor axes of a stack: on a pure input it
+gives the measures' branch rows, and on the identity the dense ``kraus``,
+formed when first read for ``apply`` and the Pauli expansion (the
+error-probability vector of the Pauli twirl).
+
+The builders form their whole Kraus stack in one vectorized pass, with
+no loop over operators, and hand it to the channel without a copy: Pauli
+mixtures are scaled strings that ``_pauli_strings`` scatters into one
+zero stack, and the cluster noise's one-qubit layers come from one
+stacked Haar draw.
 """
 
 from __future__ import annotations
@@ -24,16 +31,12 @@ import numpy as np
 from .errors import SizeLimitError
 from .states import DensityMatrix, _hermitize, _position, check_probability
 from .states import check_register_size
-from .zoo import _validate_edges, _qubit_bits, haar_unitary
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from .zoo import _haar_unitaries, _qubit_bits, _validate_edges
 
 PAULI_LETTERS = "IXYZ"
-# (-i)^k for k Y letters, k mod 4
-_Y_PHASES = (1.0, -1j, -1.0, 1j)
+# (-i)^k for k = 0..3 as Python writes 1, -1j, -1, 1j: 1 and -1 carry a
+# +0 imaginary part, -i a -0 real part
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 CPTP_ATOL = 1e-9
 # Pauli expansion enumerates 4**n strings; keep that tractable
@@ -48,9 +51,10 @@ class QuantumChannel:
 
     Parameters
     ----------
-    kraus : sequence of ndarray
+    kraus : sequence of ndarray, or an (m, d, d) ndarray
         Square operators of a common power-of-two dimension with
-        sum_k K_k^dagger K_k = I, to CPTP_ATOL in every entry.
+        sum_k K_k^dagger K_k = I, to CPTP_ATOL in every entry; the channel
+        keeps its own copy.
     qubits : tuple of int, optional
         Strictly increasing register positions the channel acts on when
         applied to a larger register; positions 0..n-1 when omitted.
@@ -65,26 +69,47 @@ class QuantumChannel:
     __slots__ = ("qubits", "stages", "_kraus")
 
     def __init__(self, kraus, qubits=None):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        ops = kraus if isinstance(kraus, np.ndarray) else [np.asarray(k) for k in kraus]
+        if len(ops) == 0:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
         n = int(np.log2(d)) if d > 0 else -1
         if d < 1 or 2**n != d:
             raise ValueError(f"Kraus dimension {d} is not a power of two")
         check_register_size(n)
-        if any(op.shape != (d, d) for op in ops):
+        shapes = {ops.shape[1:]} if isinstance(ops, np.ndarray) else {op.shape for op in ops}
+        if shapes != {(d, d)}:
             raise ValueError("Kraus operators must share one square shape")
-        stack = np.array(ops)
+        # the one copy: the caller's arrays stay theirs to write
+        self._settle_checked(np.array(ops, dtype=complex), qubits)
+
+    @classmethod
+    def _built(cls, stack: np.ndarray, qubits=None) -> "QuantumChannel":
+        """A builder's channel on its fresh (m, 2^n, 2^n) complex ``stack``,
+        checked as a caller's Kraus list is but kept without a copy (on
+        large stacks the copy's new pages cost more than the build)."""
+        channel = object.__new__(cls)
+        channel._settle_checked(stack, qubits)
+        return channel
+
+    def _settle_checked(self, stack: np.ndarray, qubits) -> None:
+        """Settle on the one stage ``stack`` if sum_k K^dagger K = I to
+        CPTP_ATOL in every entry; ValueError otherwise."""
+        d = stack.shape[1]
         # sum_k K^dagger K from one real product over the stack's (re, im)
-        # columns, so no conjugate copy of the stack is made
+        # columns, so no conjugate copy of the stack is made; its real and
+        # imaginary parts, less I, are formed in place
         cols = stack.reshape(-1, d).view(float)
         g = cols.T @ cols
-        re, im = g[0::2, 0::2] + g[1::2, 1::2] - np.eye(d), g[0::2, 1::2] - g[1::2, 0::2]
-        gap = float(np.hypot(re, im).max())
+        re, im = g[0::2, 0::2], g[0::2, 1::2]
+        re += g[1::2, 1::2]
+        im -= g[1::2, 0::2]
+        diag = np.arange(d)
+        re[diag, diag] -= 1.0
+        gap = float(np.hypot(re, im, out=re).max())
         if not gap <= CPTP_ATOL:
             raise ValueError(f"Kraus operators are not trace preserving (gap {gap:.2e})")
-        pos = _positions(qubits, n)
+        pos = _positions(qubits, d.bit_length() - 1)
         self._settle(((stack, pos),), pos)
 
     def _settle(self, stages: tuple, qubits: tuple) -> None:
@@ -285,20 +310,58 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     return QuantumChannel._derived(stages, range(n))
 
 
-def _filter_kraus(weighted: Sequence[tuple[float, np.ndarray]]) -> tuple:
-    ops = tuple(np.sqrt(w) * op for w, op in weighted if w > 0.0)
-    return ops
+def _pauli_strings(n: int, x_masks, z_masks, scale=None) -> np.ndarray:
+    """The (m, 2^n, 2^n) stack of the n-qubit Pauli strings with X on the
+    bits of ``x_masks[i]``, Z on the bits of ``z_masks[i]`` and Y on both
+    (bit n-1-q stands for qubit q), string i times ``scale[i]`` if given.
+
+    Row r of a string holds one entry, in column r ^ x. Since Y = -i Z X
+    per qubit, that entry is (-i)^(#Y + 2 |r & z|), read from the table
+    _MINUS_I_POWERS, so equal entries have equal bytes, signed zeros
+    included; every entry of the stack is written by one scatter into
+    zeros.
+    """
+    x = np.asarray(x_masks, dtype=np.intp)[:, None]
+    z = np.asarray(z_masks, dtype=np.intp)[:, None]
+    rows = np.arange(2**n)
+    ys = ((x & z) >> np.arange(n) & 1).sum(axis=1, keepdims=True)
+    rz = rows & z
+    # fold the bits of r & z onto bit 0, which ends as their parity
+    shift = 1
+    while shift < n:
+        rz ^= rz >> shift
+        shift *= 2
+    entries = _MINUS_I_POWERS[(ys + 2 * (rz & 1)) & 3]
+    if scale is not None:
+        entries = np.asarray(scale, dtype=float)[:, None] * entries
+    out = np.zeros((len(x), 2**n, 2**n), dtype=complex)
+    out[np.arange(len(x))[:, None], rows, rows ^ x] = entries
+    return out
+
+
+# the one-qubit strings I, X, Y, Z
+_PAULIS = _pauli_strings(1, (0, 1, 1, 0), (0, 0, 1, 1))
+
+
+def _mixture(weights, ops: np.ndarray) -> np.ndarray:
+    """The Kraus stack sqrt(w_i) K_i of a mixture of the operators in the
+    (m, d, d) stack ``ops``, in order, without the terms of weight 0."""
+    w = np.asarray(weights, dtype=float)
+    keep = w > 0.0
+    out = ops[keep]
+    out *= np.sqrt(w[keep])[:, None, None]
+    return out
 
 
 def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
     """Single-qubit depolarizing noise with total Pauli-error probability p.
 
-    The Pauli twirl weights are (1-p, p/3, p/3, p/3); at p = 3/4 any input
-    qubit is sent to the maximally mixed state.
+    The Pauli twirl weights are (1-p, p/3, p/3, p/3) on I, X, Y, Z; at
+    p = 3/4 any input qubit is sent to the maximally mixed state.
     """
     p = check_probability(p)
-    weighted = [(1.0 - p, PAULI_I), (p / 3.0, PAULI_X), (p / 3.0, PAULI_Y), (p / 3.0, PAULI_Z)]
-    return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
+    weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
+    return QuantumChannel._built(_mixture(weights, _PAULIS), qubits=(qubit,))
 
 
 def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
@@ -308,37 +371,25 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     spectrum (1 - eps/2, eps/2).
     """
     eps = check_probability(eps, "strength")
-    weighted = [(1.0 - eps / 2.0, PAULI_I), (eps / 2.0, PAULI_Z)]
-    return QuantumChannel(_filter_kraus(weighted), qubits=(qubit,))
+    weights = (1.0 - eps / 2.0, eps / 2.0)
+    return QuantumChannel._built(_mixture(weights, _PAULIS[::3]), qubits=(qubit,))
 
 
-def _pauli_from_masks(n: int, x_mask: int, z_mask: int) -> np.ndarray:
-    """n-qubit Pauli string with X on the bits of ``x_mask``, Z on the bits
-    of ``z_mask`` and Y on both; bit n-1-q stands for qubit q.
-
-    Row r holds one entry, in column r ^ x_mask. Since Y = -i Z X per
-    qubit, that entry is (-i)^#Y (-1)^(number of z_mask bits set in r).
-    """
-    d = 2**n
-    rows = np.arange(d)
-    odd = np.zeros(d, dtype=bool)
-    for bit in range(n):
-        if z_mask >> bit & 1:
-            odd ^= (rows >> bit & 1).astype(bool)
-    phase = _Y_PHASES[bin(x_mask & z_mask).count("1") % 4]
-    mat = np.zeros((d, d), dtype=complex)
-    mat[rows, rows ^ x_mask] = np.where(odd, -phase, phase)
-    return mat
-
-
-def pauli_string_matrix(letters: str) -> np.ndarray:
+def _pauli_masks(letters: str) -> tuple[int, int]:
+    """The (x, z) masks of a Pauli string's letters, qubit 0 first."""
     x_mask = z_mask = 0
     for ch in letters:
         if ch not in PAULI_LETTERS:
             raise ValueError(f"unknown Pauli letter {ch!r}")
         x_mask = 2 * x_mask + (ch in "XY")
         z_mask = 2 * z_mask + (ch in "YZ")
-    return _pauli_from_masks(len(letters), x_mask, z_mask)
+    return x_mask, z_mask
+
+
+def pauli_string_matrix(letters: str) -> np.ndarray:
+    """The 2^n x 2^n matrix of an n-letter Pauli string, qubit 0 first."""
+    x_mask, z_mask = _pauli_masks(letters)
+    return _pauli_strings(len(letters), [x_mask], [z_mask])[0]
 
 
 def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
@@ -348,8 +399,9 @@ def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
     check_register_size(n)
     if n < 1:
         raise ValueError("Pauli string must be non-empty")
-    weighted = [(1.0 - eps, np.eye(2**n, dtype=complex)), (eps, pauli_string_matrix(pauli))]
-    return QuantumChannel(_filter_kraus(weighted))
+    x_mask, z_mask = _pauli_masks(pauli)
+    ops = _pauli_strings(n, (0, x_mask), (0, z_mask))
+    return QuantumChannel._built(_mixture((1.0 - eps, eps), ops))
 
 
 def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
@@ -375,8 +427,12 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     A burst occurs with probability pi = p1^2 / p2; within a burst every
     qubit independently flips with probability h = p2 / p1. The per-qubit
     hit probability is then p1 and the joint hit probability of any pair is
-    p2. Feasible iff p1^2 <= p2 <= p1. Its 2^n + 1 dense operators must
-    fit in MAX_KRAUS_BYTES, or SizeLimitError is raised before any is built.
+    p2. Feasible iff p1^2 <= p2 <= p1. The Kraus operators are the
+    identity, then the flip string of every mask of flipped qubits in
+    order 0..2^n-1, each times the square root of its weight and none of
+    weight 0; one scatter writes them all into one stack. Its 2^n + 1 dense
+    operators must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised
+    before any is built.
     """
     n = check_register_size(n)
     if n < 1:
@@ -385,19 +441,21 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
     _check_kraus_bytes("pairwise_correlated", 2**n + 1, n)
-    eye = np.eye(2**n, dtype=complex)
     if p1 == 0.0 or p2 == 0.0:
-        return QuantumChannel((eye,))
+        return QuantumChannel._built(_pauli_strings(n, [0], [0]))
     h = p2 / p1
     pi = p1 * p1 / p2
+    # a mask's burst weight pi prod_q (h or 1 - h), multiplied qubit by qubit
+    masks = np.arange(2**n)
+    burst = np.full(2**n, pi)
+    for q in range(n):
+        burst *= np.where(masks >> (n - 1 - q) & 1, h, 1.0 - h)
+    weights = np.concatenate(([1.0 - pi], burst))
+    keep = weights > 0.0
+    masks = np.concatenate(([0], masks))[keep]
     x_on, z_on = basis in "XY", basis in "YZ"
-    weighted = [(1.0 - pi, eye)]
-    for mask in range(2**n):
-        w = pi
-        for q in range(n):
-            w *= h if mask >> (n - 1 - q) & 1 else (1.0 - h)
-        weighted.append((w, _pauli_from_masks(n, mask * x_on, mask * z_on)))
-    return QuantumChannel(_filter_kraus(weighted))
+    ops = _pauli_strings(n, masks * x_on, masks * z_on, np.sqrt(weights[keep]))
+    return QuantumChannel._built(ops)
 
 
 def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:
@@ -414,7 +472,7 @@ def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:
     radius = float(np.max(np.abs(lam)))
     lam = lam / radius
     u = (vecs * np.exp(-1j * eps * lam)) @ vecs.conj().T
-    return QuantumChannel((u,))
+    return QuantumChannel._built(u[None])
 
 
 def build_cluster_noise(
@@ -423,8 +481,10 @@ def build_cluster_noise(
     """With probability eps, apply the CZ circuit of ``edges`` dressed by
     seeded random single-qubit layers on both sides; otherwise do nothing.
 
-    An empty edge list degenerates to a mixture of single-qubit unitaries,
-    which is a product channel.
+    The 2n one-qubit Haar unitaries come from one draw and one stacked QR,
+    the first layer's n first, each the same as a ``haar_unitary(2, rng)``
+    call in that order would give. An empty edge list degenerates to a
+    mixture of single-qubit unitaries, which is a product channel.
     """
     n = check_register_size(n)
     if n < 1:
@@ -432,17 +492,16 @@ def build_cluster_noise(
     eps = check_probability(eps)
     edge_list = _validate_edges(n, edges)
     rng = np.random.default_rng(seed)
-    # two layers of n one-qubit unitaries, the first drawn first
-    pre, post = [
-        _tensor_stacks([haar_unitary(2, rng)[None] for _ in range(n)])[0] for _layer in range(2)
-    ]
+    # the n one-qubit unitaries of the first layer, then those of the second
+    layers = _haar_unitaries(2 * n, 2, rng)
+    pre, post = (_tensor_stacks(layer[:, None])[0] for layer in (layers[:n], layers[n:]))
     cz_diag = np.ones(2**n, dtype=complex)
     for i, j in edge_list:
         both = (_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)
         cz_diag[both] *= -1.0
     u = post @ (cz_diag[:, None] * pre)
-    weighted = [(1.0 - eps, np.eye(2**n, dtype=complex)), (eps, u)]
-    return QuantumChannel(_filter_kraus(weighted))
+    ops = np.stack((np.eye(2**n, dtype=complex), u))
+    return QuantumChannel._built(_mixture((1.0 - eps, eps), ops))
 
 
 def pauli_weight_table(n: int) -> np.ndarray:
@@ -455,9 +514,9 @@ def pauli_weight_table(n: int) -> np.ndarray:
     return weights
 
 
-# Row a holds P_a transposed and flattened, so that the per-qubit tensor
+# Row a holds _PAULIS[a] transposed and flattened, so that the per-qubit tensor
 # contraction below computes Tr(P K) factors.
-_PAULI_XFORM = np.stack([p.T.reshape(4) for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)])
+_PAULI_XFORM = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
 
 
 def _pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:

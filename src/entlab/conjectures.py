@@ -34,7 +34,6 @@ from .errors import SizeLimitError
 from .measures import (
     MAX_TOTAL_QUBITS,
     _noisy_output,
-    _pair_information,
     _register_size,
     _set_excess,
     assisted_mutual_information,
@@ -114,13 +113,18 @@ def _verdict(
     larger of the state's size n and the channel's span, before ``term`` is
     called, so an excess that cannot be computed fails before a
     decomposition search starts. The leaks and the excess read the
-    output's branch rows, as the measures of the same names do.
+    output's branch rows, as the measures of the same names do; a pair
+    excess reuses the two leaks, so a pair verdict diagonalizes three
+    marginals.
     """
     rows = _noisy_output(channel, plus_all(max(n, _span(channel))))
-    leaks = {q: branch_entropy(rows, _register_size(rows), (q,)) for q in qubits}
+    m = _register_size(rows)
+    leaks = {q: branch_entropy(rows, m, (q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
-        excess = _pair_information(rows, *qubits)
+        # S(a) + S(b) - S(ab) as excess_leak forms it, from the leaks above
+        a, b = qubits
+        excess = leaks[a] + leaks[b] - branch_entropy(rows, m, qubits)
         term_value, diagnostics = term()
     else:
         reference_leak = float(min(leaks.values()))

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import _pauli_from_masks
+from .channels import _pauli_strings
 from .errors import ConvergenceError, InfeasibleMarginalsError, SizeLimitError
 from .states import (
     DensityMatrix,
@@ -201,7 +201,7 @@ def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
         # local bit s-1-j of a key string is bit m-1-k[j] of the register
         spread = [sum(1 << (m - 1 - k[j]) for j in range(s) if local >> (s - 1 - j) & 1)
                   for local in range(2**s)]
-        at, local_strings = [], []
+        at, local = [], []
         for x in range(2**s):
             for z in range(2**s):
                 full = (spread[x], spread[z])
@@ -209,12 +209,14 @@ def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
                     seen.add(full)
                     at.append(len(strings))
                     strings.append(full)
-                    local_strings.append(_pauli_from_masks(s, x, z))
-        owned.append((np.array(at, dtype=int), np.array(local_strings).reshape(-1, 2**s, 2**s)))
+                    local.append((x, z))
+        x_local, z_local = np.array(local, dtype=int).reshape(-1, 2).T
+        owned.append((np.array(at, dtype=int), _pauli_strings(s, x_local, z_local)))
     d = 2**m
-    stack = np.array([_pauli_from_masks(m, *full) for full in strings])
+    x_masks, z_masks = np.array(strings, dtype=int).reshape(-1, 2).T
+    stack = _pauli_strings(m, x_masks, z_masks)
     # row s of the string with X mask x holds its entry in column s ^ x
-    cols = np.arange(d) ^ np.array([x for x, _ in strings], dtype=np.intp)[:, None]
+    cols = np.arange(d) ^ x_masks[:, None]
     entries = np.take_along_axis(stack, cols[:, :, None], axis=2)
     units = np.abs(entries - _UNITS).argmin(axis=2)
     gather = (units * d * d + cols * d)[:, None, :] + np.arange(d)[None, :, None]

@@ -184,6 +184,117 @@ def kron_pairwise_kraus(n: int, p1: float, p2: float, basis: str) -> list:
     return [np.sqrt(w) * op for w, op in weighted if w > 0.0]
 
 
+# Channel builders as they were written one operator at a time: a list of
+# (weight, operator) pairs, each operator formed on its own, then sqrt(w) K
+# for the positive weights. The vectorized builders must give the same
+# operators, byte for byte, in the same order.
+
+
+def _weighted_kraus(weighted) -> list:
+    return [np.sqrt(w) * op for w, op in weighted if w > 0.0]
+
+
+def reference_pauli_from_masks(n: int, x_mask: int, z_mask: int) -> np.ndarray:
+    """One Pauli string from its masks (bit n-1-q for qubit q): the entry of
+    row r sits in column r ^ x_mask and is (-i)^#Y (-1)^|r & z_mask|, the
+    phase a Python float when #Y is even."""
+    d = 2**n
+    rows = np.arange(d)
+    odd = np.zeros(d, dtype=bool)
+    for b in range(n):
+        if z_mask >> b & 1:
+            odd ^= (rows >> b & 1).astype(bool)
+    phase = (1.0, -1j, -1.0, 1j)[bin(x_mask & z_mask).count("1") % 4]
+    mat = np.zeros((d, d), dtype=complex)
+    mat[rows, rows ^ x_mask] = np.where(odd, -phase, phase)
+    return mat
+
+
+def reference_pauli_string(letters: str) -> np.ndarray:
+    x_mask = z_mask = 0
+    for ch in letters:
+        x_mask = 2 * x_mask + (ch in "XY")
+        z_mask = 2 * z_mask + (ch in "YZ")
+    return reference_pauli_from_masks(len(letters), x_mask, z_mask)
+
+
+def reference_pairwise_kraus(n: int, p1: float, p2: float, basis: str) -> list:
+    eye = np.eye(2**n, dtype=complex)
+    if p1 == 0.0 or p2 == 0.0:
+        return [eye]
+    h = p2 / p1
+    pi = p1 * p1 / p2
+    x_on, z_on = basis in "XY", basis in "YZ"
+    weighted = [(1.0 - pi, eye)]
+    for mask in range(2**n):
+        w = pi
+        for q in range(n):
+            w *= h if mask >> (n - 1 - q) & 1 else (1.0 - h)
+        weighted.append((w, reference_pauli_from_masks(n, mask * x_on, mask * z_on)))
+    return _weighted_kraus(weighted)
+
+
+def reference_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """QR of one Ginibre matrix, real part drawn first, with the phase fix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    phase = np.diag(r).copy()
+    phase /= np.abs(phase)
+    return q * phase
+
+
+def reference_cluster_kraus(n: int, edges, eps: float, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _layer in range(2):
+        u = reference_haar_unitary(2, rng)
+        for _q in range(1, n):
+            u = np.kron(u, reference_haar_unitary(2, rng))
+        layers.append(u)
+    pre, post = layers
+    cz_diag = np.ones(2**n, dtype=complex)
+    for i, j in edges:
+        for r in range(2**n):
+            if bit(r, i, n) and bit(r, j, n):
+                cz_diag[r] *= -1.0
+    u = post @ (cz_diag[:, None] * pre)
+    return _weighted_kraus([(1.0 - eps, np.eye(2**n, dtype=complex)), (eps, u)])
+
+
+def reference_correlated_flip_kraus(eps: float, letters: str) -> list:
+    eye = np.eye(2 ** len(letters), dtype=complex)
+    return _weighted_kraus([(1.0 - eps, eye), (eps, reference_pauli_string(letters))])
+
+
+def reference_depolarizing_kraus(p: float) -> list:
+    return _weighted_kraus([(1.0 - p, PAULI_2X2["I"])] + [(p / 3.0, PAULI_2X2[c]) for c in "XYZ"])
+
+
+def reference_dephasing_kraus(eps: float) -> list:
+    return _weighted_kraus([(1.0 - eps / 2.0, PAULI_2X2["I"]), (eps / 2.0, PAULI_2X2["Z"])])
+
+
+def reference_pauli_basis(m: int, keys) -> tuple:
+    """The dual's Pauli strings as ``optim._pauli_basis`` lists them, one
+    string at a time: the full-register stack and, per key, its own new
+    strings on the key's qubits."""
+    strings, locals_, seen = [], [], set()
+    for k in keys:
+        s = len(k)
+        spread = [sum(1 << (m - 1 - k[j]) for j in range(s) if local >> (s - 1 - j) & 1)
+                  for local in range(2**s)]
+        local = []
+        for x in range(2**s):
+            for z in range(2**s):
+                full = (spread[x], spread[z])
+                if (x or z) and full not in seen:
+                    seen.add(full)
+                    strings.append(full)
+                    local.append(reference_pauli_from_masks(s, x, z))
+        locals_.append(np.array(local).reshape(-1, 2**s, 2**s))
+    return np.array([reference_pauli_from_masks(m, *full) for full in strings]), locals_
+
+
 def h2(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

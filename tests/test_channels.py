@@ -30,12 +30,21 @@ from entlab.channels import (
 from entlab.errors import SizeLimitError
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
+from entlab.optim import _pauli_basis
+from entlab.zoo import haar_unitary, line_edges
 from helpers import (
     BUILT_CHANNELS,
     kron_pairwise_kraus,
     kron_pauli_string,
     random_density,
     random_kraus,
+    reference_cluster_kraus,
+    reference_correlated_flip_kraus,
+    reference_dephasing_kraus,
+    reference_depolarizing_kraus,
+    reference_haar_unitary,
+    reference_pairwise_kraus,
+    reference_pauli_basis,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -124,6 +133,91 @@ def test_derived_channels_are_trace_preserving(derive):
     channel = derive()
     assert np.abs(kraus_sum(channel) - np.eye(channel.dim)).max() < 1e-12
     assert all(not k.flags.writeable for k in channel.kraus)
+
+
+def test_channel_takes_a_list_or_a_stack_and_keeps_its_own_copy(rng):
+    ops = np.array(random_kraus(rng, 2, 3))
+    want = ops.copy()
+    from_stack, from_list = QuantumChannel(ops), QuantumChannel(list(ops))
+    ops[:] = 0.0
+    for channel in (from_stack, from_list):
+        assert len(channel.kraus) == 3
+        assert all(np.array_equal(k, w) for k, w in zip(channel.kraus, want))
+    # a real stack is read as complex operators
+    assert QuantumChannel(np.eye(2)[None]).kraus[0].dtype == complex
+
+
+@pytest.mark.parametrize(
+    "kraus, message",
+    [
+        ([], "at least one Kraus operator"),
+        (np.zeros((0, 2, 2)), "at least one Kraus operator"),
+        ([I2, np.eye(4)], "share one square shape"),
+        (np.zeros((1, 2, 4)), "share one square shape"),
+        ([np.zeros((2, 4))], "share one square shape"),
+        ([np.eye(3)], "not a power of two"),
+        (np.eye(3)[None], "not a power of two"),
+    ],
+    ids=[
+        "empty-list", "empty-stack", "ragged", "non-square-stack", "non-square", "dim-3",
+        "dim-3-stack",
+    ],
+)
+def test_channel_input_errors(kraus, message):
+    with pytest.raises(ValueError, match=message):
+        QuantumChannel(kraus)
+
+
+def _ring(n):
+    return [(i, (i + 1) % n) for i in range(n)] if n >= 3 else line_edges(n)
+
+
+def _assert_same_operators(got, want):
+    """Same count, same order, same bytes (signed zeros included)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+def test_pairwise_correlated_matches_the_per_operator_builder(basis, n):
+    """p2 = p1 drops every partial burst, p2 = p1^2 the idle term, p1 = 0
+    leaves the identity alone."""
+    for p1, p2 in ((0.1, 0.04), (0.3, 0.3), (0.2, 0.2**2), (0.5, 0.25), (0.0, 0.0)):
+        got = build_pairwise_correlated(n, p1, p2, basis).kraus
+        _assert_same_operators(got, reference_pairwise_kraus(n, p1, p2, basis))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cluster_noise_matches_the_per_operator_builder(n):
+    for edges in ([], line_edges(n), _ring(n)):
+        for seed in (0, 9, 2024):
+            got = build_cluster_noise(n, edges, 0.3, seed).kraus
+            _assert_same_operators(got, reference_cluster_kraus(n, edges, 0.3, seed))
+    for eps in (0.0, 1.0):
+        got = build_cluster_noise(n, _ring(n), eps, 5).kraus
+        _assert_same_operators(got, reference_cluster_kraus(n, _ring(n), eps, 5))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.75, 1.0])
+def test_one_qubit_and_flip_builders_match_the_per_operator_builders(p):
+    _assert_same_operators(build_depolarizing(p, qubit=2).kraus, reference_depolarizing_kraus(p))
+    _assert_same_operators(build_dephasing(p).kraus, reference_dephasing_kraus(p))
+    for letters in ("X", "ZY", "YIY", "XYZY", "YYYYY"):
+        got = build_correlated_flip(p, letters).kraus
+        _assert_same_operators(got, reference_correlated_flip_kraus(p, letters))
+
+
+def test_pauli_basis_and_haar_unitary_are_byte_identical_to_one_at_a_time(rng):
+    for m, keys in ((2, ((0,), (1,))), (3, ((0, 1), (0, 2), (1, 2))), (4, ((0, 1, 2), (1, 2, 3)))):
+        basis = _pauli_basis(m, keys)
+        stack, owned = reference_pauli_basis(m, keys)
+        assert basis.stack.tobytes() == stack.tobytes()
+        assert all(got.tobytes() == want.tobytes() for (_, got), want in zip(basis.owned, owned))
+    seed = int(rng.integers(2**32))
+    got = haar_unitary(8, np.random.default_rng(seed))
+    assert got.tobytes() == reference_haar_unitary(8, np.random.default_rng(seed)).tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

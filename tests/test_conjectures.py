@@ -82,6 +82,24 @@ def test_each_relation_builds_the_noisy_output_once(monkeypatch):
     assert dense == []
 
 
+def test_pair_verdicts_read_each_leak_once(monkeypatch):
+    """A pair verdict diagonalizes three marginals of the branch rows, the
+    two one-qubit leaks and the pair, and forms its excess from them."""
+    read = []
+    entropy = conjectures.branch_entropy
+
+    def counted(rows, n, keep):
+        read.append(tuple(keep))
+        return entropy(rows, n, keep)
+
+    monkeypatch.setattr(conjectures, "branch_entropy", counted)
+    channel = build_pairwise_correlated(3, 0.1, 0.02, "Z")
+    for evaluate in _relations(channel)[2][:2]:
+        read.clear()
+        evaluate()
+        assert read == [(0,), (1,), (0, 1)]
+
+
 @pytest.mark.parametrize("mode", ["marginal", "decomposed"])
 def test_relation34_refuses_a_bad_subset_before_any_search(monkeypatch, mode):
     """A subset of one qubit or above the set cap fails with the excess,
