@@ -69,16 +69,15 @@ class QuantumChannel:
     __slots__ = ("qubits", "stages", "_kraus")
 
     def __init__(self, kraus, qubits=None):
-        ops = kraus if isinstance(kraus, np.ndarray) else [np.asarray(k) for k in kraus]
-        if len(ops) == 0:
+        ops = [np.asarray(k) for k in kraus]
+        if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
         n = int(np.log2(d)) if d > 0 else -1
         if d < 1 or 2**n != d:
             raise ValueError(f"Kraus dimension {d} is not a power of two")
         check_register_size(n)
-        shapes = {ops.shape[1:]} if isinstance(ops, np.ndarray) else {op.shape for op in ops}
-        if shapes != {(d, d)}:
+        if any(op.shape != (d, d) for op in ops):
             raise ValueError("Kraus operators must share one square shape")
         # the one copy: the caller's arrays stay theirs to write
         self._settle_checked(np.array(ops, dtype=complex), qubits)
@@ -372,7 +371,7 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     """
     eps = check_probability(eps, "strength")
     weights = (1.0 - eps / 2.0, eps / 2.0)
-    return QuantumChannel._built(_mixture(weights, _PAULIS[::3]), qubits=(qubit,))
+    return QuantumChannel._built(_mixture(weights, _PAULIS[::3]), qubits=(qubit,))  # I and Z
 
 
 def _pauli_masks(letters: str) -> tuple[int, int]:
