@@ -8,11 +8,12 @@ identity elsewhere. A caller's Kraus list or (m, d, d) stack is copied
 once into one stage on all of ``qubits``, checked to
 sum_k K^dagger K = I within 1e-9. ``combine``, ``embed`` and ``compose``
 only place or chain checked stages, so a product or a sequence of
-channels stays factored. One kernel, ``_run_stages``, contracts the
-stages on their positions' tensor axes of a stack: on a pure input it
-gives the measures' branch rows, and on the identity the dense ``kraus``,
-formed when first read for ``apply`` and the Pauli expansion (the
-error-probability vector of the Pauli twirl).
+channels stays factored, whatever its Kraus count. One kernel,
+``_run_stages``, contracts the stages on their positions' tensor axes of
+a stack: on a pure input it gives the measures' branch rows, and on the
+identity the dense ``kraus``, formed when first read for ``apply`` and
+the Pauli expansion (the error-probability vector of the Pauli twirl).
+It alone applies the size rule of a read, MAX_KRAUS_BYTES.
 
 The builders form their whole Kraus stack in one vectorized pass, with
 no loop over operators, and hand it to the channel without a copy: Pauli
@@ -29,20 +30,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .states import DensityMatrix, _hermitize, _position, check_probability
-from .states import check_register_size
+from .states import _MINUS_I_POWERS, DensityMatrix, _hermitize, _position, check_probability
+from .states import check_register_size, pauli_rows
 from .zoo import _haar_unitaries, _qubit_bits, _validate_edges
 
 PAULI_LETTERS = "IXYZ"
-# (-i)^k for k = 0..3 as Python writes 1, -1j, -1, 1j: 1 and -1 carry a
-# +0 imaginary part, -i a -0 real part
-_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 CPTP_ATOL = 1e-9
 # Pauli expansion enumerates 4**n strings; keep that tractable
 MAX_EXPANSION_QUBITS = 6
-# the largest dense Kraus list a builder may allocate: 4 GiB lets
-# build_pairwise_correlated reach n = 9 (513 operators, 2.15 GB)
+# the most a read of the stages (``_run_stages``) may hold and a builder's
+# dense Kraus list may take: 4 GiB reads dephasing on each of 12 qubits
+# and builds build_pairwise_correlated up to n = 9 (513 operators, 2.15 GB)
 MAX_KRAUS_BYTES = 2**32
 
 
@@ -162,10 +161,6 @@ def _positions(qubits, n: int) -> tuple:
     return pos
 
 
-def _kraus_count(channel: QuantumChannel) -> int:
-    return prod(len(ops) for ops, _ in channel.stages)
-
-
 def _tensor_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Left-to-right tensor product of (m_i, d_i, d_i) operator stacks: the
     (prod m_i, prod d_i, prod d_i) stack of products, whose index and
@@ -177,38 +172,52 @@ def _tensor_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _run_stages(stages: tuple, src: np.ndarray) -> np.ndarray:
-    """The stages run in list order on a (b, 2^n, c) stack whose n tensor
-    axes are register positions 0..n-1: the (b K, 2^n, c) stack, b's index
-    outermost, then stage 0's Kraus index. A stage's (m, 2^k, 2^k)
-    operators act on its positions' axes as one (m 2^k, 2^k) product, so
-    no padded operator is formed. On a state vector (b = c = 1) this gives
-    the branches K psi, on the identity the Kraus operators."""
-    b, d, c = src.shape
-    n = d.bit_length() - 1
+def _run_stages(stages: tuple, n: int, psi: np.ndarray | None = None) -> np.ndarray:
+    """The stages run in list order on the 2^n amplitudes ``psi``, whose n
+    tensor axes are register positions 0..n-1, or on the identity when
+    ``psi`` is None: the (K, 2^n, c) stack of the branches K psi (c = 1)
+    or of the Kraus operators (c = 2^n), stage 0's index outermost. A
+    stage's (m, 2^k, 2^k) operators act on its positions' axes as one
+    (m 2^k, 2^k) product, so no padded operator is formed.
+
+    The size rule of every read: SizeLimitError before anything is
+    allocated if 3 times the result's bytes exceed MAX_KRAUS_BYTES, since
+    a stage holds at most two stacks of the result's size (the product
+    and its reordered copy) and a leak read three (the rows, their
+    reordered copy and its conjugate).
+    """
+    d = 2**n
+    c = d if psi is None else 1
+    count = prod(len(ops) for ops, _ in stages)
+    _check_kraus_bytes(f"a read of {count} Kraus products", n, 3 * count * d * c * 16)
+    src = np.eye(d, dtype=complex) if psi is None else psi
+    b = 1
     for ops, pos in stages:
         m, dk = ops.shape[:2]
         rest = [q for q in range(n) if q not in pos]
-        t = src.reshape((b,) + (2,) * n + (c,))
-        lead = t.transpose([1 + q for q in pos] + [0] + [1 + q for q in rest] + [n + 1])
-        out = np.empty((b, m) + (2,) * n + (c,), dtype=complex)
+        axes = [1 + q for q in pos] + [0] + [1 + q for q in rest] + [n + 1]
+        # the stack read is freed once copied, and the product once placed
+        lead = src.reshape((b,) + (2,) * n + (c,)).transpose(axes).reshape(dk, -1)
+        del src
+        lead = ops.reshape(m * dk, dk) @ lead
+        src = np.empty((b, m) + (2,) * n + (c,), dtype=complex)
         # the new stack's axes in the order of the product's, so it is written in place
-        view = out.transpose([1] + [2 + q for q in pos] + [0] + [2 + q for q in rest] + [n + 2])
-        view[...] = (ops.reshape(m * dk, dk) @ lead.reshape(dk, -1)).reshape(view.shape)
-        b, src = b * m, out.reshape(b * m, d, c)
-    return src
+        view = src.transpose([1] + [2 + q for q in pos] + [0] + [2 + q for q in rest] + [n + 2])
+        view[...] = lead.reshape(view.shape)
+        del lead
+        b *= m
+    return src.reshape(b, d, c)
 
 
 def _dense_kraus(channel: QuantumChannel) -> np.ndarray:
     """The (K, 2^n, 2^n) Kraus stack on the channel's n positions: its one
     stage when that acts on all of them, else the stages run on the
     identity (every builder that leaves other stages places them on
-    0..n-1). SizeLimitError if the K operators exceed MAX_KRAUS_BYTES."""
-    stages, n = channel.stages, channel.n
+    0..n-1), which ``_run_stages`` forms only if its size rule passes."""
+    stages = channel.stages
     if len(stages) == 1 and stages[0][1] == channel.qubits:
         return stages[0][0]
-    _check_kraus_bytes("channel", _kraus_count(channel), n)
-    full = _run_stages(stages, np.eye(2**n, dtype=complex)[None])
+    full = _run_stages(stages, channel.n)
     full.flags.writeable = False
     return full
 
@@ -249,14 +258,11 @@ def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.n, _hermitize(out))
 
 
-def _check_kraus_bytes(what: str, count: int, n: int) -> None:
-    """Raise SizeLimitError if ``count`` dense n-qubit operators exceed
-    MAX_KRAUS_BYTES."""
-    size = count * 4**n * 16
+def _check_kraus_bytes(what: str, n: int, size: int) -> None:
+    """SizeLimitError if ``what`` on n qubits needs more than MAX_KRAUS_BYTES."""
     if size > MAX_KRAUS_BYTES:
         raise SizeLimitError(
-            f"{what} on {n} qubits needs {size} bytes of Kraus operators, "
-            f"over the cap of {MAX_KRAUS_BYTES}"
+            f"{what} on {n} qubits needs {size} bytes, over the cap of {MAX_KRAUS_BYTES}"
         )
 
 
@@ -265,11 +271,10 @@ def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
 
     Its stages are ``first``'s then ``second``'s, in that order, on one
     past the last qubit either names, so ``first``'s Kraus index runs
-    outermost and no operator is formed until ``kraus`` is read. The
-    products must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised.
+    outermost and no operator is formed until ``kraus`` is read; a read
+    over MAX_KRAUS_BYTES is refused then (``_run_stages``).
     """
     n = check_register_size(max(_span(second), _span(first)))
-    _check_kraus_bytes("compose", _kraus_count(second) * _kraus_count(first), n)
     return QuantumChannel._derived(first.stages + second.stages, range(n))
 
 
@@ -291,9 +296,8 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     ``parts`` is a list of (channel, qubits) pairs; ``n`` defaults to one
     past the largest qubit named. The result keeps the placed parts'
     stages in order, so part 0's Kraus index runs outermost, and forms no
-    operator until its ``kraus`` is read. The product of the parts' Kraus
-    counts, as dense n-qubit operators, must fit in MAX_KRAUS_BYTES, or
-    SizeLimitError is raised.
+    operator until its ``kraus`` is read; a read over MAX_KRAUS_BYTES is
+    refused then (``_run_stages``).
     """
     placed = [_place(channel, qubits) for channel, qubits in parts]
     used = [q for part in placed for q in part.qubits]
@@ -305,36 +309,21 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     for part in placed:
         _check_fit(part, n)
     stages = tuple(stage for part in placed for stage in part.stages)
-    _check_kraus_bytes("combine", prod(map(_kraus_count, placed)), n)
     return QuantumChannel._derived(stages, range(n))
 
 
 def _pauli_strings(n: int, x_masks, z_masks, scale=None) -> np.ndarray:
-    """The (m, 2^n, 2^n) stack of the n-qubit Pauli strings with X on the
-    bits of ``x_masks[i]``, Z on the bits of ``z_masks[i]`` and Y on both
-    (bit n-1-q stands for qubit q), string i times ``scale[i]`` if given.
-
-    Row r of a string holds one entry, in column r ^ x. Since Y = -i Z X
-    per qubit, that entry is (-i)^(#Y + 2 |r & z|), read from the table
-    _MINUS_I_POWERS, so equal entries have equal bytes, signed zeros
-    included; every entry of the stack is written by one scatter into
-    zeros.
+    """The (m, 2^n, 2^n) stack of the n-qubit Pauli strings that
+    ``pauli_rows`` places, string i times ``scale[i]`` if given. Entries
+    are read from the table _MINUS_I_POWERS, so equal entries have equal
+    bytes, signed zeros included, and one scatter writes them into zeros.
     """
-    x = np.asarray(x_masks, dtype=np.intp)[:, None]
-    z = np.asarray(z_masks, dtype=np.intp)[:, None]
-    rows = np.arange(2**n)
-    ys = ((x & z) >> np.arange(n) & 1).sum(axis=1, keepdims=True)
-    rz = rows & z
-    # fold the bits of r & z onto bit 0, which ends as their parity
-    shift = 1
-    while shift < n:
-        rz ^= rz >> shift
-        shift *= 2
-    entries = _MINUS_I_POWERS[(ys + 2 * (rz & 1)) & 3]
+    col, power = pauli_rows(n, x_masks, z_masks)
+    entries = _MINUS_I_POWERS[power]
     if scale is not None:
         entries = np.asarray(scale, dtype=float)[:, None] * entries
-    out = np.zeros((len(x), 2**n, 2**n), dtype=complex)
-    out[np.arange(len(x))[:, None], rows, rows ^ x] = entries
+    out = np.zeros((len(col), 2**n, 2**n), dtype=complex)
+    out[np.arange(len(col))[:, None], np.arange(2**n), col] = entries
     return out
 
 
@@ -439,7 +428,7 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     p1, p2 = check_burst_moments(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
-    _check_kraus_bytes("pairwise_correlated", 2**n + 1, n)
+    _check_kraus_bytes("pairwise_correlated", n, (2**n + 1) * 4**n * 16)
     if p1 == 0.0 or p2 == 0.0:
         return QuantumChannel._built(_pauli_strings(n, [0], [0]))
     h = p2 / p1

@@ -85,8 +85,7 @@ def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.
         input_state = plus_all(_span(channel))
     n = input_state.n
     _check_fit(channel, n)
-    psi = input_state.amplitudes.reshape(1, 2**n, 1)
-    return _run_stages(channel.stages, psi).reshape(-1, 2**n)
+    return _run_stages(channel.stages, n, input_state.amplitudes).reshape(-1, 2**n)
 
 
 def _register_size(rows: np.ndarray) -> int:

@@ -48,11 +48,13 @@ import numpy as np
 from .channels import _pauli_strings
 from .errors import ConvergenceError, InfeasibleMarginalsError, SizeLimitError
 from .states import (
+    _MINUS_I_POWERS,
     DensityMatrix,
     EIGENVALUE_CLIP,
     _hermitize,
     marginal_matrix,
     partial_trace,
+    pauli_rows,
     trace_distance,
     validate_subset,
     von_neumann_entropy,
@@ -161,22 +163,18 @@ def _pauli_stack_bytes(m: int, keys: Sequence[tuple]) -> int:
     return sum(3 ** len(s) for s in supports) * 16 * 4**m
 
 
-# the entries of Pauli strings; each string holds one per row
-_UNITS = np.array([1.0, -1.0, 1j, -1j])
-
-
 class _PauliBasis(NamedTuple):
     """The dual's Pauli strings, a gather index over them and the upper
     triangle of a d x d matrix.
 
     ``stack`` is the (K, d, d) stack of strings. A string holds one entry
-    per row, P[s, col_P(s)] = _UNITS[u_P(s)], so for a (d, d) array V the
-    products (V^T P^T)[j, s] = P[s, col_P(s)] V[col_P(s), j] of all P are
-    one gather from the (4, d, d) array of V times each unit:
-    ``gather``[P, j, s] = u_P(s) d^2 + col_P(s) d + j. ``owned`` holds per
-    key the indices of the strings it owns (the first key that holds their
-    support) and those strings written on the key's own qubits, so that
-    t_P = tr(P_key t_key). ``upper`` holds the flat indices i d + j,
+    per row, P[s, col_P(s)] = (-i)^power_P(s) (``pauli_rows``), so for a
+    (d, d) array V the products (V^T P^T)[j, s] = P[s, col_P(s)]
+    V[col_P(s), j] of all P are one gather from V times each power:
+    ``gather``[P, j, s] = power_P(s) d^2 + col_P(s) d + j. ``owned`` holds
+    per key the indices of the strings it owns (the first key that holds
+    their support) and those strings written on the key's own qubits, so
+    that t_P = tr(P_key t_key). ``upper`` holds the flat indices i d + j,
     i <= j, and ``twice`` is 2 off the diagonal and 1 on it.
     """
 
@@ -190,11 +188,9 @@ class _PauliBasis(NamedTuple):
 @lru_cache(maxsize=8)
 def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
     """The ``_PauliBasis`` of every non-identity string on m qubits whose
-    support lies inside some key of the sorted ``keys``, each once. A stack
-    over MAX_PAULI_STACK_BYTES raises SizeLimitError before anything is
-    built; the gather index adds half the stack's bytes.
+    support lies inside some key of the sorted ``keys``, each once; the
+    gather index adds half the stack's bytes. Its caller checks the size.
     """
-    _check_stack_size(m, keys)
     strings, owned, seen = [], [], set()
     for k in keys:
         s = len(k)
@@ -215,26 +211,14 @@ def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
     d = 2**m
     x_masks, z_masks = np.array(strings, dtype=int).reshape(-1, 2).T
     stack = _pauli_strings(m, x_masks, z_masks)
-    # row s of the string with X mask x holds its entry in column s ^ x
-    cols = np.arange(d) ^ x_masks[:, None]
-    entries = np.take_along_axis(stack, cols[:, :, None], axis=2)
-    units = np.abs(entries - _UNITS).argmin(axis=2)
-    gather = (units * d * d + cols * d)[:, None, :] + np.arange(d)[None, :, None]
+    cols, power = pauli_rows(m, x_masks, z_masks)
+    gather = (power * d * d + cols * d)[:, None, :] + np.arange(d)[None, :, None]
     row, col = np.triu_indices(d)
     upper, twice = row * d + col, np.where(row == col, 1.0, 2.0)
     # every caller of the cache shares these arrays
     for arr in (stack, gather, upper, twice, *(a for pair in owned for a in pair)):
         arr.flags.writeable = False
     return _PauliBasis(stack, gather, owned, upper, twice)
-
-
-def _check_stack_size(m: int, keys: Sequence[tuple]) -> None:
-    need = _pauli_stack_bytes(m, keys)
-    if need > MAX_PAULI_STACK_BYTES:
-        raise SizeLimitError(
-            f"Pauli basis of {keys} on {m} qubits needs {need} bytes, "
-            f"over the cap of {MAX_PAULI_STACK_BYTES}"
-        )
 
 
 def _dual_value(c: np.ndarray, basis: _PauliBasis, t: np.ndarray):
@@ -278,7 +262,7 @@ def _dual_derivatives(basis: _PauliBasis, t, w, v, p, work: tuple):
     vtp, a, y = work
     # the indices are in range by construction; "clip" lets take write into
     # ``out`` directly, where the default mode buffers
-    np.take(np.multiply.outer(_UNITS, v), basis.gather, out=vtp, mode="clip")
+    np.take(np.multiply.outer(_MINUS_I_POWERS, v), basis.gather, out=vtp, mode="clip")
     np.matmul(vtp.reshape(k * d, d), v.conj(), out=a.reshape(k * d, d))
     means = a[:, :: d + 1].real @ p
     # (p_i - p_j) / (w_i - w_j) = max(p_i, p_j) (1 - e^-|w_i - w_j|) / |w_i - w_j|
@@ -333,7 +317,12 @@ def max_entropy_with_marginals(
     """
     m = constraints.num_qubits
     keys = tuple(sorted(constraints.targets))
-    _check_stack_size(m, keys)
+    need = _pauli_stack_bytes(m, keys)
+    if need > MAX_PAULI_STACK_BYTES:
+        raise SizeLimitError(
+            f"Pauli basis of {keys} on {m} qubits needs {need} bytes, "
+            f"over the cap of {MAX_PAULI_STACK_BYTES}"
+        )
     targets = constraints.targets
     covered = sum(len(k) for k in keys)
     if len({q for k in keys for q in k}) == covered:

@@ -25,6 +25,9 @@ PSD_ATOL = 1e-9
 EIGENVALUE_CLIP = 1e-12
 # eigvalsh-based positivity validation gets expensive past this dimension
 _PSD_CHECK_MAX_DIM = 512
+# (-i)^k for k = 0..3 as Python writes 1, -1j, -1, 1j: 1 and -1 carry a
+# +0 imaginary part, -i a -0 real part
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
 def check_register_size(n: int) -> int:
@@ -93,14 +96,33 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return len(rows) - len(gf2_kernel(rows, -1))
 
 
+def pauli_rows(n: int, x_masks, z_masks) -> tuple[np.ndarray, np.ndarray]:
+    """(col, power), two (m, 2^n) arrays: row r of the n-qubit Pauli string
+    with X on the bits of ``x_masks[i]``, Z on those of ``z_masks[i]`` and
+    Y on both (bit n-1-q stands for qubit q) has its one entry,
+    (-i)^power[i, r], in column col[i, r] = r ^ x. As Y = -i Z X per
+    qubit, power = (#Y + 2 |r & z|) mod 4."""
+    x = np.asarray(x_masks, dtype=np.intp)[:, None]
+    z = np.asarray(z_masks, dtype=np.intp)[:, None]
+    rows = np.arange(2**n)
+    ys = ((x & z) >> np.arange(n) & 1).sum(axis=1, keepdims=True)
+    rz = rows & z
+    # fold the bits of r & z onto bit 0, which ends as their parity
+    shift = 1
+    while shift < n:
+        rz ^= rz >> shift
+        shift *= 2
+    return rows ^ x, (ys + 2 * (rz & 1)) & 3
+
+
 def _checked_stabilizer_rows(n: int, amps: np.ndarray, generators: np.ndarray) -> list[int]:
     """The rows of ``generators`` as integers, column j on bit j, or
     ValueError unless it is an (n, 2n) 0/1 matrix whose rows are
     independent and each stabilize ``amps`` up to sign.
 
-    Row (x|z) is the Pauli X^x Z^z up to phase, so <psi|g|psi> is the sum
-    over k of conj(psi_k) (-1)^|(k xor x) & z| psi_(k xor x), with x and z
-    read as basis-index masks: one (n, 2^n) gather for all rows.
+    Row (x|z) is, up to phase, the string of ``pauli_rows`` on the masks
+    x and z, so |<psi|g|psi>| is that of the sum over r of conj(psi_r)
+    (-i)^power psi_col: one (n, 2^n) gather for all rows.
     """
     if generators.shape != (n, 2 * n) or not np.isin(generators, (0, 1)).all():
         raise ValueError(f"stabilizer generators must be a 0/1 matrix of shape ({n}, {2 * n})")
@@ -110,11 +132,8 @@ def _checked_stabilizer_rows(n: int, amps: np.ndarray, generators: np.ndarray) -
         raise ValueError("stabilizer generators are not independent")
     # big-endian: qubit q is bit n-1-q of a basis index
     x, z = (gens.reshape(n, 2, n) @ (1 << np.arange(n - 1, -1, -1))).T
-    src = np.arange(2**n) ^ x[:, None]
-    parity = src & z[:, None]
-    for shift in (8, 4, 2, 1):  # indices stay below 2^MAX_QUBITS <= 2^16
-        parity ^= parity >> shift
-    overlaps = ((1 - 2 * (parity & 1)) * amps[src]) @ amps.conj()
+    col, power = pauli_rows(n, x, z)
+    overlaps = (_MINUS_I_POWERS[power] * amps[col]) @ amps.conj()
     if np.abs(overlaps).min(initial=1.0) < 1.0 - NORM_ATOL:
         raise ValueError("stabilizer generators do not stabilize the amplitudes")
     return rows

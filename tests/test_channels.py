@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entlab import DensityMatrix
+from entlab import DensityMatrix, channels
 from entlab.channels import (
     MAX_EXPANSION_QUBITS,
     MAX_KRAUS_BYTES,
@@ -27,13 +27,16 @@ from entlab.channels import (
     pauli_string_matrix,
     pauli_weight_table,
 )
+from entlab.conjectures import eval_relation1
 from entlab.errors import SizeLimitError
+from entlab.measures import excess_leak_set, information_leak
 from entlab.sync import fit_mixture
 from entlab.zoo import plus_all
 from entlab.optim import _pauli_basis
 from entlab.zoo import haar_unitary, line_edges
 from helpers import (
     BUILT_CHANNELS,
+    h2,
     kron_pairwise_kraus,
     kron_pauli_string,
     random_density,
@@ -507,26 +510,91 @@ def _depolarized_register():
 
 def _composed_wide_pair():
     """Depolarizing noise on qubits 0 and 1 of 2, then on qubit 11: 64
-    products of 12 qubits, 17 GB."""
+    products of 12 qubits, 17 GB as dense operators."""
     pair = combine([(build_depolarizing(0.1), (0,)), (build_depolarizing(0.1), (1,))])
     return compose(build_depolarizing(0.1, 11), pair)
 
 
-@pytest.mark.parametrize(
-    "build, name", [(_depolarized_register, "combine"), (_composed_wide_pair, "compose")]
-)
-def test_kraus_products_cap_raises_before_allocating(build, name):
-    """Over the cap, combine and compose raise before any 12-qubit operator
-    is padded or multiplied."""
-    n = 12
+def _traced(call) -> tuple:
+    """``call()`` and the tracemalloc peak while it ran."""
     tracemalloc.start()
     try:
-        with pytest.raises(SizeLimitError, match=f"{name} on {n} qubits"):
-            build()
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 4**n  # less than one complex operator
+    return out, peak
+
+
+def _refused(read):
+    with pytest.raises(SizeLimitError, match=r"Kraus products on \d+ qubits needs \d+ bytes"):
+        read()
+
+
+@pytest.mark.parametrize(
+    "build, leak",
+    [(_depolarized_register, None), (_composed_wide_pair, h2(2 * 0.1 / 3))],
+    ids=["_depolarized_register-combine", "_composed_wide_pair-compose"],
+)
+def test_kraus_products_cap_raises_before_allocating(build, leak):
+    """combine and compose only place stages, so a channel of more Kraus
+    products than any read could hold is built without forming anything.
+    Its reads over the cap raise before allocating: ``kraus`` (4.5 PB for
+    the depolarized register, 17 GB for the wide pair, so the 268 MB
+    identity is not formed either) and the depolarized register's leak
+    (1.1 TB of branch rows). The wide pair's leak on qubit 0, 4 MiB of
+    rows, runs: depolarizing noise p leaves |+> with spectrum
+    (1 - 2p/3, 2p/3)."""
+    channel, peak = _traced(build)
+    assert peak < 2**20
+    one_operator = 16 * 4**12
+    assert _traced(lambda: _refused(lambda: channel.kraus))[1] < one_operator
+    if leak is None:
+        assert _traced(lambda: _refused(lambda: information_leak(channel, (0,))))[1] < one_operator
+    else:
+        assert abs(information_leak(channel, (0,)) - leak) <= 1e-12
+
+
+def _dephased_register(n):
+    return combine([(build_dephasing(0.2), (q,)) for q in range(n)])
+
+
+def test_dephasing_on_every_qubit_gives_a_relation1_verdict_at_ten_qubits():
+    """The independent baseline of both postulates at n = 10: 1024 branch
+    rows (16 MiB), where dense Kraus products would take 16 GiB. Each
+    leak is H2(eps/2) and a product channel on |+>^n leaves no excess."""
+    verdict = eval_relation1(plus_all(10), _dephased_register(10), 0, 9)
+    assert all(abs(v - h2(0.1)) <= 1e-12 for v in verdict.leaks.values())
+    assert abs(verdict.excess) <= 1e-12
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["over", "under"])
+@pytest.mark.parametrize(
+    "n, read, stack",
+    [
+        (8, lambda ch: information_leak(ch, (0,)), 16 * 4**8),
+        (8, lambda ch: eval_relation1(plus_all(8), ch, 0, 7), 16 * 4**8),
+        (8, lambda ch: excess_leak_set(ch, (0, 1, 2)), 16 * 4**8),
+        (5, lambda ch: ch.kraus, 16 * 2**5 * 4**5),
+        (5, lambda ch: compose(QuantumChannel([X], qubits=(2,)), ch).kraus, 16 * 2**5 * 4**5),
+    ],
+    ids=["leak", "relation1", "set_excess", "kraus", "kraus_ending_in_one_operator"],
+)
+def test_read_size_rule_at_its_boundary(monkeypatch, n, read, stack, over):
+    """A read of dephasing on each of n qubits forms a stack of 2^n branch
+    rows, or of 2^n operators, of ``stack`` bytes and may hold three of
+    them (a last stage of one operator, whose product is as large as the
+    stack it reads, included). With the cap one byte under that it is
+    refused before allocating; with 64 KiB over it, room for the read's
+    Python objects and small arrays, it runs and its peak stays within
+    the cap."""
+    channel = _dephased_register(n)
+    cap = 3 * stack + (-1 if over else 2**16)
+    monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", cap)
+    if over:
+        assert _traced(lambda: _refused(lambda: read(channel)))[1] < stack
+    else:
+        assert _traced(lambda: read(channel))[1] <= cap
 
 
 def test_pauli_expansion_unit_flip():
