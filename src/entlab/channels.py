@@ -5,10 +5,10 @@ declared) and is stored as ``stages``, read-only stacks of Kraus
 operators on some of those positions that act in list order, stage 0
 first; its Kraus operators are the products of one operator per stage,
 identity elsewhere. A caller's Kraus list or (m, d, d) stack is copied
-once into one stage on all of ``qubits``, checked to
-sum_k K^dagger K = I within 1e-9. ``combine``, ``embed`` and ``compose``
-only place or chain checked stages, so a product or a sequence of
-channels stays factored, whatever its Kraus count. One kernel,
+once into one stage on all of ``qubits`` and checked once, to
+sum_k K^dagger K = I within 1e-9 in every entry. ``combine``, ``embed``
+and ``compose`` only place or chain stages, so a product or a sequence
+of channels stays factored, whatever its Kraus count. One kernel,
 ``_run_stages``, contracts the stages on their positions' tensor axes of
 a stack: on a pure input it gives the measures' branch rows, and on the
 identity the dense ``kraus``, formed when first read for ``apply`` and
@@ -16,10 +16,11 @@ the Pauli expansion (the error-probability vector of the Pauli twirl).
 It alone applies the size rule of a read, MAX_KRAUS_BYTES.
 
 The builders form their whole Kraus stack in one vectorized pass, with
-no loop over operators, and hand it to the channel without a copy: Pauli
-mixtures are scaled strings that ``_pauli_strings`` scatters into one
-zero stack, and the cluster noise's one-qubit layers come from one
-stacked Haar draw.
+no loop over operators, and hand it to the channel as one stage with no
+copy and no check: each is a mixture of unitaries with weights summing
+to 1, trace preserving by construction, as the property test
+``test_builders_are_trace_preserving`` checks over every builder's
+parameter range. Pauli strings are scattered into one zero stack.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ MAX_EXPANSION_QUBITS = 6
 # dense Kraus list may take: 4 GiB reads dephasing on each of 12 qubits
 # and builds build_pairwise_correlated up to n = 9 (513 operators, 2.15 GB)
 MAX_KRAUS_BYTES = 2**32
+# build_random_unitary_noise's dense eigh: 18 s at n = 11, 155 s and 1.6 GB at 12
+MAX_RANDOM_UNITARY_QUBITS = 11
 
 
 class QuantumChannel:
@@ -52,8 +55,8 @@ class QuantumChannel:
     ----------
     kraus : sequence of ndarray, or an (m, d, d) ndarray
         Square operators of a common power-of-two dimension with
-        sum_k K_k^dagger K_k = I, to CPTP_ATOL in every entry; the channel
-        keeps its own copy.
+        sum_k K_k^dagger K_k = I to CPTP_ATOL in every entry, checked once
+        here; the channel keeps its own copy.
     qubits : tuple of int, optional
         Strictly increasing register positions the channel acts on when
         applied to a larger register; positions 0..n-1 when omitted.
@@ -79,21 +82,7 @@ class QuantumChannel:
         if any(op.shape != (d, d) for op in ops):
             raise ValueError("Kraus operators must share one square shape")
         # the one copy: the caller's arrays stay theirs to write
-        self._settle_checked(np.array(ops, dtype=complex), qubits)
-
-    @classmethod
-    def _built(cls, stack: np.ndarray, qubits=None) -> "QuantumChannel":
-        """A builder's channel on its fresh (m, 2^n, 2^n) complex ``stack``,
-        checked as a caller's Kraus list is but kept without a copy (on
-        large stacks the copy's new pages cost more than the build)."""
-        channel = object.__new__(cls)
-        channel._settle_checked(stack, qubits)
-        return channel
-
-    def _settle_checked(self, stack: np.ndarray, qubits) -> None:
-        """Settle on the one stage ``stack`` if sum_k K^dagger K = I to
-        CPTP_ATOL in every entry; ValueError otherwise."""
-        d = stack.shape[1]
+        stack = np.array(ops, dtype=complex)
         # sum_k K^dagger K from one real product over the stack's (re, im)
         # columns, so no conjugate copy of the stack is made; its real and
         # imaginary parts, less I, are formed in place
@@ -102,12 +91,11 @@ class QuantumChannel:
         re, im = g[0::2, 0::2], g[0::2, 1::2]
         re += g[1::2, 1::2]
         im -= g[1::2, 0::2]
-        diag = np.arange(d)
-        re[diag, diag] -= 1.0
+        re[np.diag_indices(d)] -= 1.0
         gap = float(np.hypot(re, im, out=re).max())
         if not gap <= CPTP_ATOL:
             raise ValueError(f"Kraus operators are not trace preserving (gap {gap:.2e})")
-        pos = _positions(qubits, d.bit_length() - 1)
+        pos = _positions(qubits, n)
         self._settle(((stack, pos),), pos)
 
     def _settle(self, stages: tuple, qubits: tuple) -> None:
@@ -125,10 +113,10 @@ class QuantumChannel:
 
     @classmethod
     def _derived(cls, stages: tuple, qubits: Iterable[int]) -> "QuantumChannel":
-        """A channel whose stages come from checked channels by placement or
-        products, which keep sum_k K^dagger K = I: no check runs. ``qubits``
-        must be valid positions that hold every stage's, and the stacks
-        complex arrays nothing else writes to."""
+        """A channel on stages that need no check: a builder's one stack,
+        trace preserving by construction, or stages placed or chained from
+        channels. ``qubits`` must be valid positions that hold every
+        stage's, and the stacks complex arrays nothing else writes to."""
         channel = object.__new__(cls)
         channel._settle(stages, tuple(qubits))
         return channel
@@ -331,9 +319,16 @@ def _pauli_strings(n: int, x_masks, z_masks, scale=None) -> np.ndarray:
 _PAULIS = _pauli_strings(1, (0, 1, 1, 0), (0, 0, 1, 1))
 
 
+def _one_stage(stack: np.ndarray, qubits=None) -> QuantumChannel:
+    """A builder's fresh (m, 2^n, 2^n) ``stack``, trace preserving by
+    construction, as one unchecked stage on ``qubits`` (0..n-1 if None)."""
+    pos = _positions(qubits, stack.shape[1].bit_length() - 1)
+    return QuantumChannel._derived(((stack, pos),), pos)
+
+
 def _mixture(weights, ops: np.ndarray) -> np.ndarray:
-    """The Kraus stack sqrt(w_i) K_i of a mixture of the operators in the
-    (m, d, d) stack ``ops``, in order, without the terms of weight 0."""
+    """The Kraus stack sqrt(w_i) U_i, in order and without the terms of
+    weight 0, of a mixture of the unitaries U_i in ``ops`` (sum w_i = 1)."""
     w = np.asarray(weights, dtype=float)
     keep = w > 0.0
     out = ops[keep]
@@ -349,7 +344,7 @@ def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
     """
     p = check_probability(p)
     weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    return QuantumChannel._built(_mixture(weights, _PAULIS), qubits=(qubit,))
+    return _one_stage(_mixture(weights, _PAULIS), (qubit,))
 
 
 def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
@@ -360,7 +355,7 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     """
     eps = check_probability(eps, "strength")
     weights = (1.0 - eps / 2.0, eps / 2.0)
-    return QuantumChannel._built(_mixture(weights, _PAULIS[::3]), qubits=(qubit,))  # I and Z
+    return _one_stage(_mixture(weights, _PAULIS[::3]), (qubit,))  # I and Z
 
 
 def _pauli_masks(letters: str) -> tuple[int, int]:
@@ -389,22 +384,21 @@ def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
         raise ValueError("Pauli string must be non-empty")
     x_mask, z_mask = _pauli_masks(pauli)
     ops = _pauli_strings(n, (0, x_mask), (0, z_mask))
-    return QuantumChannel._built(_mixture((1.0 - eps, eps), ops))
+    return _one_stage(_mixture((1.0 - eps, eps), ops))
 
 
 def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
     """(p1, p2) as floats, if they are the one- and two-point hit
     probabilities of a burst mixture; ValueError otherwise.
 
-    Feasible iff p1^2 <= p2 <= p1 within [0, 1]. The lower bound is
-    checked to a relative 1e-12, so it holds for small p1 as well, where
-    an absolute slack would admit any p2 and break the moments.
+    Feasible iff p1^2 <= p2 <= p1 within [0, 1], both bounds to a relative
+    1e-12: at small p1 an absolute slack would admit a burst weight p1^2/p2
+    or flip probability p2/p1 far above 1, and no longer trace preserving.
     """
-    p1 = float(p1)
-    p2 = float(p2)
+    p1, p2 = float(p1), float(p2)
     if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
         raise ValueError("probabilities must lie in [0, 1]")
-    if p2 > p1 + 1e-15 or p1 * p1 > p2 * (1.0 + 1e-12) + 1e-300:
+    if p2 > p1 * (1.0 + 1e-12) or p1 * p1 > p2 * (1.0 + 1e-12):
         raise ValueError(f"moments (p1={p1}, p2={p2}) violate p1^2 <= p2 <= p1")
     return p1, p2
 
@@ -430,7 +424,7 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
     _check_kraus_bytes("pairwise_correlated", n, (2**n + 1) * 4**n * 16)
     if p1 == 0.0 or p2 == 0.0:
-        return QuantumChannel._built(_pauli_strings(n, [0], [0]))
+        return _one_stage(_pauli_strings(n, [0], [0]))
     h = p2 / p1
     pi = p1 * p1 / p2
     # a mask's burst weight pi prod_q (h or 1 - h), multiplied qubit by qubit
@@ -443,24 +437,29 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     masks = np.concatenate(([0], masks))[keep]
     x_on, z_on = basis in "XY", basis in "YZ"
     ops = _pauli_strings(n, masks * x_on, masks * z_on, np.sqrt(weights[keep]))
-    return QuantumChannel._built(ops)
+    return _one_stage(ops)
 
 
 def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:
-    """Unitary exp(-i eps H) for a seeded Gaussian Hermitian H of unit spectral radius."""
+    """Unitary exp(-i eps H) for a seeded Gaussian Hermitian H of unit spectral radius.
+
+    ``eps`` must be finite. H is dense: above MAX_RANDOM_UNITARY_QUBITS (11)
+    qubits SizeLimitError is raised before anything is drawn."""
     n = check_register_size(n)
     if n < 1:
         raise ValueError("register must be non-empty")
+    if n > MAX_RANDOM_UNITARY_QUBITS:
+        raise SizeLimitError(f"random unitary noise on {n} > {MAX_RANDOM_UNITARY_QUBITS} qubits")
     eps = float(eps)
+    if not np.isfinite(eps):
+        raise ValueError(f"noise strength must be finite, got {eps}")
     rng = np.random.default_rng(seed)
     d = 2**n
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2.0
-    lam, vecs = np.linalg.eigh(h)
-    radius = float(np.max(np.abs(lam)))
-    lam = lam / radius
+    lam, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    lam = lam / float(np.max(np.abs(lam)))
     u = (vecs * np.exp(-1j * eps * lam)) @ vecs.conj().T
-    return QuantumChannel._built(u[None])
+    return _one_stage(u[None])
 
 
 def build_cluster_noise(
@@ -489,7 +488,7 @@ def build_cluster_noise(
         cz_diag[both] *= -1.0
     u = post @ (cz_diag[:, None] * pre)
     ops = np.stack((np.eye(2**n, dtype=complex), u))
-    return QuantumChannel._built(_mixture((1.0 - eps, eps), ops))
+    return _one_stage(_mixture((1.0 - eps, eps), ops))
 
 
 def pauli_weight_table(n: int) -> np.ndarray:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entlab import DensityMatrix, channels
 from entlab.channels import (
@@ -64,10 +66,132 @@ def kraus_sum(channel):
     return sum(k.conj().T @ k for k in channel.kraus)
 
 
-@pytest.mark.parametrize("channel", BUILT_CHANNELS)
+def _ring(n):
+    return [(i, (i + 1) % n) for i in range(n)] if n >= 3 else line_edges(n)
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 0.75, 1.0]), st.floats(0.0, 1.0))
+_SIZE = st.integers(1, 6)
+_SEED = st.integers(0, 2**32 - 1)
+
+
+def _accepted_moments(p1, p2):
+    try:
+        check_burst_moments(p1, p2)
+    except ValueError:
+        return False
+    return True
+
+
+def _last_accepted(p1, end):
+    """The p2 nearest ``end`` that check_burst_moments accepts with p1,
+    found by bisecting the float bits between p1 (always accepted) and end."""
+    if _accepted_moments(p1, end):
+        return end
+    inside, outside = (int(np.float64(v).view(np.int64)) for v in (p1, end))
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        if _accepted_moments(p1, float(np.int64(mid).view(np.float64))):
+            inside = mid
+        else:
+            outside = mid
+    return float(np.int64(inside).view(np.float64))
+
+
+def _moment_edges(p1):
+    """The least, the least positive and the greatest p2 accepted with p1."""
+    return tuple(_last_accepted(p1, end) for end in (0.0, np.nextafter(0.0, 1.0), 1.0))
+
+
+@st.composite
+def _burst_args(draw):
+    """(n, p1, p2, basis) with p2 anywhere check_burst_moments accepts with
+    p1, whatever its slack, its edges drawn often; p1 is also drawn
+    log-uniform down to 1e-170, where an absolute slack would show."""
+    p1 = draw(_PROBABILITY | st.floats(-170.0, 0.0).map(lambda e: 10.0**e))
+    edges = _moment_edges(p1)
+    p2 = draw(st.sampled_from(edges) | st.floats(edges[0], edges[-1]))
+    return draw(_SIZE), p1, p2, draw(st.sampled_from("XYZ"))
+
+
+@st.composite
+def _cluster_args(draw):
+    n = draw(_SIZE)
+    edges = draw(st.sampled_from([[], line_edges(n), _ring(n)]))
+    return n, edges, draw(_PROBABILITY), draw(_SEED)
+
+
+_ONE_QUBIT = st.tuples(_PROBABILITY, st.integers(0, 5))
+
+# each builder, a strategy over its arguments and its boundary cases, in
+# the order of BUILT_CHANNELS
+BUILDER_RANGES = [
+    (build_depolarizing, _ONE_QUBIT, [(0.0, 0), (0.75, 3), (1.0, 5)]),
+    (build_dephasing, _ONE_QUBIT, [(0.0, 0), (0.75, 3), (1.0, 5)]),
+    (
+        build_correlated_flip,
+        st.tuples(_PROBABILITY, st.text("IXYZ", min_size=1, max_size=6)),
+        [(0.0, "ZZZZZZ"), (0.75, "XYZIXY"), (1.0, "Y")],
+    ),
+    (
+        build_pairwise_correlated,
+        _burst_args(),
+        [
+            (6, 0.3, 0.3, "X"),
+            (6, 0.3, 0.3**2, "Y"),
+            (6, 0.0, 0.0, "Z"),
+            (6, 1.0, 1.0, "Z"),
+        ]
+        + [(6, p1, p2, "X") for p1 in (0.3, 1e-20, 1e-151) for p2 in _moment_edges(p1)],
+    ),
+    (
+        build_random_unitary_noise,
+        st.tuples(_SIZE, st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), _SEED),
+        [(6, 0.0, 0), (6, 1e3, 1), (6, -1e3, 2), (1, 1e3, 3)],
+    ),
+    (
+        build_cluster_noise,
+        _cluster_args(),
+        [(6, [], 0.3, 0), (6, line_edges(6), 0.75, 1), (6, _ring(6), 1.0, 2), (1, [], 0.0, 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize("channel", BUILDER_RANGES)
 def test_builders_are_trace_preserving(channel):
-    total = kraus_sum(channel)
-    assert np.abs(total - np.eye(channel.dim)).max() < 1e-9
+    """Builders run no trace check, so this property stands in for it:
+    over each builder's parameter range, its one stage passes the check
+    QuantumChannel runs on a caller's operators. Boundary cases, always
+    run: p or eps at 0, 3/4 and 1 (depolarizing, dephasing, correlated
+    flip, cluster noise); pairwise moments p2 = p1, p2 = p1^2 and p1 = 0,
+    and p2 at the least, the least positive and the greatest value
+    check_burst_moments accepts at p1 = 0.3, 1e-20 and 1e-151 (Hypothesis
+    draws p2 over all it
+    accepts); random-unitary eps = 0 and +-1e3 (Hypothesis
+    draws |eps| <= 1e3 over seeds in [0, 2^32)); cluster noise on empty,
+    line and ring edges; n up to 6 throughout."""
+    build, args, boundaries = channel
+
+    def check(case):
+        built = build(*case)
+        [(ops, pos)] = built.stages
+        assert pos == built.qubits
+        QuantumChannel(ops, qubits=pos)
+
+    for case in boundaries:
+        check = example(case)(check)
+    settings(max_examples=100, deadline=None, derandomize=True)(given(args)(check))()
+
+
+def test_builders_run_no_trace_check(monkeypatch):
+    """With the check made to refuse every stack, a caller's operators are
+    refused and every builder still builds: none runs the Gram product."""
+    monkeypatch.setattr(channels, "CPTP_ATOL", -1.0)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel([I2])
+    for build, _, boundaries in BUILDER_RANGES:
+        for case in boundaries:
+            assert len(build(*case).stages) == 1
 
 
 @pytest.mark.parametrize("channel", BUILT_CHANNELS)
@@ -169,10 +293,6 @@ def test_channel_takes_a_list_or_a_stack_and_keeps_its_own_copy(rng):
 def test_channel_input_errors(kraus, message):
     with pytest.raises(ValueError, match=message):
         QuantumChannel(kraus)
-
-
-def _ring(n):
-    return [(i, (i + 1) % n) for i in range(n)] if n >= 3 else line_edges(n)
 
 
 def _assert_same_operators(got, want):
@@ -432,6 +552,8 @@ def test_fit_mixture_feasible():
         (1e-3, 2e-3),  # p2 > p1
         (0.1, 0.001),  # p2 < p1^2
         (1e-8, 1e-17),  # p2 < p1^2 by less than an absolute 1e-15
+        (1e-20, 1e-15),  # p2 > p1 by less than an absolute 1e-15: h = 1e5
+        (1e-151, 1e-310),  # p2 < p1^2 by less than an absolute 1e-300: pi = 1e8
         (1.5, 0.1),
     ]
     for p1, p2 in infeasible:
@@ -453,6 +575,25 @@ def test_random_unitary_noise_seeded():
     idle = build_random_unitary_noise(2, 0.0, seed=4)
     rho = DensityMatrix(2, random_density(np.random.default_rng(0), 2))
     assert np.abs(apply(idle, rho).matrix - rho.matrix).max() < 1e-9
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_random_unitary_noise_refuses_a_non_finite_strength(eps):
+    with pytest.raises(ValueError):
+        build_random_unitary_noise(2, eps, seed=4)
+
+
+def test_random_unitary_noise_cap_raises_before_allocating():
+    """H is a dense 2^n x 2^n matrix diagonalized whole (about 20 s at
+    n = 11, minutes and 1.6 GB at 12), so n = 12 is refused before its
+    first 2^12 x 2^12 draw exists."""
+    assert channels.MAX_RANDOM_UNITARY_QUBITS == 11
+
+    def build():
+        with pytest.raises(SizeLimitError, match="random unitary noise on 12 > 11 qubits"):
+            build_random_unitary_noise(12, 0.3, seed=1)
+
+    assert _traced(build)[1] < 2**20
 
 
 def test_cluster_noise_seeded_and_idle():
