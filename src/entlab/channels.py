@@ -20,7 +20,10 @@ no loop over operators, and hand it to the channel as one stage with no
 copy and no check: each is a mixture of unitaries with weights summing
 to 1, trace preserving by construction, as the property test
 ``test_builders_are_trace_preserving`` checks over every builder's
-parameter range. Pauli strings are scattered into one zero stack.
+parameter range. The four Pauli builders end in ``_pauli_mixture``, one
+scatter of sqrt(w) P into a zero stack for every string of positive
+weight, and the cluster builder scales its fresh stack in place, so no
+builder holds a second stack.
 """
 
 from __future__ import annotations
@@ -315,10 +318,6 @@ def _pauli_strings(n: int, x_masks, z_masks, scale=None) -> np.ndarray:
     return out
 
 
-# the one-qubit strings I, X, Y, Z
-_PAULIS = _pauli_strings(1, (0, 1, 1, 0), (0, 0, 1, 1))
-
-
 def _one_stage(stack: np.ndarray, qubits=None) -> QuantumChannel:
     """A builder's fresh (m, 2^n, 2^n) ``stack``, trace preserving by
     construction, as one unchecked stage on ``qubits`` (0..n-1 if None)."""
@@ -326,14 +325,14 @@ def _one_stage(stack: np.ndarray, qubits=None) -> QuantumChannel:
     return QuantumChannel._derived(((stack, pos),), pos)
 
 
-def _mixture(weights, ops: np.ndarray) -> np.ndarray:
-    """The Kraus stack sqrt(w_i) U_i, in order and without the terms of
-    weight 0, of a mixture of the unitaries U_i in ``ops`` (sum w_i = 1)."""
+def _pauli_mixture(n: int, x_masks, z_masks, weights, qubits=None) -> QuantumChannel:
+    """The mixture of the n-qubit Pauli strings (x, z) with ``weights``
+    (sum 1) as one stage on ``qubits``: its Kraus stack is sqrt(w_i) P_i,
+    in order and without the strings of weight 0, written by one scatter."""
     w = np.asarray(weights, dtype=float)
     keep = w > 0.0
-    out = ops[keep]
-    out *= np.sqrt(w[keep])[:, None, None]
-    return out
+    x, z = np.asarray(x_masks)[keep], np.asarray(z_masks)[keep]
+    return _one_stage(_pauli_strings(n, x, z, np.sqrt(w[keep])), qubits)
 
 
 def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
@@ -344,7 +343,7 @@ def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
     """
     p = check_probability(p)
     weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    return _one_stage(_mixture(weights, _PAULIS), (qubit,))
+    return _pauli_mixture(1, (0, 1, 1, 0), (0, 0, 1, 1), weights, (qubit,))
 
 
 def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
@@ -355,7 +354,7 @@ def build_dephasing(eps: float, qubit: int = 0) -> QuantumChannel:
     """
     eps = check_probability(eps, "strength")
     weights = (1.0 - eps / 2.0, eps / 2.0)
-    return _one_stage(_mixture(weights, _PAULIS[::3]), (qubit,))  # I and Z
+    return _pauli_mixture(1, (0, 0), (0, 1), weights, (qubit,))  # I and Z
 
 
 def _pauli_masks(letters: str) -> tuple[int, int]:
@@ -383,8 +382,7 @@ def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
     if n < 1:
         raise ValueError("Pauli string must be non-empty")
     x_mask, z_mask = _pauli_masks(pauli)
-    ops = _pauli_strings(n, (0, x_mask), (0, z_mask))
-    return _one_stage(_mixture((1.0 - eps, eps), ops))
+    return _pauli_mixture(n, (0, x_mask), (0, z_mask), (1.0 - eps, eps))
 
 
 def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
@@ -424,7 +422,7 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
     _check_kraus_bytes("pairwise_correlated", n, (2**n + 1) * 4**n * 16)
     if p1 == 0.0 or p2 == 0.0:
-        return _one_stage(_pauli_strings(n, [0], [0]))
+        return _pauli_mixture(n, [0], [0], [1.0])
     h = p2 / p1
     pi = p1 * p1 / p2
     # a mask's burst weight pi prod_q (h or 1 - h), multiplied qubit by qubit
@@ -433,11 +431,9 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     for q in range(n):
         burst *= np.where(masks >> (n - 1 - q) & 1, h, 1.0 - h)
     weights = np.concatenate(([1.0 - pi], burst))
-    keep = weights > 0.0
-    masks = np.concatenate(([0], masks))[keep]
+    masks = np.concatenate(([0], masks))
     x_on, z_on = basis in "XY", basis in "YZ"
-    ops = _pauli_strings(n, masks * x_on, masks * z_on, np.sqrt(weights[keep]))
-    return _one_stage(ops)
+    return _pauli_mixture(n, masks * x_on, masks * z_on, weights)
 
 
 def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:
@@ -488,7 +484,10 @@ def build_cluster_noise(
         cz_diag[both] *= -1.0
     u = post @ (cz_diag[:, None] * pre)
     ops = np.stack((np.eye(2**n, dtype=complex), u))
-    return _one_stage(_mixture((1.0 - eps, eps), ops))
+    w = np.array((1.0 - eps, eps))
+    ops *= np.sqrt(w)[:, None, None]
+    # a term of weight 0 (eps 0 or 1) is dropped, the one case that copies
+    return _one_stage(ops if w.all() else ops[w > 0.0])
 
 
 def pauli_weight_table(n: int) -> np.ndarray:
@@ -501,9 +500,9 @@ def pauli_weight_table(n: int) -> np.ndarray:
     return weights
 
 
-# Row a holds _PAULIS[a] transposed and flattened, so that the per-qubit tensor
-# contraction below computes Tr(P K) factors.
-_PAULI_XFORM = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+# Row a holds the one-qubit string a (I, X, Y, Z) transposed and flattened,
+# so that the per-qubit tensor contraction below computes Tr(P K) factors.
+_PAULI_XFORM = _pauli_strings(1, (0, 1, 1, 0), (0, 0, 1, 1)).transpose(0, 2, 1).reshape(4, 4)
 
 
 def _pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:

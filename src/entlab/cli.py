@@ -689,15 +689,27 @@ def _u64(value) -> int:
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=_u64, default=argparse.SUPPRESS, help="root seed (u64)")
-    parser.add_argument("--out", default=argparse.SUPPRESS, help="write the report here")
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=argparse.SUPPRESS,
-        help="report format (default json)",
-    )
+# the flags every command takes, before or after its name; a run config's
+# keys of the same names set their defaults
+_COMMON = (
+    Param("seed", _u64, help="root seed (u64)"),
+    Param("out", os.fspath, help="write the report here"),
+    Param("format", default="json", choices=("json", "csv"), help="report format (default json)"),
+)
+
+
+def _add_flags(parser, params, default=None) -> None:
+    for param in params:
+        # specs are read after parsing, so their errors name the field
+        parser.add_argument(
+            "--" + param.name.replace("_", "-"),
+            dest=param.name,
+            type=None if param.type is load_spec else param.type,
+            default=default,
+            required=param.required,
+            choices=param.choices,
+            help=param.help,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -705,34 +717,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entlab",
         description="Noise correlation measures, relation checks, and scans.",
     )
-    _add_common(parser)
+    # a flag not given is left unset, so a subparser does not reset the root's
+    _add_flags(parser, _COMMON, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
     for command, spec in SUBCOMMANDS.items():
         p = sub.add_parser(command, help=spec.help)
-        _add_common(p)
-        for param in spec.params:
-            # specs are read after parsing, so their errors name the field
-            p.add_argument(
-                "--" + param.name.replace("_", "-"),
-                dest=param.name,
-                type=None if param.type is load_spec else param.type,
-                required=param.required,
-                choices=param.choices,
-                help=param.help,
-            )
+        _add_flags(p, _COMMON, argparse.SUPPRESS)
+        _add_flags(p, spec.params)
 
     p = sub.add_parser("run", help="run an experiment config file")
-    _add_common(p)
+    _add_flags(p, _COMMON, argparse.SUPPRESS)
     p.add_argument("--config", required=True, help="path to a JSON config")
     return parser
-
-
-# keys of a run config that set defaults for the flags of the same name
-_RUN_KEYS = (
-    Param("seed", _u64),
-    Param("format", default="json", choices=("json", "csv")),
-    Param("out", os.fspath),
-)
 
 
 def _dispatch(args, seeds: SeedStream):
@@ -750,7 +746,7 @@ def _dispatch(args, seeds: SeedStream):
         raise ConfigError(f"config is not valid JSON: {exc}", field="config")
     if not isinstance(config_body, dict):
         raise ConfigError("config must be a JSON object", field="config")
-    for param in _RUN_KEYS:
+    for param in _COMMON:
         value = _resolve(param, config_body.get(param.name), param.name)
         if getattr(args, param.name, None) is None:
             setattr(args, param.name, value)

@@ -228,10 +228,7 @@ def max_entropy_defect(
     above MAX_SET_SIZE raises SizeLimitError, a non-state TypeError.
     """
     check_state(state)
-    keep = _set_subset(subset, state.n)
-    if getattr(state, "stabilizer_rows", None) is None:
-        return _restricted_defect(partial_trace(state, keep), tol, max_iter)
-    return _stabilizer_defect(state.stabilizer_rows, state.n, keep)
+    return _subset_defect(state, _set_subset(subset, state.n), {}, tol, max_iter)
 
 
 def _set_subset(subset: Iterable[int], n: int) -> tuple:
@@ -243,6 +240,23 @@ def _set_subset(subset: Iterable[int], n: int) -> tuple:
     if len(keep) > MAX_SET_SIZE:
         raise SizeLimitError(f"subset of size {len(keep)} exceeds the cap of {MAX_SET_SIZE}")
     return keep
+
+
+def _subset_defect(
+    state: PureState | DensityMatrix, keep: tuple, solved: dict, tol: float, max_iter: int
+) -> DefectResult:
+    """``max_entropy_defect`` of ``state`` on ``keep``: exact from the
+    stabilizer rows when the state has them, else solved on the subset's
+    ``partial_trace``. A defect depends only on that marginal, so each
+    distinct one is solved once, memoised in ``solved`` by its bytes."""
+    rows = getattr(state, "stabilizer_rows", None)
+    if rows is not None:
+        return _stabilizer_defect(rows, state.n, keep)
+    restricted = partial_trace(state, keep)
+    key = restricted.matrix.tobytes()
+    if key not in solved:
+        solved[key] = _restricted_defect(restricted, tol, max_iter)
+    return solved[key]
 
 
 def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -363,12 +377,20 @@ def total_defect(
     subsets = [subset for size in sizes for subset in combinations(full, size)]
     if include_full:
         subsets.append(full)
-    rows = getattr(state, "stabilizer_rows", None)
-    if rows is not None:
-        terms = {subset: _stabilizer_defect(rows, n, subset).value for subset in subsets}
+    solved: dict[bytes, DefectResult] = {}
+    terms = {
+        subset: _subset_defect(state, subset, solved, DEFAULT_TOL, DEFAULT_MAX_ITER).value
+        for subset in subsets
+    }
+    if getattr(state, "stabilizer_rows", None) is not None:
         diagnostics = {"method": "stabilizer"}
     else:
-        terms, diagnostics = _solved_terms(state, subsets)
+        diagnostics = {
+            "method": "max_entropy",
+            "optimizer_iterations": sum(r.diagnostics["iterations"] for r in solved.values()),
+            "worst_residual": max([0.0] + [r.diagnostics["residual"] for r in solved.values()]),
+            "tol": DEFAULT_TOL,
+        }
     total = sum(value for subset, value in terms.items() if subset != full)
     full_term = terms.get(full)
     return TotalDefectResult(
@@ -380,27 +402,3 @@ def total_defect(
         terms=terms,
         diagnostics=diagnostics,
     )
-
-
-def _solved_terms(state: PureState | DensityMatrix, subsets: list) -> tuple[dict, dict]:
-    """Each subset's defect by a max-entropy solve, with the solves' diagnostics."""
-    terms: dict[tuple, float] = {}
-    # a defect depends only on the restricted state
-    solved: dict[bytes, float] = {}
-    iterations = 0
-    worst_residual = 0.0
-    for subset in subsets:
-        restricted = partial_trace(state, subset)
-        key = restricted.matrix.tobytes()
-        if key not in solved:
-            res = _restricted_defect(restricted, DEFAULT_TOL, DEFAULT_MAX_ITER)
-            solved[key] = res.value
-            iterations += res.diagnostics["iterations"]
-            worst_residual = max(worst_residual, res.diagnostics["residual"])
-        terms[subset] = solved[key]
-    return terms, {
-        "method": "max_entropy",
-        "optimizer_iterations": iterations,
-        "worst_residual": worst_residual,
-        "tol": DEFAULT_TOL,
-    }

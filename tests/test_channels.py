@@ -410,6 +410,27 @@ def test_placement_forms_no_operator():
     assert np.array_equal(identity_channel(3).kraus[0], np.eye(8))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_correlated_flip(0.2, "Z" * 10),
+        lambda: build_pairwise_correlated(8, 0.1, 0.02, "Z"),
+        lambda: build_depolarizing(0.3),
+        lambda: build_dephasing(0.3),
+    ],
+    ids=["correlated_flip", "pairwise_correlated", "depolarizing", "dephasing"],
+)
+def test_pauli_builders_hold_one_stack(build):
+    """A Pauli builder scales its strings in the one scatter that writes
+    them, so it peaks at its channel's stack, with no second copy: 32 MiB
+    for the flip on ten qubits, 257 MiB for the bursts on eight. 64 KiB
+    more cover its index arrays and Python objects; the one-qubit stacks
+    (256 B) sit below that allowance, so there it is all they check."""
+    channel, peak = _traced(build)
+    stack = sum(ops.nbytes for ops, _ in channel.stages)
+    assert peak <= 1.1 * stack + 2**16
+
+
 def test_channels_are_read_only_and_pickle_by_their_stages():
     ch = combine([(build_depolarizing(0.3), (2,)), (build_dephasing(0.4), (0,))], n=4)
     with pytest.raises(AttributeError, match="read-only"):

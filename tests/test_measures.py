@@ -460,6 +460,11 @@ def test_total_defect_product_state():
     assert abs(res.value) < 1e-6
     never = total_defect(bell().density_matrix(), include_full=False)
     assert abs(never.value) < 1e-9
+    # no subset to solve, yet the path is named by the input, not the solves
+    assert never.terms == {}
+    assert never.diagnostics["method"] == "max_entropy"
+    assert never.diagnostics["optimizer_iterations"] == 0
+    assert total_defect(bell(), include_full=False).diagnostics == {"method": "stabilizer"}
     always = total_defect(bell().density_matrix(), include_full=True)
     assert abs(always.value - 2.0) < 1e-6
 
