@@ -28,6 +28,7 @@ builder holds a second stack.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import SizeLimitError
 from .states import _MINUS_I_POWERS, DensityMatrix, _hermitize, _position, check_probability
 from .states import check_register_size, pauli_rows
-from .zoo import _haar_unitaries, _qubit_bits, _validate_edges
+from .zoo import _apply_cz, _haar_unitaries, _validate_edges
 
 PAULI_LETTERS = "IXYZ"
 
@@ -150,17 +151,6 @@ def _positions(qubits, n: int) -> tuple:
     if pos and pos[0] < 0:
         raise ValueError("negative qubit position")
     return pos
-
-
-def _tensor_stacks(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-to-right tensor product of (m_i, d_i, d_i) operator stacks: the
-    (prod m_i, prod d_i, prod d_i) stack of products, whose index and
-    tensor factors run in list order, the first outermost."""
-    out = stacks[0]
-    for ops in stacks[1:]:
-        m, d = len(out) * len(ops), out.shape[1] * ops.shape[1]
-        out = (out[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(m, d, d)
-    return out
 
 
 def _run_stages(stages: tuple, n: int, psi: np.ndarray | None = None) -> np.ndarray:
@@ -452,7 +442,7 @@ def build_random_unitary_noise(n: int, eps: float, seed: int) -> QuantumChannel:
     rng = np.random.default_rng(seed)
     d = 2**n
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    lam, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    lam, vecs = np.linalg.eigh(_hermitize(g))
     lam = lam / float(np.max(np.abs(lam)))
     u = (vecs * np.exp(-1j * eps * lam)) @ vecs.conj().T
     return _one_stage(u[None])
@@ -477,11 +467,9 @@ def build_cluster_noise(
     rng = np.random.default_rng(seed)
     # the n one-qubit unitaries of the first layer, then those of the second
     layers = _haar_unitaries(2 * n, 2, rng)
-    pre, post = (_tensor_stacks(layer[:, None])[0] for layer in (layers[:n], layers[n:]))
+    pre, post = (reduce(np.kron, layer) for layer in (layers[:n], layers[n:]))
     cz_diag = np.ones(2**n, dtype=complex)
-    for i, j in edge_list:
-        both = (_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)
-        cz_diag[both] *= -1.0
+    _apply_cz(cz_diag, n, edge_list)
     u = post @ (cz_diag[:, None] * pre)
     ops = np.stack((np.eye(2**n, dtype=complex), u))
     w = np.array((1.0 - eps, eps))

@@ -14,11 +14,11 @@ from the Kraus branches of one noisy output, and the number alone fixes
 the term's name, the conditional flag and the note. Each public evaluator
 checks its arguments and supplies only its term.
 
-Relation 2 and 4 right-hand sides are best-found lower bounds, so their
-"satisfied" verdicts are flagged conditional; "violated" is definitive.
-A pure (rank-1) marginal has a unique decomposition, so there the term is
-exact; its verdict keeps the conditional flag and note all the same, so
-that reports differ from a searched term's only in the search diagnostics.
+Relations 2 and 4 search pure decompositions, so "satisfied" is flagged
+conditional. Relation 2's term, also relation 4's on a pair, is a certified
+lower bound; relation 4's on three or more qubits is not (see
+``_decomposed_defect``). A pure (rank-1) marginal has one decomposition; its
+verdict keeps the flag and note, so reports differ only in the diagnostics.
 """
 
 from __future__ import annotations
@@ -189,13 +189,16 @@ def eval_relation2(
     check_search_budget(restarts, sweeps)
     check_state(state)
     pair = validate_subset((a, b), state.n)
+    return _verdict(
+        2, channel, state.n, pair, level,
+        lambda: _assisted_term(state, pair, restarts, sweeps, seed),
+    )
 
-    def term():
-        return _value_and_diagnostics(
-            assisted_mutual_information(state, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
-        )
 
-    return _verdict(2, channel, state.n, pair, level, term)
+def _assisted_term(state, pair: tuple, restarts: int, sweeps: int, seed: int) -> tuple[float, dict]:
+    """Relation 2's term, and relation 4's on a pair, with its diagnostics."""
+    result = assisted_mutual_information(state, *pair, restarts=restarts, sweeps=sweeps, seed=seed)
+    return result.value, result.diagnostics
 
 
 def _decomposed_defect(
@@ -205,23 +208,24 @@ def _decomposed_defect(
     sweeps: int,
     seed: int,
 ) -> tuple[float, dict]:
-    """Best found weighted-average defect over pure decompositions of rho|_A."""
-    marginal = partial_trace(state, subset)
+    """Best found weighted-average defect over pure decompositions of rho|_A.
+
+    On a pair it is relation 2's term: a pure member's defect, and that of
+    the mixed marginal (the one-term floor), is its mutual information. On
+    more qubits each member's defect is a max-entropy dual value, an upper
+    bound to tol 1e-5, so the result is not a certified lower bound and can
+    exceed the exact value: 1.0000000011 on ``ghz(3)``, whose defect is 1.
+    """
+    if len(subset) == 2:
+        return _assisted_term(state, subset, restarts, sweeps, seed)
     m = len(subset)
-    if m == 2:
-        # for pure pair members the defect equals twice the marginal entropy,
-        # which is the batched built-in objective
-        result = max_avg_pure_decomposition(
-            marginal, objective=None, restarts=restarts, sweeps=sweeps, seed=seed
-        )
-        return result.value, result.diagnostics
 
     def member_defect(vec: np.ndarray) -> float:
         member = DensityMatrix(m, np.outer(vec, vec.conj()))
         return max_entropy_defect(member, tuple(range(m)), tol=1e-5, max_iter=2000).value
 
     result = max_avg_pure_decomposition(
-        marginal,
+        partial_trace(state, subset),
         objective=member_defect,
         restarts=max(1, restarts // 4),
         sweeps=max(1, sweeps // 10),

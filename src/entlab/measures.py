@@ -47,6 +47,7 @@ from .optim import (
 from .states import (
     DensityMatrix,
     PureState,
+    _hermitize,
     branch_entropy,
     check_probability,
     check_state,
@@ -92,15 +93,6 @@ def _register_size(rows: np.ndarray) -> int:
     return rows.shape[1].bit_length() - 1
 
 
-def _pair_information(rows: np.ndarray, a: int, b: int) -> float:
-    """S(a) + S(b) - S(ab) of sum_k |v_k><v_k| over the rows v_k."""
-    n = _register_size(rows)
-    pair = validate_subset((a, b), n)
-    s_a = branch_entropy(rows, n, pair[:1])
-    s_b = branch_entropy(rows, n, pair[1:])
-    return s_a + s_b - branch_entropy(rows, n, pair)
-
-
 def information_leak(
     channel: QuantumChannel, subset: Iterable[int], input_state: PureState | None = None
 ) -> float:
@@ -143,7 +135,11 @@ def excess_leak(
     channel: QuantumChannel, a: int, b: int, input_state: PureState | None = None
 ) -> float:
     """L(a) + L(b) - L({a,b}): the correlated part of two leaks."""
-    return _pair_information(_noisy_output(channel, input_state), a, b)
+    rows = _noisy_output(channel, input_state)
+    n = _register_size(rows)
+    pair = validate_subset((a, b), n)
+    s_a, s_b = (branch_entropy(rows, n, (q,)) for q in pair)
+    return s_a + s_b - branch_entropy(rows, n, pair)
 
 
 @dataclass
@@ -183,8 +179,7 @@ def assisted_mutual_information(
         vecs = np.linalg.eigh(partial_trace(marginal, (q,)).matrix)[1]
         frames.append(vecs[:, ::-1])
     w = np.kron(frames[0], frames[1])
-    canon = w.conj().T @ marginal.matrix @ w
-    canon = DensityMatrix(2, (canon + canon.conj().T) / 2.0)
+    canon = DensityMatrix(2, _hermitize(w.conj().T @ marginal.matrix @ w))
     result = max_avg_pure_decomposition(
         canon, objective=None, restarts=restarts, sweeps=sweeps, seed=seed
     )

@@ -257,7 +257,14 @@ def check_state(state: "PureState | DensityMatrix") -> "PureState | DensityMatri
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    """(mat + mat^dagger) / 2 written over ``mat``, a fresh array of the
+    caller's, holding one more array of its size, so that a Gram matrix as
+    large as the branch rows stays within the three stacks a read may hold."""
+    adjoint = mat.T.copy()
+    np.conjugate(adjoint, out=adjoint)
+    mat += adjoint
+    mat /= 2.0
+    return mat
 
 
 def tensor(first: DensityMatrix, second: DensityMatrix) -> DensityMatrix:

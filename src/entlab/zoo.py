@@ -70,10 +70,15 @@ def cluster_state(n: int, edges: Sequence[Sequence[int]]) -> PureState:
     n = check_register_size(n)
     amps = np.array(plus_all(n).amplitudes)
     edge_list = _validate_edges(n, edges)
-    for i, j in edge_list:
-        both = (_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)
-        amps[both] *= -1.0
+    _apply_cz(amps, n, edge_list)
     return PureState(n, amps, _graph_stabilizers(n, edge_list))
+
+
+def _apply_cz(amps: np.ndarray, n: int, edges: list[tuple[int, int]]) -> None:
+    """Multiply ``amps`` in place by each edge's CZ, one sign flip per edge in
+    list order (one flip by parity would give other signed zeros)."""
+    for i, j in edges:
+        amps[(_qubit_bits(n, i) & _qubit_bits(n, j)).astype(bool)] *= -1.0
 
 
 def line_edges(n: int) -> list[tuple[int, int]]:

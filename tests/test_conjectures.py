@@ -285,6 +285,20 @@ def test_relation4_decomposed_mode():
         eval_relation34(ghz(3), ch, (0, 1, 2), mode="other")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_relation4_on_a_pair_reports_relation2s_term(seed):
+    """Relations 2 and 4 set a pair's excess against the correlation of its
+    best pure decomposition, so from one state, seed and budget they report
+    one term and one set of search diagnostics, bit for bit."""
+    state = random_circuit_state(4, 2, seed)
+    channel = build_dephasing(0.2, qubit=1)
+    budget = {"restarts": 2, "sweeps": 10, "seed": 0}
+    two = eval_relation2(state, channel, 0, 1, **budget)
+    four = eval_relation34(state, channel, (0, 1), mode="decomposed", **budget)
+    assert four.term.hex() == two.term.hex()
+    assert repr(four.diagnostics["term"]) == repr(two.diagnostics)
+
+
 def search_calls(budget):
     """Every public entry to the decomposition search at ``budget``, on
     rank-1 inputs, where no restart is drawn, and on a mixed pair."""

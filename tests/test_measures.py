@@ -236,6 +236,25 @@ def test_environment_information_matches_dilation(rng):
                 assert abs(got - want) < 1e-9
 
 
+def test_environment_information_holds_three_arrays_of_the_rows_size():
+    """A read may hold three arrays the size of the branch rows, the kernel's
+    size rule. S(out) on the whole register diagonalizes a Gram matrix as
+    large as the rows when there are 2^n of them, so it is hermitized in
+    place. With dephasing on each of 8 qubits (256 rows of 256) the peak
+    stays within 3.1 times the rows, and the value is 2 H2(eps/2)."""
+    n = 8
+    channel = combine([(build_dephasing(0.2), (q,)) for q in range(n)], n=n)
+    rows_bytes = 2**n * 2**n * 16
+    tracemalloc.start()
+    try:
+        value = environment_information(channel, (0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 2 * h2(0.1)) < 1e-12
+    assert peak <= 3.1 * rows_bytes
+
+
 def test_mutual_information_values():
     assert abs(mutual_information(bell(), 0, 1) - 2.0) < 1e-12
     assert abs(mutual_information(plus_all(2), 0, 1)) < 1e-12

@@ -176,6 +176,20 @@ def reference_pure_marginal(amps, n, keep):
     return _hermitize(t @ t.conj().T)
 
 
+def test_hermitize_writes_over_its_argument(rng):
+    """The Hermitian part is written over the matrix given, with the bytes
+    of (mat + mat^dagger) / 2 as a new array, signed zeros included."""
+    for d in (1, 2, 4, 16, 64):
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat[rng.random((d, d)) < 0.2] = 0.0
+        mat.real[rng.random((d, d)) < 0.2] = -0.0
+        mat.imag[rng.random((d, d)) < 0.2] = -0.0
+        want = ((mat + mat.conj().T) / 2.0).tobytes()
+        got = _hermitize(mat)
+        assert got is mat
+        assert got.tobytes() == want
+
+
 def test_pure_marginal_of_rows_sums_the_row_marginals(rng):
     """A stack of rows gives sum_k tr_rest |v_k><v_k|, checked against the
     direct sum over basis indices; one vector gives bitwise the marginal of
