@@ -28,7 +28,6 @@ builder holds a second stack.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -465,9 +464,14 @@ def build_cluster_noise(
     eps = check_probability(eps)
     edge_list = _validate_edges(n, edges)
     rng = np.random.default_rng(seed)
-    # the n one-qubit unitaries of the first layer, then those of the second
-    layers = _haar_unitaries(2 * n, 2, rng)
-    pre, post = (reduce(np.kron, layer) for layer in (layers[:n], layers[n:]))
+    # the n one-qubit unitaries of the first layer, then those of the second,
+    # each layer tensored left to right, both by one broadcast product a qubit
+    layers = _haar_unitaries(2 * n, 2, rng).reshape(2, n, 2, 2)
+    both = layers[:, 0]
+    for q in range(1, n):
+        d = 2 ** (q + 1)
+        both = (both[:, :, None, :, None] * layers[:, q, None, :, None, :]).reshape(2, d, d)
+    pre, post = both
     cz_diag = np.ones(2**n, dtype=complex)
     _apply_cz(cz_diag, n, edge_list)
     u = post @ (cz_diag[:, None] * pre)

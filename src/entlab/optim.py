@@ -13,7 +13,9 @@ Two solvers live here:
   any c, so the reported entropy is a certified upper bound. A step
   forms every A_P = V^dag P V from one gather and one matrix product (a
   Pauli string has one unit entry per row) and the Hessian from their
-  upper triangles as one symmetric rank-k product. Pairwise disjoint
+  upper triangles as one symmetric rank-k product; it factors the shifted
+  Hessian once, by the LU solve that gives the step, and writes its d x d
+  and K x K arrays into buffers the solve makes once. Pairwise disjoint
   targets need no step: the maximizer is their product with the
   maximally mixed state on the rest, and its entropy is exact.
 * ``max_avg_pure_decomposition`` searches over pure-state decompositions of
@@ -232,17 +234,51 @@ def _dual_value(c: np.ndarray, basis: _PauliBasis, t: np.ndarray):
     return top + float(np.log(total)) - float(c @ t), w, v, z / total
 
 
-def _derivative_work(basis: _PauliBasis) -> tuple:
-    """Buffers for the (K, d, d) gather, its (K, d^2) product and the
-    (K, d(d+1)/2) triangle of ``_dual_derivatives``. A solve makes them
-    once: freeing and making them anew at every step costs more than the
-    arithmetic once d = 16, since the allocator hands their pages back."""
+class _DerivativeWork(NamedTuple):
+    """The arrays a Newton step writes, made once per solve by
+    ``_derivative_work``: freeing and making them anew at every step costs
+    more than the arithmetic once d = 16, since the allocator hands their
+    pages back. ``phases`` is the (4, d, d) stack of V times each unit,
+    ``vtp`` the (K, d, d) gather from it, ``vconj`` conj(V), ``a`` the
+    (K, d^2) product and ``y`` and ``scale`` the (K, d(d+1)/2) triangle and
+    its weights; ``gap``, ``ratio``, ``div`` and ``mask`` are d x d, and
+    ``hess`` and ``outer`` K x K."""
+
+    phases: np.ndarray
+    vtp: np.ndarray
+    vconj: np.ndarray
+    a: np.ndarray
+    y: np.ndarray
+    scale: np.ndarray
+    gap: np.ndarray
+    ratio: np.ndarray
+    div: np.ndarray
+    mask: np.ndarray
+    hess: np.ndarray
+    outer: np.ndarray
+
+
+def _derivative_work(basis: _PauliBasis) -> _DerivativeWork:
+    """The ``_DerivativeWork`` of a solve on ``basis``."""
     k, d = basis.gather.shape[:2]
-    return (np.empty((k, d, d), dtype=complex), np.empty((k, d * d), dtype=complex),
-            np.empty((k, len(basis.upper)), dtype=complex))
+    half = len(basis.upper)
+    return _DerivativeWork(
+        phases=np.empty((len(_MINUS_I_POWERS), d, d), dtype=complex),
+        vtp=np.empty((k, d, d), dtype=complex),
+        vconj=np.empty((d, d), dtype=complex),
+        a=np.empty((k, d * d), dtype=complex),
+        y=np.empty((k, half), dtype=complex),
+        scale=np.empty(half),
+        gap=np.empty((d, d)),
+        ratio=np.empty((d, d)),
+        div=np.empty((d, d)),
+        mask=np.empty((d, d), dtype=bool),
+        hess=np.empty((k, k)),
+        outer=np.empty((k, k)),
+    )
 
 
-def _dual_derivatives(basis: _PauliBasis, t, w, v, p, work: tuple):
+def _dual_derivatives(basis: _PauliBasis, t, w, v, p, work: _DerivativeWork):
     """Gradient and Hessian of f where h has eigenpairs (w, V) and p = softmax(w).
 
     With A_P = V^dag P V, the gradient is <P> - t_P, <P> = sum_i p_i A_P[i, i],
@@ -254,41 +290,53 @@ def _dual_derivatives(basis: _PauliBasis, t, w, v, p, work: tuple):
     it is the real part of twice the sum over i < j plus the diagonal,
     taken on the transposes alike. With Y_P the stacked real and imaginary
     parts of A_P^T[i, j] sqrt(2 D_ij) over i < j and sqrt(D_ii) on i = j
-    (D >= 0), the sum is Y Y^T, a symmetric rank-k product. ``work``, from
-    ``_derivative_work``, holds the temporaries; the results do not share
-    its memory.
+    (D >= 0), the sum is Y Y^T, a symmetric rank-k product. Every array is
+    written into ``work``: the Hessian is ``work.hess``, which the next
+    call overwrites, and only the gradient is fresh.
     """
     k, d = basis.gather.shape[:2]
-    vtp, a, y = work
+    np.multiply(_MINUS_I_POWERS[:, None, None], v, out=work.phases)
     # the indices are in range by construction; "clip" lets take write into
     # ``out`` directly, where the default mode buffers
-    np.take(np.multiply.outer(_MINUS_I_POWERS, v), basis.gather, out=vtp, mode="clip")
-    np.matmul(vtp.reshape(k * d, d), v.conj(), out=a.reshape(k * d, d))
-    means = a[:, :: d + 1].real @ p
+    np.take(work.phases, basis.gather, out=work.vtp, mode="clip")
+    np.matmul(work.vtp.reshape(k * d, d), np.conjugate(v, out=work.vconj),
+              out=work.a.reshape(k * d, d))
+    means = work.a[:, :: d + 1].real @ p
     # (p_i - p_j) / (w_i - w_j) = max(p_i, p_j) (1 - e^-|w_i - w_j|) / |w_i - w_j|
-    gap = np.abs(w[:, None] - w[None, :])
-    ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0.0)
-    div = np.maximum(p[:, None], p[None, :]) * ratio
-    np.take(a, basis.upper, axis=1, out=y, mode="clip")
-    y *= np.sqrt(div.ravel()[basis.upper] * basis.twice)
+    gap, ratio, div = work.gap, work.ratio, work.div
+    np.abs(np.subtract.outer(w, w, out=gap), out=gap)
+    np.negative(np.expm1(np.negative(gap, out=div), out=div), out=div)
+    ratio.fill(1.0)
+    np.divide(div, gap, out=ratio, where=np.greater(gap, 0.0, out=work.mask))
+    np.multiply(np.maximum.outer(p, p, out=div), ratio, out=div)
+    y, scale = work.y, work.scale
+    np.take(work.a, basis.upper, axis=1, out=y, mode="clip")
+    np.take(div.ravel(), basis.upper, out=scale)
+    scale *= basis.twice
+    y *= np.sqrt(scale, out=scale)
     parts = y.view(np.float64)
-    hess = parts @ parts.T
-    hess -= np.outer(means, means)
+    hess = np.matmul(parts, parts.T, out=work.hess)
+    hess -= np.multiply.outer(means, means, out=work.outer)
     return means - t, hess
 
 
 def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """-H^-1 g for H + 1e-12 tr(H) I, which must pass a Cholesky test of
-    positive definiteness, or by least squares on H if it fails. The shift
-    is added to ``hess`` in place and kept there unless the test fails."""
+    """-H^-1 g for H + 1e-12 tr(H) I by one LU solve, or by least squares
+    on H when that solve fails or its step does not descend (g.s >= 0 or
+    not finite), as on an indefinite H. The shift is added to ``hess`` in
+    place and kept there unless the step falls back; ``hess`` must be
+    C-contiguous, as ``_dual_derivatives`` returns it, so that its flat
+    reshape is a view."""
     diagonal = hess.diagonal().copy()
-    hess.flat[:: len(hess) + 1] += _HESSIAN_SHIFT * diagonal.sum()
+    hess.reshape(-1)[:: len(hess) + 1] += _HESSIAN_SHIFT * diagonal.sum()
     try:
-        np.linalg.cholesky(hess)
+        step = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
+        step = None
+    if step is None or not -np.inf < float(grad @ step) < 0.0:
         np.fill_diagonal(hess, diagonal)
-        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
-    return np.linalg.solve(hess, -grad)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+    return step
 
 
 def max_entropy_with_marginals(
@@ -383,7 +431,7 @@ def _newton_solve(m: int, keys: tuple, targets: dict, tol: float, max_iter: int)
     iterations = 0
     while True:
         grad, hess = _dual_derivatives(basis, t, w, v, p, work)
-        if 0.5 * np.linalg.norm(grad) <= stop or iterations >= max_iter:
+        if 0.5 * np.sqrt(grad @ grad) <= stop or iterations >= max_iter:
             break
         step = _newton_direction(grad, hess)
         slope = float(grad @ step)

@@ -201,7 +201,9 @@ def test_dual_derivatives_match_finite_differences(case, rng):
 
     def derivatives_at(c):
         _, w, v, p = _dual_value(c, basis, t)
-        return _dual_derivatives(basis, t, w, v, p, work)
+        grad, hess = _dual_derivatives(basis, t, w, v, p, work)
+        # the Hessian is the work buffer, which the next call overwrites
+        return grad, hess.copy()
 
     step = 1e-5
     for c in (np.zeros(size), 0.3 * rng.normal(size=size)):
@@ -240,14 +242,36 @@ def test_lean_newton_step_matches_dense_formulas(case, rng):
 
 
 def test_newton_direction_falls_back_on_the_unshifted_hessian():
-    """An indefinite Hessian fails the Cholesky test; least squares then
-    runs on the Hessian as given, with the in-place shift undone."""
-    hess = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 3.0]])
+    """Least squares runs on the Hessian as given, with the in-place shift
+    undone, when the shifted solve's step ascends (an indefinite Hessian)
+    or the solve raises (the all-zero Hessian, whose shift is 0)."""
+    indefinite = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 3.0]])
+    zero = np.zeros((3, 3))
     grad = np.array([1.0, -2.0, 0.5])
-    given = hess.copy()
-    got = _newton_direction(grad, hess)
-    assert np.array_equal(hess, given)
-    assert np.array_equal(got, reference_newton_direction(grad, given))
+    shifted = indefinite + 1e-12 * np.trace(indefinite) * np.eye(3)
+    assert abs(grad @ np.linalg.solve(shifted, -grad) - 3.9166666667) < 1e-9
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(zero, -grad)
+    for given in (indefinite, zero):
+        hess = given.copy()
+        got = _newton_direction(grad, hess)
+        assert np.array_equal(hess, given)
+        assert np.array_equal(got, np.linalg.lstsq(given, -grad, rcond=None)[0])
+        assert np.array_equal(got, reference_newton_direction(grad, given))
+
+
+def test_a_newton_step_factors_the_hessian_once(monkeypatch):
+    """A step solves the shifted Hessian by one LU factorization and runs
+    no separate Cholesky test of it, so a solve never calls cholesky."""
+
+    def cholesky(*args, **kwargs):
+        raise AssertionError("a Newton step called np.linalg.cholesky")
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    res = total_defect(random_circuit_state(4, 2, 1), 3)
+    want = json.loads(TRAJECTORIES.read_text())["total_defect_truncation_3"]
+    assert abs(res.value - float(want["random-circuit-4-2-1"]["value"])) < 1e-5
+    assert res.diagnostics["worst_residual"] <= res.diagnostics["tol"]
 
 
 def test_pauli_stack_cap_raises_before_allocating():
