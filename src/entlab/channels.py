@@ -357,12 +357,6 @@ def _pauli_masks(letters: str) -> tuple[int, int]:
     return x_mask, z_mask
 
 
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    """The 2^n x 2^n matrix of an n-letter Pauli string, qubit 0 first."""
-    x_mask, z_mask = _pauli_masks(letters)
-    return _pauli_strings(len(letters), [x_mask], [z_mask])[0]
-
-
 def build_correlated_flip(eps: float, pauli: str) -> QuantumChannel:
     """Global two-point mixture: identity with 1 - eps, the full Pauli string with eps."""
     eps = check_probability(eps)

@@ -38,7 +38,6 @@ from .channels import (
     identity_channel,
 )
 from .conjectures import (
-    INCLUDE_FULL,
     censorship_scan,
     eval_relation1,
     eval_relation2,
@@ -46,6 +45,7 @@ from .conjectures import (
 )
 from .errors import ConfigError
 from .measures import (
+    INCLUDE_FULL,
     MAX_SET_SIZE,
     assisted_mutual_information,
     environment_information,
@@ -350,7 +350,7 @@ MEASURES = {
         ("channel", "set"), lambda s, c, q, p, seeds: excess_leak_set(c, q, input_state=s)
     ),
     "total-defect": (("state",), lambda s, c, q, p, seeds: total_defect(
-        s, p["truncate"] or MAX_SET_SIZE, include_full=INCLUDE_FULL[p["include_full"]]
+        s, p["truncate"] or MAX_SET_SIZE, p["include_full"]
     )),
 }
 
@@ -449,23 +449,24 @@ def censorship_results(params: dict, seeds: SeedStream) -> list:
     return results
 
 
+def _given_together(params: dict, first: str, second: str) -> bool:
+    """Whether both of two paired parameters are given; one alone is a config error."""
+    if (params[first] is None) != (params[second] is None):
+        raise ConfigError(f"{first} and {second} must be given together", field=first)
+    return params[first] is not None
+
+
 def sync_results(params: dict, seeds: SeedStream) -> list:
     results = []
-    p1 = params["p1"]
-    p2 = params["p2"]
-    if (p1 is None) != (p2 is None):
-        raise ConfigError("p1 and p2 must be given together", field="p1")
-    if p1 is not None:
+    if _given_together(params, "p1", "p2"):
+        p1, p2 = params["p1"], params["p2"]
         model = fit_mixture(p1, p2)
         base_diag = {"p1": p1, "p2": p2, "in_burst_rate": model.h}
         results.append(
             _measure_entry("mixture-burst-probability", model.pi, None, dict(base_diag))
         )
-        n = params["n"]
-        threshold = params["threshold"]
-        if (n is None) != (threshold is None):
-            raise ConfigError("n and threshold must be given together", field="n")
-        if n is not None:
+        if _given_together(params, "n", "threshold"):
+            n, threshold = params["n"], params["threshold"]
             diag = dict(base_diag, n=n, threshold=threshold)
             results.append(
                 _measure_entry(
@@ -547,7 +548,7 @@ SUBCOMMANDS = {
         Param("channel", load_spec, help="channel spec (inline JSON or a path)"),
         Param("qubits", help="comma-separated register positions"),
         Param("truncate", _integer, help="subset-size cap for total-defect", minimum=2),
-        Param("include_full", default="auto", choices=tuple(INCLUDE_FULL)),
+        Param("include_full", default="auto", choices=INCLUDE_FULL),
         Param("restarts", _integer, help="search restarts for assisted", minimum=1),
         Param("sweeps", _integer, help="search sweeps for assisted", minimum=0),
     )),
@@ -565,7 +566,7 @@ SUBCOMMANDS = {
         Param("n_min", _integer, default=2),
         Param("n_max", _integer, default=6),
         Param("truncate", _integer, default=3, minimum=2),
-        Param("include_full", default="never", choices=tuple(INCLUDE_FULL)),
+        Param("include_full", default="never", choices=INCLUDE_FULL),
         Param("depth", _integer, default=2, help="depth for random-circuit"),
     )),
     "sync": Subcommand(sync_results, "classical tails and error-weight statistics", (

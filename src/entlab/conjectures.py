@@ -310,10 +310,6 @@ def _classify_growth(exponent: float | None, values: Sequence[float]) -> str:
     return "superquadratic"
 
 
-# censorship_scan's include_full spelling -> total_defect's include_full flag
-INCLUDE_FULL = {"never": False, "auto": None, "always": True}
-
-
 def censorship_scan(
     family: Callable[[int], PureState | DensityMatrix],
     sizes: Iterable[int],
@@ -322,25 +318,19 @@ def censorship_scan(
 ) -> CensorshipReport:
     """Total-defect growth of a family over register sizes.
 
-    ``include_full`` is "never" (uniform proper-subset truncation, the
-    default so totals stay comparable across sizes), "auto" (full-set term
-    added when the register fits the optimizer cap), or "always". A size
+    ``truncation`` and ``include_full`` go to ``total_defect`` as given;
+    "never", the default here, keeps totals comparable across sizes. A size
     above MAX_TOTAL_QUBITS raises SizeLimitError before any state is built.
     Each total is exact when the family builds stabilizer states that
     carry their generators (``ghz``, ``plus_all``, ``cluster_state``) and
     a sum of max-entropy dual solves otherwise; ``methods`` says which.
     """
-    if include_full not in tuple(INCLUDE_FULL):
-        raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
-    flag = INCLUDE_FULL[include_full]
     truncation = operator.index(truncation)
     size_list = sorted(operator.index(n) for n in sizes)
     if size_list and size_list[-1] > MAX_TOTAL_QUBITS:
         n = size_list[-1]
         raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
-    totals = [
-        total_defect(family(n), max_subset_size=truncation, include_full=flag) for n in size_list
-    ]
+    totals = [total_defect(family(n), truncation, include_full) for n in size_list]
     values = [float(t.value) for t in totals]
     exponent = fit_growth_exponent(size_list, values)
     return CensorshipReport(

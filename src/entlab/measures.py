@@ -63,6 +63,8 @@ from .zoo import plus_all
 
 MAX_SET_SIZE = 4
 MAX_TOTAL_QUBITS = 8
+# total_defect's full-register term: never, up to MAX_SET_SIZE qubits, always
+INCLUDE_FULL = ("never", "auto", "always")
 
 
 def binary_entropy(p: float) -> float:
@@ -335,14 +337,14 @@ class TotalDefectResult:
 
 def total_defect(
     state: PureState | DensityMatrix,
-    max_subset_size: int = MAX_SET_SIZE,
-    include_full: bool | None = None,
+    truncation: int = MAX_SET_SIZE,
+    include_full: str = "auto",
 ) -> TotalDefectResult:
-    """Sum of max-entropy defects over subsets of size 2..min(cap, 4).
+    """Sum of max-entropy defects over subsets of size 2..min(truncation, 4).
 
     Only proper subsets are enumerated; the full register is added as one
-    extra term when ``include_full`` is True, or automatically when the
-    register has at most MAX_SET_SIZE qubits (include_full=None). Requires
+    extra term when ``include_full`` is "always", or when it is "auto" and
+    the register has at most MAX_SET_SIZE qubits (INCLUDE_FULL). Requires
     a pure input on at most MAX_TOTAL_QUBITS qubits (a DensityMatrix's
     purity is checked; a PureState is pure by construction); singletons
     never contribute. A PureState with stabilizer generators gets every
@@ -359,18 +361,19 @@ def total_defect(
         raise ValueError("need at least two qubits")
     if isinstance(state, DensityMatrix) and not state.is_pure():
         raise ValueError(f"input must be pure (purity {state.purity():.6f})")
-    cap = min(operator.index(max_subset_size), MAX_SET_SIZE)
+    cap = min(operator.index(truncation), MAX_SET_SIZE)
     if cap < 2:
-        raise ValueError("max_subset_size must be at least 2")
-    if include_full is None:
-        include_full = n <= MAX_SET_SIZE
-    if include_full and n > MAX_SET_SIZE:
+        raise ValueError("truncation must be at least 2")
+    if include_full not in INCLUDE_FULL:
+        raise ValueError(f"include_full must be never/auto/always, got {include_full!r}")
+    with_full = include_full == "always" or (include_full == "auto" and n <= MAX_SET_SIZE)
+    if with_full and n > MAX_SET_SIZE:
         raise SizeLimitError(f"full-set term needs at most {MAX_SET_SIZE} qubits, got {n}")
 
     sizes = [s for s in range(2, cap + 1) if s < n]
     full = tuple(range(n))
     subsets = [subset for size in sizes for subset in combinations(full, size)]
-    if include_full:
+    if with_full:
         subsets.append(full)
     solved: dict[bytes, DefectResult] = {}
     terms = {
@@ -393,7 +396,7 @@ def total_defect(
         value_without_full=float(total),
         full_set_term=full_term,
         included_sizes=sizes,
-        included_full=bool(include_full),
+        included_full=with_full,
         terms=terms,
         diagnostics=diagnostics,
     )

@@ -54,6 +54,7 @@ from .states import (
     DensityMatrix,
     EIGENVALUE_CLIP,
     _hermitize,
+    _trace_gap,
     marginal_matrix,
     partial_trace,
     pauli_rows,
@@ -384,8 +385,7 @@ def max_entropy_with_marginals(
     residual = 0.0
     for k in keys:
         got = marginal_matrix(state.matrix, m, k)
-        gap = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(got - targets[k].matrix))))
-        residual = max(residual, gap)
+        residual = max(residual, _trace_gap(got, targets[k].matrix))
     result = MaxEntropyResult(
         state=state,
         entropy=float(entropy),
@@ -886,9 +886,7 @@ def max_avg_pure_decomposition(
     weights = weights[keep_rows]
     states = best_rows[keep_rows] / np.sqrt(weights)[:, None]
     decomposition = Decomposition(weights=weights, states=states)
-    residual = 0.5 * float(
-        np.sum(np.abs(np.linalg.eigvalsh(decomposition.reconstruction() - rho.matrix)))
-    )
+    residual = _trace_gap(decomposition.reconstruction(), rho.matrix)
     if residual > _RECONSTRUCTION_ATOL:
         raise RuntimeError(
             f"decomposition fails to reconstruct the input (residual {residual:.2e})"

@@ -47,17 +47,19 @@ def check_probability(x, what: str = "probability") -> float:
 
 
 def _position(q) -> int:
-    try:
-        return operator.index(q)
-    except TypeError:
-        raise ValueError(f"qubit position {q} is not an integer") from None
+    if not isinstance(q, bool):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise ValueError(f"qubit position {q} is not an integer")
 
 
 def validate_subset(qubits: Iterable[int], n: int, allow_empty: bool = False) -> tuple[int, ...]:
     """Return ``qubits`` as a strictly increasing tuple of register positions.
 
     Positions must be integers (Python or numpy); a float is refused rather
-    than truncated.
+    than truncated, and a bool is refused too.
     """
     subset = tuple(_position(q) for q in qubits)
     if not subset and not allow_empty:
@@ -407,13 +409,16 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _trace_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of the Hermitian difference a - b, unclamped."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma, in [0, 1]."""
     if rho.n != sigma.n:
         raise ValueError("states live on different registers")
-    lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    val = 0.5 * float(np.sum(np.abs(lam)))
-    return min(max(val, 0.0), 1.0)
+    return min(max(_trace_gap(rho.matrix, sigma.matrix), 0.0), 1.0)
 
 
 def state_distance(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from entlab.channels import (
     embed,
     identity_channel,
     pauli_expansion,
-    pauli_string_matrix,
     pauli_weight_table,
 )
 from entlab.conjectures import eval_relation1
@@ -469,22 +468,24 @@ def test_correlated_flip_action():
     eps = 0.2
     ch = build_correlated_flip(eps, "ZZ")
     rho = plus_all(2).density_matrix()
-    zz = pauli_string_matrix("ZZ")
+    zz = np.kron(Z, Z)
     want = (1 - eps) * rho.matrix + eps * zz @ rho.matrix @ zz
     assert np.abs(apply(ch, rho).matrix - want).max() < 1e-12
 
 
-def test_pauli_string_matrix():
-    assert np.allclose(pauli_string_matrix("IX"), np.kron(I2, X))
-    assert np.allclose(pauli_string_matrix("ZY"), np.kron(Z, Y))
-    # every string of up to five letters, Y phases included, equals its
-    # kron chain entry for entry
-    for n in range(6):
+def test_correlated_flip_strings_match_kron_chains():
+    """At eps = 1 the only Kraus operator is the string itself: every string
+    of one to five letters, Y phases included, equals its kron chain entry
+    for entry."""
+    assert np.allclose(build_correlated_flip(1.0, "IX").kraus[0], np.kron(I2, X))
+    assert np.allclose(build_correlated_flip(1.0, "ZY").kraus[0], np.kron(Z, Y))
+    for n in range(1, 6):
         for letters in product("IXYZ", repeat=n):
             letters = "".join(letters)
-            assert np.array_equal(pauli_string_matrix(letters), kron_pauli_string(letters))
+            (got,) = build_correlated_flip(1.0, letters).kraus
+            assert np.array_equal(got, kron_pauli_string(letters))
     with pytest.raises(ValueError, match="unknown Pauli letter 'W'"):
-        pauli_string_matrix("XW")
+        build_correlated_flip(1.0, "XW")
 
 
 @pytest.mark.parametrize("basis", ["X", "Y", "Z"])

@@ -162,6 +162,12 @@ EXIT_CASES = {
     "run-missing-config-file": (["run", "--config", "no-such-config.json"], 2),
 }
 
+# the stderr line of the error cases whose message is pinned too
+EXIT_MESSAGES = {
+    "sync-unpaired-moments": "config error [p1]: p1 and p2 must be given together",
+    "sync-unpaired-tail": "config error [n]: n and threshold must be given together",
+}
+
 BELL_FLIP = {
     "state": {"family": "bell"},
     "channel": {"family": "correlated_flip", "epsilon": 0.2, "pauli": "ZZ"},
@@ -232,6 +238,14 @@ def test_error_exit_code(name, capsys):
     code, out, err = run_main(argv, capsys)
     assert code == want, err
     assert out == ""
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_MESSAGES))
+def test_error_message(name, capsys):
+    argv, want = EXIT_CASES[name]
+    code, out, err = run_main(argv, capsys)
+    assert code == want
+    assert err.splitlines() == [EXIT_MESSAGES[name]]
 
 
 @pytest.mark.parametrize("name", sorted(RUN_EXIT_CASES))

@@ -446,3 +446,27 @@ def test_censorship_scan_refuses_sizes_over_the_cap_before_building():
 def test_censorship_scan_rejects_bad_policy():
     with pytest.raises(ValueError):
         censorship_scan(ghz, [3], include_full="sometimes")
+
+
+@pytest.mark.parametrize("include_full", measures.INCLUDE_FULL)
+@pytest.mark.parametrize("family", [ghz, lambda n: dicke_state(n, n // 2)], ids=["ghz", "dicke"])
+def test_censorship_scan_passes_the_total_defect_spelling_through(
+    family, include_full, monkeypatch
+):
+    """The scan's total at n = 4 is ``total_defect``'s, term for term."""
+    want = total_defect(family(4), 3, include_full)
+    assert want.included_full == (include_full != "never")
+    assert ((0, 1, 2, 3) in want.terms) == want.included_full
+    seen = []
+
+    def recorded(*args):
+        seen.append(total_defect(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(conjectures, "total_defect", recorded)
+    report = censorship_scan(family, [4], truncation=3, include_full=include_full)
+    (got,) = seen
+    assert got.terms == want.terms
+    assert report.values == [want.value]
+    assert report.methods == [want.diagnostics["method"]]
+    assert report.include_full == include_full

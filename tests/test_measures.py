@@ -477,15 +477,21 @@ def test_total_defect_ghz3():
 def test_total_defect_product_state():
     res = total_defect(plus_all(3).density_matrix())
     assert abs(res.value) < 1e-6
-    never = total_defect(bell().density_matrix(), include_full=False)
+    never = total_defect(bell().density_matrix(), include_full="never")
     assert abs(never.value) < 1e-9
     # no subset to solve, yet the path is named by the input, not the solves
     assert never.terms == {}
     assert never.diagnostics["method"] == "max_entropy"
     assert never.diagnostics["optimizer_iterations"] == 0
-    assert total_defect(bell(), include_full=False).diagnostics == {"method": "stabilizer"}
-    always = total_defect(bell().density_matrix(), include_full=True)
+    assert total_defect(bell(), include_full="never").diagnostics == {"method": "stabilizer"}
+    always = total_defect(bell().density_matrix(), include_full="always")
     assert abs(always.value - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("include_full", [True, False, "sometimes"])
+def test_total_defect_takes_one_include_full_spelling(include_full):
+    with pytest.raises(ValueError, match="^include_full must be never/auto/always, got "):
+        total_defect(ghz(3), include_full=include_full)
 
 
 def test_total_defect_register_cap():

@@ -311,7 +311,7 @@ def test_defects_are_never_negative(rng):
     states = [random_circuit_state(4, 2, s) for s in range(3)]
     states += [solver_input(ghz(4)), dicke_state(4, 2)]
     for state in states:
-        assert min(total_defect(state, max_subset_size=3).terms.values()) >= -1e-12
+        assert min(total_defect(state, truncation=3).terms.values()) >= -1e-12
     for rank in (1, 2, 8):
         for _ in range(3):
             rho = DensityMatrix(3, random_density(rng, 3, rank=rank))
@@ -335,7 +335,7 @@ def test_pairwise_z_triple_equals_classical_ipf():
 def test_ghz_totals_are_pair_counts(n):
     """Each pair of a GHZ state holds one bit and each triple none; the
     solver's dual value sits at most 1e-7 above that."""
-    res = total_defect(solver_input(ghz(n)), max_subset_size=3)
+    res = total_defect(solver_input(ghz(n)), truncation=3)
     assert -1e-12 <= res.value - math.comb(n, 2) < 1e-7
 
 
@@ -390,7 +390,7 @@ def test_pair_terms_are_mutual_information(depth, seed):
     """A pair's two single-qubit targets are disjoint, so its defect takes
     the closed form and is the pair's mutual information."""
     state = random_circuit_state(4, depth, seed)
-    res = total_defect(state, max_subset_size=3)
+    res = total_defect(state, truncation=3)
     for pair in combinations(range(4), 2):
         assert abs(res.terms[pair] - mutual_information(state, *pair)) < 1e-12
     diagnostics = max_entropy_defect(state, (0, 3)).diagnostics
@@ -417,7 +417,7 @@ def test_solver_trajectories_are_pinned():
     }
     assert sorted(states) == sorted(pins["total_defect_truncation_3"])
     for name, state in states.items():
-        res = total_defect(state, max_subset_size=3)
+        res = total_defect(state, truncation=3)
         want = pins["total_defect_truncation_3"][name]
         if not exact:
             assert abs(res.value - float(want["value"])) < 1e-5, name
@@ -434,7 +434,7 @@ def test_import_does_not_load_scipy():
     """entlab never imports scipy, not even to solve a max-entropy problem."""
     code = (
         "import sys, entlab.cli; from entlab import PureState, ghz, total_defect; "
-        "total_defect(PureState(4, ghz(4).amplitudes), max_subset_size=3); "
+        "total_defect(PureState(4, ghz(4).amplitudes), truncation=3); "
         "sys.exit('scipy' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)

@@ -6,11 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from entlab import DensityMatrix, PureState
 from entlab.channels import (
+    QuantumChannel,
     apply,
     build_cluster_noise,
     build_correlated_flip,
     build_depolarizing,
     build_dephasing,
+    combine,
 )
 from entlab.errors import PositivityError, SizeLimitError
 from entlab.measures import binary_entropy
@@ -30,6 +32,7 @@ from entlab.states import (
     von_neumann_entropy,
 )
 from entlab.sync import binomial_tail, quantum_randomization_demo, repetition_majority_error
+from entlab.zoo import cluster_state
 from helpers import (
     embed_operator,
     entropy_oracle,
@@ -140,6 +143,26 @@ def test_validate_subset_sorts_and_checks():
     for subset in ([0, 1.0], np.array([0.5])):
         with pytest.raises(ValueError, match=f"^qubit position {subset[-1]} is not an integer$"):
             validate_subset(subset, 3)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda q: validate_subset([q, 2], 3),
+        lambda q: build_dephasing(0.2, qubit=q),
+        lambda q: build_depolarizing(0.2, qubit=q),
+        lambda q: QuantumChannel(build_dephasing(0.2).kraus, qubits=(q,)),
+        lambda q: combine([(build_dephasing(0.2), (q,))], n=3),
+        lambda q: cluster_state(3, [(q, 2)]),
+    ],
+    ids=["subset", "dephasing-qubit", "depolarizing-qubit", "declared-qubit", "combine-part",
+         "edge"],
+)
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_positions_are_refused(place, flag):
+    """One integer rule for every qubit position: a bool is not read as 0 or 1."""
+    with pytest.raises(ValueError, match=f"^qubit position {flag} is not an integer$"):
+        place(flag)
 
 
 def test_qubit_zero_is_most_significant():
