@@ -1,29 +1,32 @@
-"""Quantum channels as staged Kraus lists, with builders for correlated noise.
+"""Quantum channels as stages of Kraus stacks and Pauli tables, with
+builders for correlated noise.
 
 A channel acts on the register positions ``qubits`` (0..n-1 unless
-declared) and is stored as ``stages``, read-only stacks of Kraus
-operators on some of those positions that act in list order, stage 0
-first; its Kraus operators are the products of one operator per stage,
-identity elsewhere. A caller's Kraus list or (m, d, d) stack is copied
-once into one stage on all of ``qubits`` and checked once, to
-sum_k K^dagger K = I within 1e-9 in every entry. ``combine``, ``embed``
-and ``compose`` only place or chain stages, so a product or a sequence
-of channels stays factored, whatever its Kraus count. One kernel,
-``_run_stages``, contracts the stages on their positions' tensor axes of
-a stack: on a pure input it gives the measures' branch rows, and on the
-identity the dense ``kraus``, formed when first read for ``apply`` and
-the Pauli expansion (the error-probability vector of the Pauli twirl).
-It alone applies the size rule of a read, MAX_KRAUS_BYTES.
+declared) and is stored as ``stages`` that act in list order, stage 0
+first, each on some of those positions; its Kraus operators are the
+products of one operator per stage, identity elsewhere. A stage is a
+read-only (m, 2^k, 2^k) Kraus stack, or a PAULI_TABLE array of Pauli
+strings and weights whose operators sqrt(w) P are formed only when read.
+A caller's Kraus list is copied once into one stack stage and checked
+once, to sum_k K^dagger K = I within 1e-9 in every entry. The builders
+are mixtures of unitaries, trace preserving by construction, and run no
+check (``test_builders_are_trace_preserving`` checks their ``kraus``);
+the four Pauli builders end in ``_pauli_mixture``, which makes one
+table, so none of them allocates a stack. ``combine``, ``embed`` and
+``compose`` only place or chain stages, so a product or a sequence of
+channels stays factored, whatever its Kraus count.
 
-The builders form their whole Kraus stack in one vectorized pass, with
-no loop over operators, and hand it to the channel as one stage with no
-copy and no check: each is a mixture of unitaries with weights summing
-to 1, trace preserving by construction, as the property test
-``test_builders_are_trace_preserving`` checks over every builder's
-parameter range. The four Pauli builders end in ``_pauli_mixture``, one
-scatter of sqrt(w) P into a zero stack for every string of positive
-weight, and the cluster builder scales its fresh stack in place, so no
-builder holds a second stack.
+The reads:
+- ``_run_stages`` contracts the stages on their positions' tensor axes of
+  a stack, a table by a gather of its strings' rows: on a pure input it
+  gives the measures' branch rows, on the identity the dense ``kraus``;
+- tables on disjoint positions give ``kraus`` as one scatter of their
+  product strings, and ``pauli_expansion`` from their weights alone;
+- ``_flip_law`` reads a channel of tables on |+>^m, where its output is
+  the classical mixture of the strings' Z/Y flip patterns: one law of
+  2^m probabilities, with no operator formed.
+The reads that form operators or rows share one size rule,
+MAX_KRAUS_BYTES (``_check_read``).
 """
 
 from __future__ import annotations
@@ -43,12 +46,21 @@ PAULI_LETTERS = "IXYZ"
 CPTP_ATOL = 1e-9
 # Pauli expansion enumerates 4**n strings; keep that tractable
 MAX_EXPANSION_QUBITS = 6
-# the most a read of the stages (``_run_stages``) may hold and a builder's
-# dense Kraus list may take: 4 GiB reads dephasing on each of 12 qubits
-# and builds build_pairwise_correlated up to n = 9 (513 operators, 2.15 GB)
+# the most a read that forms Kraus operators or branch rows may hold (three
+# times its result, ``_check_read``): 4 GiB reads the branch rows of
+# dephasing on each of 12 qubits and the ``kraus`` of
+# build_pairwise_correlated up to n = 8 (257 operators, 269 MiB)
 MAX_KRAUS_BYTES = 2**32
 # build_random_unitary_noise's dense eigh: 18 s at n = 11, 155 s and 1.6 GB at 12
 MAX_RANDOM_UNITARY_QUBITS = 11
+
+
+# A Pauli table stage: a 1-D array of k-qubit strings, string i with X on
+# the bits of x, Z on those of z and Y on both (bit k-1-j for the stage's
+# j-th position, as ``pauli_rows`` places them), and weight w > 0, the
+# weights summing to 1. Its Kraus operators are sqrt(w) P in table order,
+# formed only by a read that needs them.
+PAULI_TABLE = np.dtype([("x", np.intp), ("z", np.intp), ("w", float)])
 
 
 class QuantumChannel:
@@ -65,10 +77,10 @@ class QuantumChannel:
         applied to a larger register; positions 0..n-1 when omitted.
 
     ``stages`` holds (ops, positions) pairs, ops a read-only (m, 2^k, 2^k)
-    stack on k of the positions in ``qubits``. The stages act in list
-    order, stage 0 first, and may share positions; the Kraus index of
-    stage 0 runs outermost. ``kraus`` is the tuple of dense operators on
-    ``qubits``, formed on first read.
+    stack or a PAULI_TABLE array of m strings on k of the positions in
+    ``qubits``. The stages act in list order, stage 0 first, and may share
+    positions; the Kraus index of stage 0 runs outermost. ``kraus`` is the
+    tuple of dense operators on ``qubits``, formed on first read.
     """
 
     __slots__ = ("qubits", "stages", "_kraus")
@@ -116,10 +128,10 @@ class QuantumChannel:
 
     @classmethod
     def _derived(cls, stages: tuple, qubits: Iterable[int]) -> "QuantumChannel":
-        """A channel on stages that need no check: a builder's one stack,
-        trace preserving by construction, or stages placed or chained from
-        channels. ``qubits`` must be valid positions that hold every
-        stage's, and the stacks complex arrays nothing else writes to."""
+        """A channel on stages that need no check: a builder's one stack or
+        table, trace preserving by construction, or stages placed or
+        chained from channels. ``qubits`` must be valid positions that hold
+        every stage's, and the stacks complex arrays nothing else writes to."""
         channel = object.__new__(cls)
         channel._settle(stages, tuple(qubits))
         return channel
@@ -152,34 +164,50 @@ def _positions(qubits, n: int) -> tuple:
     return pos
 
 
+def _check_read(count: int, n: int, c: int) -> None:
+    """The size rule of every read of ``count`` Kraus products on n qubits
+    applied to c columns (c = 1 for branch rows, 2^n for the operators):
+    SizeLimitError before anything is allocated if 3 times the result's
+    bytes exceed MAX_KRAUS_BYTES, since a stage holds at most two stacks of
+    the result's size (the product and its reordered copy) and a leak read
+    three (the rows, their reordered copy and its conjugate)."""
+    size = 3 * count * 2**n * c * 16
+    if size > MAX_KRAUS_BYTES:
+        raise SizeLimitError(
+            f"a read of {count} Kraus products on {n} qubits needs {size} bytes, "
+            f"over the cap of {MAX_KRAUS_BYTES}"
+        )
+
+
 def _run_stages(stages: tuple, n: int, psi: np.ndarray | None = None) -> np.ndarray:
     """The stages run in list order on the 2^n amplitudes ``psi``, whose n
     tensor axes are register positions 0..n-1, or on the identity when
     ``psi`` is None: the (K, 2^n, c) stack of the branches K psi (c = 1)
-    or of the Kraus operators (c = 2^n), stage 0's index outermost. A
-    stage's (m, 2^k, 2^k) operators act on its positions' axes as one
-    (m 2^k, 2^k) product, so no padded operator is formed.
-
-    The size rule of every read: SizeLimitError before anything is
-    allocated if 3 times the result's bytes exceed MAX_KRAUS_BYTES, since
-    a stage holds at most two stacks of the result's size (the product
-    and its reordered copy) and a leak read three (the rows, their
-    reordered copy and its conjugate).
+    or of the Kraus operators (c = 2^n), stage 0's index outermost, under
+    the size rule of ``_check_read``. A stack stage's (m, 2^k, 2^k)
+    operators act on its positions' axes as one (m 2^k, 2^k) product, and
+    a table's strings as one gather of rows scaled by sqrt(w) (-i)^power,
+    so no padded operator, and no operator of a table, is formed.
     """
     d = 2**n
     c = d if psi is None else 1
-    count = prod(len(ops) for ops, _ in stages)
-    _check_kraus_bytes(f"a read of {count} Kraus products", n, 3 * count * d * c * 16)
+    _check_read(prod(len(ops) for ops, _ in stages), n, c)
     src = np.eye(d, dtype=complex) if psi is None else psi
     b = 1
     for ops, pos in stages:
-        m, dk = ops.shape[:2]
+        m, dk = len(ops), 2 ** len(pos)
         rest = [q for q in range(n) if q not in pos]
         axes = [1 + q for q in pos] + [0] + [1 + q for q in rest] + [n + 1]
         # the stack read is freed once copied, and the product once placed
         lead = src.reshape((b,) + (2,) * n + (c,)).transpose(axes).reshape(dk, -1)
         del src
-        lead = ops.reshape(m * dk, dk) @ lead
+        if ops.dtype == PAULI_TABLE:
+            # row r of string i is (-i)^power[i, r] times row col[i, r]
+            col, power = pauli_rows(len(pos), ops["x"], ops["z"])
+            lead = lead[col]
+            lead *= (np.sqrt(ops["w"])[:, None] * _MINUS_I_POWERS[power])[:, :, None]
+        else:
+            lead = ops.reshape(m * dk, dk) @ lead
         src = np.empty((b, m) + (2,) * n + (c,), dtype=complex)
         # the new stack's axes in the order of the product's, so it is written in place
         view = src.transpose([1] + [2 + q for q in pos] + [0] + [2 + q for q in rest] + [n + 2])
@@ -189,17 +217,80 @@ def _run_stages(stages: tuple, n: int, psi: np.ndarray | None = None) -> np.ndar
     return src.reshape(b, d, c)
 
 
+def _tables(stages: tuple) -> bool:
+    return all(ops.dtype == PAULI_TABLE for ops, _ in stages)
+
+
+def _disjoint_tables(channel: QuantumChannel) -> tuple | None:
+    """The channel's stages with positions renumbered 0..n-1 over its
+    ``qubits``, if they are all tables on disjoint positions; else None."""
+    where = {q: i for i, q in enumerate(channel.qubits)}
+    used = [q for _, pos in channel.stages for q in pos]
+    if not _tables(channel.stages) or len(set(used)) != len(used):
+        return None
+    return tuple((table, tuple(where[q] for q in pos)) for table, pos in channel.stages)
+
+
+def _lift(masks: np.ndarray, pos: tuple, n: int) -> np.ndarray:
+    """A stage's masks (bit k-1-j for its j-th position) as n-qubit masks."""
+    k = len(pos)
+    if pos == tuple(range(n)):
+        return masks
+    out = np.zeros_like(masks)
+    for j, q in enumerate(pos):
+        out |= (masks >> (k - 1 - j) & 1) << (n - 1 - q)
+    return out
+
+
+def _product_strings(stages: tuple, n: int, weigh=np.positive) -> tuple:
+    """The product strings of tables on disjoint positions of 0..n-1, stage
+    0's index outermost: their n-qubit x and z masks, and the products of
+    their factors' weigh(w) (w itself by default) in stage order."""
+    x = z = np.zeros(1, dtype=np.intp)
+    scale = np.ones(1)
+    for table, pos in stages:
+        x = (x[:, None] | _lift(table["x"], pos, n)).reshape(-1)
+        z = (z[:, None] | _lift(table["z"], pos, n)).reshape(-1)
+        scale = (scale[:, None] * weigh(table["w"])).reshape(-1)
+    return x, z, scale
+
+
+def _table_kraus(stages: tuple, n: int) -> np.ndarray:
+    """The Kraus stack of tables on disjoint positions of 0..n-1: one
+    scatter of the product strings, each scaled by the product of its
+    factors' sqrt(w)."""
+    _check_read(prod(len(table) for table, _ in stages), n, 2**n)
+    return _pauli_strings(n, *_product_strings(stages, n, np.sqrt))
+
+
 def _dense_kraus(channel: QuantumChannel) -> np.ndarray:
-    """The (K, 2^n, 2^n) Kraus stack on the channel's n positions: its one
+    """The read-only (K, 2^n, 2^n) Kraus stack on the channel's n
+    positions: one scatter for tables on disjoint positions, the one stack
     stage when that acts on all of them, else the stages run on the
     identity (every builder that leaves other stages places them on
-    0..n-1), which ``_run_stages`` forms only if its size rule passes."""
-    stages = channel.stages
-    if len(stages) == 1 and stages[0][1] == channel.qubits:
+    0..n-1). Either read is formed only if its size rule passes."""
+    stages, tables = channel.stages, _disjoint_tables(channel)
+    if tables is None and len(stages) == 1 and stages[0][1] == channel.qubits:
         return stages[0][0]
-    full = _run_stages(stages, channel.n)
+    full = _run_stages(stages, channel.n) if tables is None else _table_kraus(tables, channel.n)
     full.flags.writeable = False
     return full
+
+
+def _flip_law(stages: tuple, n: int) -> np.ndarray | None:
+    """The law p of the Z/Y flip pattern that stages, all tables, leave on
+    |+>^n, or None if a stage is not a table. X fixes |+> and Z and Y flip
+    it to |->, so the output is sum_f p(f) H^n|f><f|H^n, f an n-bit mask
+    (qubit q on bit n-1-q): each stage's z-pattern law is lifted to n bits
+    and the stages are XOR-convolved in stage order."""
+    if not _tables(stages):
+        return None
+    index = np.arange(2**n)
+    p = (index == 0).astype(float)
+    for i, (table, pos) in enumerate(stages):
+        law = np.bincount(_lift(table["z"], pos, n), weights=table["w"], minlength=2**n)
+        p = law if i == 0 else sum(law[f] * p[index ^ f] for f in np.flatnonzero(law))
+    return p
 
 
 def identity_channel(n: int) -> QuantumChannel:
@@ -238,21 +329,13 @@ def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.n, _hermitize(out))
 
 
-def _check_kraus_bytes(what: str, n: int, size: int) -> None:
-    """SizeLimitError if ``what`` on n qubits needs more than MAX_KRAUS_BYTES."""
-    if size > MAX_KRAUS_BYTES:
-        raise SizeLimitError(
-            f"{what} on {n} qubits needs {size} bytes, over the cap of {MAX_KRAUS_BYTES}"
-        )
-
-
 def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
     """Channel running ``first`` then ``second`` (Kraus products K2 K1).
 
     Its stages are ``first``'s then ``second``'s, in that order, on one
     past the last qubit either names, so ``first``'s Kraus index runs
     outermost and no operator is formed until ``kraus`` is read; a read
-    over MAX_KRAUS_BYTES is refused then (``_run_stages``).
+    over MAX_KRAUS_BYTES is refused then (``_check_read``).
     """
     n = check_register_size(max(_span(second), _span(first)))
     return QuantumChannel._derived(first.stages + second.stages, range(n))
@@ -277,7 +360,7 @@ def combine(parts: Iterable[tuple], n: int | None = None) -> QuantumChannel:
     past the largest qubit named. The result keeps the placed parts'
     stages in order, so part 0's Kraus index runs outermost, and forms no
     operator until its ``kraus`` is read; a read over MAX_KRAUS_BYTES is
-    refused then (``_run_stages``).
+    refused then (``_check_read``).
     """
     placed = [_place(channel, qubits) for channel, qubits in parts]
     used = [q for part in placed for q in part.qubits]
@@ -307,21 +390,23 @@ def _pauli_strings(n: int, x_masks, z_masks, scale=None) -> np.ndarray:
     return out
 
 
-def _one_stage(stack: np.ndarray, qubits=None) -> QuantumChannel:
+def _one_stage(stack: np.ndarray) -> QuantumChannel:
     """A builder's fresh (m, 2^n, 2^n) ``stack``, trace preserving by
-    construction, as one unchecked stage on ``qubits`` (0..n-1 if None)."""
-    pos = _positions(qubits, stack.shape[1].bit_length() - 1)
+    construction, as one unchecked stage on 0..n-1."""
+    pos = tuple(range(stack.shape[1].bit_length() - 1))
     return QuantumChannel._derived(((stack, pos),), pos)
 
 
 def _pauli_mixture(n: int, x_masks, z_masks, weights, qubits=None) -> QuantumChannel:
     """The mixture of the n-qubit Pauli strings (x, z) with ``weights``
-    (sum 1) as one stage on ``qubits``: its Kraus stack is sqrt(w_i) P_i,
-    in order and without the strings of weight 0, written by one scatter."""
+    (sum 1) as one table stage on ``qubits``, in order and without the
+    strings of weight 0; no operator is formed."""
     w = np.asarray(weights, dtype=float)
     keep = w > 0.0
-    x, z = np.asarray(x_masks)[keep], np.asarray(z_masks)[keep]
-    return _one_stage(_pauli_strings(n, x, z, np.sqrt(w[keep])), qubits)
+    table = np.empty(np.count_nonzero(keep), dtype=PAULI_TABLE)
+    table["x"], table["z"], table["w"] = np.asarray(x_masks)[keep], np.asarray(z_masks)[keep], w[keep]
+    pos = _positions(qubits, n)
+    return QuantumChannel._derived(((table, pos),), pos)
 
 
 def build_depolarizing(p: float, qubit: int = 0) -> QuantumChannel:
@@ -390,12 +475,10 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     A burst occurs with probability pi = p1^2 / p2; within a burst every
     qubit independently flips with probability h = p2 / p1. The per-qubit
     hit probability is then p1 and the joint hit probability of any pair is
-    p2. Feasible iff p1^2 <= p2 <= p1. The Kraus operators are the
+    p2. Feasible iff p1^2 <= p2 <= p1. The table's strings are the
     identity, then the flip string of every mask of flipped qubits in
-    order 0..2^n-1, each times the square root of its weight and none of
-    weight 0; one scatter writes them all into one stack. Its 2^n + 1 dense
-    operators must fit in MAX_KRAUS_BYTES, or SizeLimitError is raised
-    before any is built.
+    order 0..2^n-1, none of weight 0; its 2^n + 1 Kraus operators are
+    formed only when ``kraus`` is read, under the size rule of a read.
     """
     n = check_register_size(n)
     if n < 1:
@@ -403,7 +486,6 @@ def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") ->
     p1, p2 = check_burst_moments(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
-    _check_kraus_bytes("pairwise_correlated", n, (2**n + 1) * 4**n * 16)
     if p1 == 0.0 or p2 == 0.0:
         return _pauli_mixture(n, [0], [0], [1.0])
     h = p2 / p1
@@ -500,22 +582,34 @@ def _pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(-1) / 2**n
 
 
+def _spread(masks: np.ndarray, k: int) -> np.ndarray:
+    """k-bit masks with bit b moved to bit 2b."""
+    return sum((masks >> b & 1) << 2 * b for b in range(k))
+
+
 def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
     """Pauli-twirl error probabilities q(P) = sum_k |Tr(P K_k)|^2 / 4^n.
 
     Returns the read-only vector of all 4^n probabilities, indexed by base-4
     strings with digits I=0, X=1, Y=2, Z=3 and qubit 0 as the most
     significant digit, matching the register bit order: on two qubits "XZ"
-    is entry 4*1 + 3.
+    is entry 4*1 + 3. Tables on disjoint positions are read as they are;
+    any other channel expands each of its ``kraus``.
     """
     n = channel.n
     if n > MAX_EXPANSION_QUBITS:
         raise SizeLimitError(
             f"Pauli expansion supports up to {MAX_EXPANSION_QUBITS} qubits, got {n}"
         )
-    q = np.zeros(4**n)
-    for op in channel.kraus:
-        coeff = _pauli_coefficients(op, n)
-        q += np.abs(coeff) ** 2
+    tables = _disjoint_tables(channel)
+    if tables is not None:
+        # a table is its own twirl: each product string's weight goes to its
+        # index, whose digit per qubit is 2 z + (x xor z)
+        x, z, w = _product_strings(tables, n)
+        q = np.bincount(_spread(z, n) << 1 | _spread(x ^ z, n), w, 4**n)
+    else:
+        q = np.zeros(4**n)
+        for op in channel.kraus:
+            q += np.abs(_pauli_coefficients(op, n)) ** 2
     q.flags.writeable = False
     return q

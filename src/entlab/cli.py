@@ -350,7 +350,7 @@ MEASURES = {
         ("channel", "set"), lambda s, c, q, p, seeds: excess_leak_set(c, q, input_state=s)
     ),
     "total-defect": (("state",), lambda s, c, q, p, seeds: total_defect(
-        s, p["truncate"] or MAX_SET_SIZE, p["include_full"]
+        s, p["truncate"], p["include_full"]
     )),
 }
 
@@ -358,6 +358,9 @@ MEASURES = {
 def measure_results(params: dict, seeds: SeedStream) -> list:
     name = params["name"]
     needs, call = MEASURES[name]
+    if name == "total-defect" and params["truncate"] is None:
+        # total_defect's default, set here so that the report echoes it
+        params["truncate"] = MAX_SET_SIZE
     state = build_state(params["state"], seeds) if params["state"] else None
     channel = build_channel(params["channel"], seeds) if params["channel"] else None
     qubits = _parse_qubits(params["qubits"])
@@ -736,8 +739,9 @@ def _dispatch(args, seeds: SeedStream):
     command = args.command
     if command != "run":
         params = resolve_params(command, vars(args))
-        config = {"command": command, "seed": seeds.root, **params}
-        return config, SUBCOMMANDS[command].reader(params, seeds)
+        results = SUBCOMMANDS[command].reader(params, seeds)
+        # formed after the reader, which may fill in a default it ran at
+        return {"command": command, "seed": seeds.root, **params}, results
     try:
         with open(args.config, encoding="utf-8") as fh:
             config_body = json.load(fh)

@@ -10,7 +10,8 @@ scaled by a reference leak and a level c:
 
 One function builds every verdict from the relation number: it reads the
 mean or minimum one-qubit leak and the pair (1, 2) or set (3, 4) excess
-from the Kraus branches of one noisy output, and the number alone fixes
+from one noisy output (a Pauli table channel's flip-pattern law, or the
+Kraus branches of any other; see ``measures``), and the number alone fixes
 the term's name, the conditional flag and the note. Each public evaluator
 checks its arguments and supplies only its term.
 
@@ -29,12 +30,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, _span
+from .channels import QuantumChannel
 from .errors import SizeLimitError
 from .measures import (
     MAX_TOTAL_QUBITS,
     _noisy_output,
-    _register_size,
     _set_excess,
     assisted_mutual_information,
     max_entropy_defect,
@@ -42,9 +42,7 @@ from .measures import (
     total_defect,
 )
 from .optim import check_search_budget, max_avg_pure_decomposition
-from .states import DensityMatrix, PureState, branch_entropy, check_state
-from .states import partial_trace, validate_subset
-from .zoo import plus_all
+from .states import DensityMatrix, PureState, check_state, partial_trace, validate_subset
 
 VACUOUS_ATOL = 1e-9
 # per-term totals inherit the defect optimizer's accuracy, not machine epsilon
@@ -112,23 +110,21 @@ def _verdict(
     The excess and the leaks come from the channel's output on |+>^m, m the
     larger of the state's size n and the channel's span, before ``term`` is
     called, so an excess that cannot be computed fails before a
-    decomposition search starts. The leaks and the excess read the
-    output's branch rows, as the measures of the same names do; a pair
-    excess reuses the two leaks, so a pair verdict diagonalizes three
-    marginals.
+    decomposition search starts. The leaks and the excess read the output
+    as the measures of the same names do; a pair excess reuses the two
+    leaks, so a pair verdict reads three marginal entropies.
     """
-    rows = _noisy_output(channel, plus_all(max(n, _span(channel))))
-    m = _register_size(rows)
-    leaks = {q: branch_entropy(rows, m, (q,)) for q in qubits}
+    out = _noisy_output(channel, n=n)
+    leaks = {q: out.entropy((q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
         # S(a) + S(b) - S(ab) as excess_leak forms it, from the leaks above
         a, b = qubits
-        excess = leaks[a] + leaks[b] - branch_entropy(rows, m, qubits)
+        excess = leaks[a] + leaks[b] - out.entropy(qubits)
         term_value, diagnostics = term()
     else:
         reference_leak = float(min(leaks.values()))
-        excess, excess_diagnostics = _value_and_diagnostics(_set_excess(rows, qubits))
+        excess, excess_diagnostics = _value_and_diagnostics(_set_excess(out, qubits))
         term_value, term_diagnostics = term()
         diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
     if excess < VACUOUS_ATOL and (term_value < VACUOUS_ATOL or reference_leak < VACUOUS_ATOL):

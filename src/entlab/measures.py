@@ -1,11 +1,15 @@
 """Leak and correlation measures for register noise.
 
 Channel quantities feed a pure input, the uniform superposition |+>^n
-unless given, through a channel and score the output. That output is the
-ensemble of branches K_k psi, kept as k rows of length 2^n: marginals come
-from the rows and S(out) from their k x k Gram matrix when it is the
-smaller side, so no 2^n x 2^n output is formed. The leaks, the pair excess
-and the set excess all read these rows.
+unless given, through a channel and score the output, with no 2^n x 2^n
+output formed. A channel of Pauli tables on the default |+>^n leaves the
+classical mixture of its strings' Z/Y flip patterns, read as one law p
+of 2^n probabilities (``channels._flip_law``; the |+>^n case of the
+stabilizer entropy rule of Fattal et al., quant-ph/0406168). Any other
+channel, or an explicit input, gives the branches K_k psi, kept as k
+rows of length 2^n; S(out) comes from their k x k Gram matrix when that
+is the smaller side. Each quantity is written once against the two reads
+both give, ``entropy(keep)`` and ``marginal(keep)``.
 
 Set quantities score how far a joint state sits above what its
 sub-marginals determine. ``max_entropy_defect`` and ``total_defect`` take
@@ -18,7 +22,7 @@ one of two paths, which their diagnostics name as ``method``:
   upper bound. A pair's two single-qubit marginals are disjoint, so its
   maximum is their product in closed form, with no Newton step, and its
   defect is the pair's mutual information. ``excess_leak_set`` always
-  takes this path, on the marginal of the branch rows.
+  takes this path, on the noisy output's marginal.
 All values are in bits.
 """
 
@@ -31,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_fit, _run_stages, _span
+from .channels import QuantumChannel, _check_fit, _flip_law, _run_stages, _span
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -56,6 +60,7 @@ from .states import (
     gf2_rank,
     partial_trace,
     pure_marginal,
+    spectrum_entropy,
     validate_subset,
     von_neumann_entropy,
 )
@@ -75,24 +80,59 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def _noisy_output(channel: QuantumChannel, input_state: PureState | None) -> np.ndarray:
-    """The branches K_k psi of the channel on ``input_state`` (by default
-    |+>^n on the smallest register that holds the channel), one row each.
+class _Rows:
+    """An output sum_k |v_k><v_k| held as its branch rows v_k = K_k psi."""
 
-    The output state is sum_k |K_k psi><K_k psi|. The channel's stages run
-    on their positions' tensor axes of psi (``_run_stages``), so no padded
-    operator or product of the stages' operators is formed; the rows come
-    out in the order of ``channel.kraus``.
-    """
+    def __init__(self, rows: np.ndarray, n: int):
+        self.rows, self.n = rows, n
+
+    def entropy(self, keep: Iterable[int]) -> float:
+        return branch_entropy(self.rows, self.n, keep)
+
+    def marginal(self, keep: Iterable[int]) -> DensityMatrix:
+        return pure_marginal(self.rows, self.n, keep)
+
+
+class _Law:
+    """An output sum_f p(f) H^n|f><f|H^n held as its flip-pattern law p."""
+
+    def __init__(self, p: np.ndarray, n: int):
+        self.p, self.n = p, n
+
+    def _pattern(self, keep: Iterable[int]) -> np.ndarray:
+        """p's marginal on ``keep``, kept qubits in register order."""
+        keep = validate_subset(keep, self.n, allow_empty=True)
+        drop = tuple(q for q in range(self.n) if q not in keep)
+        return self.p.reshape((2,) * self.n).sum(axis=drop).reshape(-1)
+
+    def entropy(self, keep: Iterable[int]) -> float:
+        return spectrum_entropy(self._pattern(keep))
+
+    def marginal(self, keep: Iterable[int]) -> DensityMatrix:
+        """H diag(p_A) H: entry (a, b) is the Walsh transform of p_A at a
+        xor b over 2^|A|, so the matrix is real and exactly symmetric."""
+        p = self._pattern(keep)
+        k, i = len(p).bit_length() - 1, np.arange(len(p))
+        signs = 1.0 - 2.0 * (sum((i[:, None] & i) >> b for b in range(k)) & 1)
+        return DensityMatrix(k, ((signs @ p) / len(p))[i[:, None] ^ i])
+
+
+def _noisy_output(
+    channel: QuantumChannel, input_state: PureState | None = None, n: int = 0
+) -> _Rows | _Law:
+    """The channel's output on ``input_state``, by default |+>^m with m the
+    larger of n and the channel's span: its flip-pattern law when every
+    stage is a table and the input is the default, else its branch rows
+    (``_run_stages``), in the order of ``channel.kraus``."""
     if input_state is None:
-        input_state = plus_all(_span(channel))
-    n = input_state.n
-    _check_fit(channel, n)
-    return _run_stages(channel.stages, n, input_state.amplitudes).reshape(-1, 2**n)
-
-
-def _register_size(rows: np.ndarray) -> int:
-    return rows.shape[1].bit_length() - 1
+        m = max(n, _span(channel))
+        law = _flip_law(channel.stages, m)
+        if law is not None:
+            return _Law(law, m)
+        input_state = plus_all(m)
+    m = input_state.n
+    _check_fit(channel, m)
+    return _Rows(_run_stages(channel.stages, m, input_state.amplitudes).reshape(-1, 2**m), m)
 
 
 def information_leak(
@@ -102,8 +142,7 @@ def information_leak(
 
     The input is |+>^n unless ``input_state`` overrides it.
     """
-    rows = _noisy_output(channel, input_state)
-    return branch_entropy(rows, _register_size(rows), subset)
+    return _noisy_output(channel, input_state).entropy(subset)
 
 
 def environment_information(
@@ -115,14 +154,11 @@ def environment_information(
     S(out|_A) + S(out) - S(out|_rest) with rest = register minus A; no
     explicit environment register is needed.
     """
-    rows = _noisy_output(channel, input_state)
-    n = _register_size(rows)
-    keep = validate_subset(subset, n)
-    rest = tuple(q for q in range(n) if q not in keep)
-    s_a = branch_entropy(rows, n, keep)
-    s_env = branch_entropy(rows, n, range(n))
-    s_joint = branch_entropy(rows, n, rest) if rest else 0.0
-    return float(max(0.0, s_a + s_env - s_joint))
+    out = _noisy_output(channel, input_state)
+    keep = validate_subset(subset, out.n)
+    rest = tuple(q for q in range(out.n) if q not in keep)
+    s_joint = out.entropy(rest) if rest else 0.0
+    return float(max(0.0, out.entropy(keep) + out.entropy(range(out.n)) - s_joint))
 
 
 def mutual_information(state: PureState | DensityMatrix, a: int, b: int) -> float:
@@ -137,11 +173,10 @@ def excess_leak(
     channel: QuantumChannel, a: int, b: int, input_state: PureState | None = None
 ) -> float:
     """L(a) + L(b) - L({a,b}): the correlated part of two leaks."""
-    rows = _noisy_output(channel, input_state)
-    n = _register_size(rows)
-    pair = validate_subset((a, b), n)
-    s_a, s_b = (branch_entropy(rows, n, (q,)) for q in pair)
-    return s_a + s_b - branch_entropy(rows, n, pair)
+    out = _noisy_output(channel, input_state)
+    pair = validate_subset((a, b), out.n)
+    s_a, s_b = (out.entropy((q,)) for q in pair)
+    return s_a + s_b - out.entropy(pair)
 
 
 @dataclass
@@ -315,11 +350,10 @@ def excess_leak_set(
     return _set_excess(_noisy_output(channel, input_state), subset)
 
 
-def _set_excess(rows: np.ndarray, subset: Iterable[int]) -> DefectResult:
-    """``max_entropy_defect`` of sum_k |v_k><v_k| over the rows v_k on ``subset``."""
-    n = _register_size(rows)
-    keep = _set_subset(subset, n)
-    return _restricted_defect(pure_marginal(rows, n, keep), DEFAULT_TOL, DEFAULT_MAX_ITER)
+def _set_excess(out: _Rows | _Law, subset: Iterable[int]) -> DefectResult:
+    """``max_entropy_defect`` of the output ``out`` on ``subset``."""
+    keep = _set_subset(subset, out.n)
+    return _restricted_defect(out.marginal(keep), DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 @dataclass

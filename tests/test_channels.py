@@ -159,23 +159,23 @@ BUILDER_RANGES = [
 @pytest.mark.parametrize("channel", BUILDER_RANGES)
 def test_builders_are_trace_preserving(channel):
     """Builders run no trace check, so this property stands in for it:
-    over each builder's parameter range, its one stage passes the check
-    QuantumChannel runs on a caller's operators. Boundary cases, always
-    run: p or eps at 0, 3/4 and 1 (depolarizing, dephasing, correlated
-    flip, cluster noise); pairwise moments p2 = p1, p2 = p1^2 and p1 = 0,
-    and p2 at the least, the least positive and the greatest value
-    check_burst_moments accepts at p1 = 0.3, 1e-20 and 1e-151 (Hypothesis
-    draws p2 over all it
-    accepts); random-unitary eps = 0 and +-1e3 (Hypothesis
-    draws |eps| <= 1e3 over seeds in [0, 2^32)); cluster noise on empty,
-    line and ring edges; n up to 6 throughout."""
+    over each builder's parameter range, its one stage, read as its
+    ``kraus``, passes the check QuantumChannel runs on a caller's
+    operators. Boundary cases, always run: p or eps at 0, 3/4 and 1
+    (depolarizing, dephasing, correlated flip, cluster noise); pairwise
+    moments p2 = p1, p2 = p1^2 and p1 = 0, and p2 at the least, the least
+    positive and the greatest value check_burst_moments accepts at
+    p1 = 0.3, 1e-20 and 1e-151 (Hypothesis draws p2 over all it accepts);
+    random-unitary eps = 0 and +-1e3 (Hypothesis draws |eps| <= 1e3 over
+    seeds in [0, 2^32)); cluster noise on empty, line and ring edges; n up
+    to 6 throughout."""
     build, args, boundaries = channel
 
     def check(case):
         built = build(*case)
-        [(ops, pos)] = built.stages
+        [(_, pos)] = built.stages
         assert pos == built.qubits
-        QuantumChannel(ops, qubits=pos)
+        QuantumChannel(built.kraus, qubits=pos)
 
     for case in boundaries:
         check = example(case)(check)
@@ -420,13 +420,14 @@ def test_placement_forms_no_operator():
     ids=["correlated_flip", "pairwise_correlated", "depolarizing", "dephasing"],
 )
 def test_pauli_builders_hold_one_stack(build):
-    """A Pauli builder scales its strings in the one scatter that writes
-    them, so it peaks at its channel's stack, with no second copy: 32 MiB
-    for the flip on ten qubits, 257 MiB for the bursts on eight. 64 KiB
-    more cover its index arrays and Python objects; the one-qubit stacks
-    (256 B) sit below that allowance, so there it is all they check."""
-    channel, peak = _traced(build)
-    stack = sum(ops.nbytes for ops, _ in channel.stages)
+    """A Pauli builder forms no operator, and its ``kraus`` scales the
+    strings in the one scatter that writes them, so a build and that read
+    peak at the channel's stack, with no second copy: 32 MiB for the flip
+    on ten qubits, 257 MiB for the bursts on eight. 64 KiB more cover the
+    index arrays and Python objects; the one-qubit stacks (256 B) sit
+    below that allowance, so there it is all they check."""
+    kraus, peak = _traced(lambda: build().kraus)
+    stack = sum(op.nbytes for op in kraus)
     assert peak <= 1.1 * stack + 2**16
 
 
@@ -653,17 +654,16 @@ def test_pauli_expansion_cap_raises_before_allocating():
 
 @pytest.mark.parametrize("n", [10, 12])
 def test_pairwise_correlated_cap_raises_before_allocating(n):
-    """n = 9 still fits the cap; above it the error comes before the first
-    2^n x 2^n operator exists (n = 12 would need about 1.1 TB)."""
-    assert (2**9 + 1) * 4**9 * 16 <= MAX_KRAUS_BYTES < (2**10 + 1) * 4**10 * 16
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeLimitError, match="pairwise_correlated on"):
-            build_pairwise_correlated(n, 0.1, 0.02, "Z")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """The builder forms no operator, so it runs at any n, in far less than
+    one 2^n x 2^n operator. Its ``kraus`` is a read under the size rule:
+    three stacks of n = 8 fit the cap, of n = 9 do not, and above it the
+    error comes before the first operator exists (n = 12 would need about
+    1.1 TB for one stack)."""
+    assert 3 * (2**8 + 1) * 4**8 * 16 <= MAX_KRAUS_BYTES < 3 * (2**9 + 1) * 4**9 * 16
+    channel, peak = _traced(lambda: build_pairwise_correlated(n, 0.1, 0.02, "Z"))
     assert peak < 16 * 4**n  # less than one complex operator
+    assert len(channel.stages[0][0]) == 2**n + 1
+    assert _traced(lambda: _refused(lambda: channel.kraus))[1] < 16 * 4**n
 
 
 def _depolarized_register():
@@ -695,27 +695,29 @@ def _refused(read):
 
 
 @pytest.mark.parametrize(
-    "build, leak",
-    [(_depolarized_register, None), (_composed_wide_pair, h2(2 * 0.1 / 3))],
+    "build",
+    [_depolarized_register, _composed_wide_pair],
     ids=["_depolarized_register-combine", "_composed_wide_pair-compose"],
 )
-def test_kraus_products_cap_raises_before_allocating(build, leak):
+def test_kraus_products_cap_raises_before_allocating(build):
     """combine and compose only place stages, so a channel of more Kraus
     products than any read could hold is built without forming anything.
-    Its reads over the cap raise before allocating: ``kraus`` (4.5 PB for
-    the depolarized register, 17 GB for the wide pair, so the 268 MB
-    identity is not formed either) and the depolarized register's leak
-    (1.1 TB of branch rows). The wide pair's leak on qubit 0, 4 MiB of
-    rows, runs: depolarizing noise p leaves |+> with spectrum
-    (1 - 2p/3, 2p/3)."""
+    Its ``kraus`` (4.5 PB for the depolarized register, 17 GB for the wide
+    pair) raises before allocating, as do the branch rows of the
+    depolarized register (1.1 TB) on an explicit |+>^12 input. The leak on
+    qubit 0 reads the flip-pattern law of the tables, 32 KiB: depolarizing
+    noise p leaves |+> with spectrum (1 - 2p/3, 2p/3)."""
     channel, peak = _traced(build)
     assert peak < 2**20
     one_operator = 16 * 4**12
     assert _traced(lambda: _refused(lambda: channel.kraus))[1] < one_operator
-    if leak is None:
-        assert _traced(lambda: _refused(lambda: information_leak(channel, (0,))))[1] < one_operator
-    else:
-        assert abs(information_leak(channel, (0,)) - leak) <= 1e-12
+    if len(channel.stages) == 12:
+        plus = plus_all(12)
+        rows = _traced(lambda: _refused(lambda: information_leak(channel, (0,), input_state=plus)))
+        assert rows[1] < one_operator
+    leak, peak = _traced(lambda: information_leak(channel, (0,)))
+    assert abs(leak - h2(2 * 0.1 / 3)) <= 1e-12
+    assert peak < 2**20
 
 
 def _dephased_register(n):
@@ -731,26 +733,32 @@ def test_dephasing_on_every_qubit_gives_a_relation1_verdict_at_ten_qubits():
     assert abs(verdict.excess) <= 1e-12
 
 
+def _ending_in_x(channel):
+    """``channel`` then X on qubit 2, a stage that is not a table, so its
+    reads on |+>^n form the branch rows."""
+    return compose(QuantumChannel([X], qubits=(2,)), channel)
+
+
 @pytest.mark.parametrize("over", [True, False], ids=["over", "under"])
 @pytest.mark.parametrize(
     "n, read, stack",
     [
-        (8, lambda ch: information_leak(ch, (0,)), 16 * 4**8),
-        (8, lambda ch: eval_relation1(plus_all(8), ch, 0, 7), 16 * 4**8),
-        (8, lambda ch: excess_leak_set(ch, (0, 1, 2)), 16 * 4**8),
+        (8, lambda ch: information_leak(ch, (0,), input_state=plus_all(8)), 16 * 4**8),
+        (8, lambda ch: eval_relation1(plus_all(8), _ending_in_x(ch), 0, 7), 16 * 4**8),
+        (8, lambda ch: excess_leak_set(ch, (0, 1, 2), input_state=plus_all(8)), 16 * 4**8),
         (5, lambda ch: ch.kraus, 16 * 2**5 * 4**5),
-        (5, lambda ch: compose(QuantumChannel([X], qubits=(2,)), ch).kraus, 16 * 2**5 * 4**5),
+        (5, lambda ch: _ending_in_x(ch).kraus, 16 * 2**5 * 4**5),
     ],
     ids=["leak", "relation1", "set_excess", "kraus", "kraus_ending_in_one_operator"],
 )
 def test_read_size_rule_at_its_boundary(monkeypatch, n, read, stack, over):
     """A read of dephasing on each of n qubits forms a stack of 2^n branch
-    rows, or of 2^n operators, of ``stack`` bytes and may hold three of
-    them (a last stage of one operator, whose product is as large as the
-    stack it reads, included). With the cap one byte under that it is
-    refused before allocating; with 64 KiB over it, room for the read's
-    Python objects and small arrays, it runs and its peak stays within
-    the cap."""
+    rows (on an explicit input, or through a stage that is not a table),
+    or of 2^n operators, of ``stack`` bytes and may hold three of them (a
+    last stage of one operator, whose product is as large as the stack it
+    reads, included). With the cap one byte under that it is refused
+    before allocating; with 64 KiB over it, room for the read's Python
+    objects and small arrays, it runs and its peak stays within the cap."""
     channel = _dephased_register(n)
     cap = 3 * stack + (-1 if over else 2**16)
     monkeypatch.setattr(channels, "MAX_KRAUS_BYTES", cap)
@@ -758,6 +766,70 @@ def test_read_size_rule_at_its_boundary(monkeypatch, n, read, stack, over):
         assert _traced(lambda: _refused(lambda: read(channel)))[1] < stack
     else:
         assert _traced(lambda: read(channel))[1] <= cap
+
+
+def _dense_stages(channel):
+    """The channel as one stage of its ``kraus``, checked as a caller's
+    list, so every read takes the stack path."""
+    return QuantumChannel(channel.kraus, qubits=channel.qubits)
+
+
+def _table_products():
+    """Pauli tables on disjoint positions, in and out of position order,
+    with idle qubits and a placed multi-qubit table."""
+    return [
+        combine([(build_depolarizing(0.3), (0,)), (build_dephasing(0.4), (2,))], n=4),
+        combine([(build_correlated_flip(0.2, "XY"), (1, 3)), (build_depolarizing(0.1), (0,))]),
+        combine([(build_pairwise_correlated(2, 0.1, 0.04, "Y"), (1, 4))], n=5),
+        combine([(build_depolarizing(p), (q,)) for q, p in enumerate((0.1, 0.2, 0.3, 0.4))]),
+        build_depolarizing(0.2, qubit=3),
+        identity_channel(2),
+    ]
+
+
+@pytest.mark.parametrize("channel", _table_products())
+def test_table_kraus_is_one_scatter_of_the_product_strings(channel, monkeypatch):
+    """``kraus`` of tables on disjoint positions is the scatter of their
+    product strings: it equals the stages run on the identity to 1e-15,
+    operator for operator, and does not run them."""
+    want = channels._run_stages(channel.stages, channel.n) if channel.qubits[0] == 0 else None
+    monkeypatch.setattr(channels, "_run_stages", lambda *a: pytest.fail("stages run"))
+    got = channel.kraus
+    assert all(not k.flags.writeable for k in got)
+    if want is not None:
+        assert len(got) == len(want)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-15
+
+
+@pytest.mark.parametrize("channel", _table_products())
+def test_table_twirl_matches_the_dense_expansion(channel, monkeypatch):
+    """A table is its own twirl: the expansion of tables on disjoint
+    positions equals the expansion of their dense operators to 1e-15 and
+    forms no operator."""
+    want = pauli_expansion(_dense_stages(channel))
+    monkeypatch.setattr(QuantumChannel, "kraus", property(lambda ch: pytest.fail("kraus formed")))
+    got = pauli_expansion(channel)
+    assert np.abs(got - want).max() <= 1e-15
+    assert not got.flags.writeable
+
+
+def test_pauli_builders_allocate_no_stack_at_twelve_qubits():
+    """Each Pauli builder makes a table, so at n = 12 a build peaks under
+    1 MiB (the bursts' 4,097 strings and weights and their temporaries)
+    where one 4096 x 4096 operator takes 268 MB: a flip on all twelve
+    qubits, the bursts and one-qubit noise placed on every qubit. The
+    bursts' ``kraus`` (1.1 TB) is refused before allocating."""
+    builds = [
+        lambda: build_correlated_flip(0.2, "Z" * 12),
+        lambda: build_pairwise_correlated(12, 0.1, 0.02, "Z"),
+        lambda: combine([(build_depolarizing(0.1), (q,)) for q in range(12)]),
+        lambda: combine([(build_dephasing(0.2), (q,)) for q in range(12)]),
+    ]
+    for build in builds:
+        channel, peak = _traced(build)
+        assert peak < 2**20
+        assert channel.n == 12
+    assert _traced(lambda: _refused(lambda: builds[1]().kraus))[1] < 2**20
 
 
 def test_pauli_expansion_unit_flip():

@@ -467,3 +467,24 @@ def test_bad_spec_edges_are_config_errors(owner, edges, message, capsys):
     assert out == ""
     assert f"config error [{owner}.edges]" in err
     assert re.search(message, err)
+
+
+def test_total_defect_echoes_the_truncation_it_ran_at(capsys):
+    """Without --truncate, total-defect runs at total_defect's default of 4
+    and its config says so; another measure echoes the unset flag as null,
+    and a given flag is echoed as given."""
+    ghz5 = '{"family": "ghz", "n": 5}'
+    echoes = []
+    for argv in (
+        ["measure", "--name", "total-defect", "--state", ghz5],
+        ["measure", "--name", "total-defect", "--state", ghz5, "--truncate", "3"],
+        ["measure", "--name", "set-defect", "--state", ghz5, "--qubits", "0,1,2"],
+    ):
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        echoes.append(report["config"]["truncate"])
+        if argv[2] == "total-defect":
+            assert report["results"][0]["diagnostics"]["included_sizes"] == list(
+                range(2, echoes[-1] + 1)
+            )
+    assert echoes == [4, 3, None]

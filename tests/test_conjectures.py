@@ -62,42 +62,54 @@ def _relations(channel):
     ]
 
 
+def _table_and_kraus_list():
+    """Bursts on three qubits as a Pauli table, and as the same Kraus
+    operators handed over as a list, which reads as branch rows."""
+    table = build_pairwise_correlated(3, 0.1, 0.02, "Z")
+    return [(table, measures._Law), (QuantumChannel(table.kraus), measures._Rows)]
+
+
 def test_each_relation_builds_the_noisy_output_once(monkeypatch):
-    """Every verdict builds the branch rows K_k psi once, for its leaks and
-    its pair or set excess, and none calls apply for a padded dense output."""
-    branches, dense = [], []
+    """Every verdict builds its noisy output once, for its leaks and its
+    pair or set excess: the flip-pattern law of a Pauli table channel, the
+    branch rows K_k psi of the same channel given as a Kraus list. None
+    calls apply for a padded dense output."""
+    outputs, dense = [], []
     build, apply = conjectures._noisy_output, channels.apply
     monkeypatch.setattr(
-        conjectures, "_noisy_output", lambda ch, psi: branches.append(1) or build(ch, psi)
+        conjectures, "_noisy_output", lambda *a, **k: outputs.append(build(*a, **k)) or outputs[-1]
     )
     # every entlab module that binds apply, so a new import site is counted too
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "entlab"]:
         for attr, value in list(vars(module).items()):
             if value is apply:
                 monkeypatch.setattr(module, attr, lambda *a, **k: dense.append(1) or apply(*a, **k))
-    for relation, evaluate in enumerate(_relations(build_pairwise_correlated(3, 0.1, 0.02))[2], 1):
-        branches.clear()
-        assert evaluate().relation == relation
-        assert len(branches) == 1, relation
+    for channel, kind in _table_and_kraus_list():
+        for relation, evaluate in enumerate(_relations(channel)[2], 1):
+            outputs.clear()
+            assert evaluate().relation == relation
+            assert [type(out) for out in outputs] == [kind], relation
     assert dense == []
 
 
 def test_pair_verdicts_read_each_leak_once(monkeypatch):
-    """A pair verdict diagonalizes three marginals of the branch rows, the
-    two one-qubit leaks and the pair, and forms its excess from them."""
+    """A pair verdict reads three marginal entropies of the noisy output,
+    the two one-qubit leaks and the pair, and forms its excess from them,
+    from the law and from the branch rows alike."""
     read = []
-    entropy = conjectures.branch_entropy
+    for kind in (measures._Law, measures._Rows):
+        entropy = kind.entropy
 
-    def counted(rows, n, keep):
-        read.append(tuple(keep))
-        return entropy(rows, n, keep)
+        def counted(out, keep, entropy=entropy):
+            read.append(tuple(keep))
+            return entropy(out, keep)
 
-    monkeypatch.setattr(conjectures, "branch_entropy", counted)
-    channel = build_pairwise_correlated(3, 0.1, 0.02, "Z")
-    for evaluate in _relations(channel)[2][:2]:
-        read.clear()
-        evaluate()
-        assert read == [(0,), (1,), (0, 1)]
+        monkeypatch.setattr(kind, "entropy", counted)
+    for channel, _ in _table_and_kraus_list():
+        for evaluate in _relations(channel)[2][:2]:
+            read.clear()
+            evaluate()
+            assert read == [(0,), (1,), (0, 1)]
 
 
 @pytest.mark.parametrize("mode", ["marginal", "decomposed"])

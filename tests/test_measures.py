@@ -8,20 +8,24 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entlab import DensityMatrix, PureState
+from entlab import DensityMatrix, PureState, measures
 from entlab.channels import (
     QuantumChannel,
+    _pauli_mixture,
     apply,
     build_correlated_flip,
     build_depolarizing,
     build_dephasing,
+    build_pairwise_correlated,
     combine,
     compose,
     embed,
     identity_channel,
 )
 from entlab.errors import SizeLimitError
+from entlab.optim import DEFAULT_TOL
 from entlab.measures import (
+    MAX_SET_SIZE,
     _noisy_output,
     assisted_mutual_information,
     binary_entropy,
@@ -41,6 +45,7 @@ from helpers import (
     env_mutual_info_oracle,
     h2,
     haar,
+    ipf_max_entropy,
     padded_operator_oracle,
     partial_trace_oracle,
     random_density,
@@ -161,17 +166,30 @@ def test_leak_measures_of_pure_inputs_match_oracles(case):
         assert abs(excess_leak(channel, a, b, **kwargs) - want) < 1e-12
 
 
+def _random_part(rng, k: int, count: int, tables: bool) -> tuple:
+    """A channel of ``count`` Kraus operators on k qubits, and its operators:
+    a random Kraus list, or with ``tables`` a Pauli table of ``count``
+    random strings (repeats allowed) with random positive weights."""
+    if not tables:
+        ops = random_kraus(rng, k, count)
+        return QuantumChannel(ops), ops
+    x, z = rng.integers(0, 2**k, (2, count))
+    part = _pauli_mixture(k, x, z, rng.dirichlet(np.ones(count)))
+    return part, list(part.kraus)
+
+
 @st.composite
-def placed_parts(draw):
+def placed_parts(draw, tables=False):
     """A combine of one to three random Kraus parts on disjoint positions of
-    an n <= 6 register, in any order, with a random pure input and subset.
-    A part holds one or two qubits, not always adjacent; a two-qubit part
-    may itself be a combine of one-qubit parts placed in reverse, any part
-    a compose of two random Kraus lists on its qubits, and the register may
-    keep qubits no part names. Each part comes with its Kraus operators
-    formed from the raw lists, the first list's index outermost."""
+    an n <= 6 register (n <= 8 with ``tables``), in any order, with a
+    random pure input and subset. A part holds one or two qubits, not
+    always adjacent; a two-qubit part may itself be a combine of one-qubit
+    parts placed in reverse, any part a compose of two random Kraus lists
+    (random Pauli tables with ``tables``) on its qubits, and the register
+    may keep qubits no part names. Each part comes with its Kraus
+    operators formed from the raw lists, the first list's index outermost."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8 if tables else 6))
     free = list(range(n))
     parts = []
     for _ in range(draw(st.integers(1, 3))):
@@ -181,16 +199,16 @@ def placed_parts(draw):
         free = [q for q in free if q not in qubits]
         k = len(qubits)
         if k == 2 and draw(st.booleans()):
-            first, second = (random_kraus(rng, 1, 2) for _ in range(2))
-            part = combine([(QuantumChannel(first), (1,)), (QuantumChannel(second), (0,))])
+            (one, first), (zero, second) = (_random_part(rng, 1, 2, tables) for _ in range(2))
+            part = combine([(one, (1,)), (zero, (0,))])
             ops = [np.kron(k0, k1) for k1 in first for k0 in second]
         elif draw(st.booleans()):
-            first, second = (random_kraus(rng, k, draw(st.integers(1, 3))) for _ in range(2))
-            part = compose(QuantumChannel(second), QuantumChannel(first))
+            drawn = [_random_part(rng, k, draw(st.integers(1, 3)), tables) for _ in range(2)]
+            (early, first), (late, second) = drawn
+            part = compose(late, early)
             ops = [k2 @ k1 for k1 in first for k2 in second]
         else:
-            ops = random_kraus(rng, k, draw(st.integers(1, 3)))
-            part = QuantumChannel(ops)
+            part, ops = _random_part(rng, k, draw(st.integers(1, 3)), tables)
         parts.append((part, qubits, ops))
     psi = PureState(n, random_pure(rng, n))
     subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
@@ -205,18 +223,96 @@ def test_stage_rows_match_the_dense_kraus_rows(case):
     subset, to 1e-12; ``kraus`` against the products of the parts'
     operators, formed from their raw Kraus lists and padded entry by entry,
     part 0's choice outermost."""
-    parts, channel, psi, subset = case
+    _check_stage_rows(*case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(placed_parts(tables=True))
+def test_table_stage_rows_match_the_dense_kraus_rows(case):
+    """The same on Pauli tables: each is contracted as a gather of its
+    strings' rows, and its ``kraus`` is one scatter of the product strings
+    when the tables sit on disjoint positions."""
+    _check_stage_rows(*case)
+
+
+def _check_stage_rows(parts, channel, psi, subset):
     n = psi.n
     padded = [[padded_operator_oracle(k, qubits, n) for k in ops] for _, qubits, ops in parts]
     want_ops = [reduce(np.matmul, ops, np.eye(2**n)) for ops in product(*padded)]
     assert len(channel.kraus) == len(want_ops)
     assert max(np.abs(k - w).max() for k, w in zip(channel.kraus, want_ops)) < 1e-12
-    rows = _noisy_output(channel, psi)
+    rows = _noisy_output(channel, psi).rows
     dense = np.stack([k @ psi.amplitudes for k in channel.kraus])
     assert rows.shape == dense.shape
     assert np.abs(rows - dense).max() < 1e-12
     want = partial_trace_oracle(dense.T @ dense.conj(), n, subset)
     assert np.abs(pure_marginal(rows, n, subset).matrix - want).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(placed_parts(tables=True))
+def test_flip_law_reads_match_the_branch_rows(case):
+    """Random Pauli tables placed by combine and compose on n <= 8 qubits
+    read as their flip-pattern law on the default |+>^n: every leak, pair
+    excess and environment information equals the branch-row read of the
+    same channel on an explicit |+>^n to 1e-12, and the set excess equals
+    it to the solver's tolerance."""
+    _, channel, psi, subset = case
+    plus = plus_all(psi.n)
+    assert isinstance(_noisy_output(channel), measures._Law)
+    assert isinstance(_noisy_output(channel, plus), measures._Rows)
+    for read in (information_leak, environment_information):
+        assert abs(read(channel, subset) - read(channel, subset, input_state=plus)) < 1e-12
+    for a, b in combinations(subset, 2):
+        want = excess_leak(channel, a, b, input_state=plus)
+        assert abs(excess_leak(channel, a, b) - want) < 1e-12
+    if 2 <= len(subset) <= MAX_SET_SIZE:
+        want = excess_leak_set(channel, subset, input_state=plus).value
+        assert abs(excess_leak_set(channel, subset).value - want) <= DEFAULT_TOL
+
+
+def test_flip_law_closed_forms_at_twelve_qubits():
+    """On |+>^12 the leaks of dephasing (eps) and depolarizing (p) noise on
+    every qubit, of a Z flip (eps) on all twelve and of synchronized Z
+    bursts (p1, p2) are H2(eps/2), H2(2p/3), H2(eps) and H2(p1); the
+    bursts' pair excess is 2 H2(p1) - H(1 - 2p1 + p2, p1 - p2, p1 - p2,
+    p2), the flip's H2(eps) and a product channel's 0. The bursts' set
+    excess on three qubits is the classical max-entropy defect of their
+    three-bit law (1 - pi) delta_0 + pi h^|f| (1 - h)^(3 - |f|), found by
+    iterative proportional fitting. Each channel is read as its law of
+    4096 probabilities, so no read here comes near one 4096 x 4096
+    operator (268 MB)."""
+    eps, p, p1, p2 = 0.2, 0.1, 0.1, 0.02
+    burst_pair = np.array([1 - 2 * p1 + p2, p1 - p2, p1 - p2, p2])
+    cases = [
+        (combine([(build_dephasing(eps), (q,)) for q in range(12)]), h2(eps / 2), 0.0),
+        (combine([(build_depolarizing(p), (q,)) for q in range(12)]), h2(2 * p / 3), 0.0),
+        (build_correlated_flip(eps, "Z" * 12), h2(eps), h2(eps)),
+        (
+            build_pairwise_correlated(12, p1, p2, "Z"),
+            h2(p1),
+            2 * h2(p1) + float(np.sum(burst_pair * np.log2(burst_pair))),
+        ),
+    ]
+    tracemalloc.start()
+    try:
+        for channel, leak, excess in cases:
+            for q in (0, 5, 11):
+                assert abs(information_leak(channel, (q,)) - leak) < 1e-12
+            assert abs(excess_leak(channel, 0, 11) - excess) < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(cases[3][2] - 0.0073276) < 1e-7
+    assert peak < 16 * 2**20
+    h, pi = p2 / p1, p1 * p1 / p2
+    flips = np.array([bin(f).count("1") for f in range(8)])
+    law = pi * h**flips * (1 - h) ** (3 - flips)
+    law[0] += 1 - pi
+    want = ipf_max_entropy(law, 3, list(combinations(range(3), 2))) + float(law @ np.log2(law))
+    bursts = cases[3][0]
+    for subset in ((0, 1, 2), (3, 7, 11)):
+        assert abs(excess_leak_set(bursts, subset).value - want) < 1e-9
 
 
 def test_environment_information_matches_dilation(rng):
@@ -240,14 +336,16 @@ def test_environment_information_holds_three_arrays_of_the_rows_size():
     """A read may hold three arrays the size of the branch rows, the kernel's
     size rule. S(out) on the whole register diagonalizes a Gram matrix as
     large as the rows when there are 2^n of them, so it is hermitized in
-    place. With dephasing on each of 8 qubits (256 rows of 256) the peak
-    stays within 3.1 times the rows, and the value is 2 H2(eps/2)."""
+    place. With dephasing on each of 8 qubits (256 rows of 256) on an
+    explicit |+>^8, which the rows read, the peak stays within 3.1 times
+    the rows, and the value is 2 H2(eps/2)."""
     n = 8
     channel = combine([(build_dephasing(0.2), (q,)) for q in range(n)], n=n)
     rows_bytes = 2**n * 2**n * 16
+    plus = plus_all(n)
     tracemalloc.start()
     try:
-        value = environment_information(channel, (0,))
+        value = environment_information(channel, (0,), input_state=plus)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
