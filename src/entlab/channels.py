@@ -21,7 +21,8 @@ The reads:
   a stack, a table by a gather of its strings' rows: on a pure input it
   gives the measures' branch rows, on the identity the dense ``kraus``;
 - tables on disjoint positions give ``kraus`` as one scatter of their
-  product strings, and ``pauli_expansion`` from their weights alone;
+  product strings, and ``pauli_expansion`` from their weights alone
+  (of any other channel, from its ``kraus`` and a few 4^n arrays);
 - ``_flip_law`` reads a channel of tables on |+>^m, where its output is
   the classical mixture of the strings' Z/Y flip patterns: one law of
   2^m probabilities, with no operator formed.
@@ -44,8 +45,6 @@ from .zoo import _apply_cz, _haar_unitaries, _validate_edges
 PAULI_LETTERS = "IXYZ"
 
 CPTP_ATOL = 1e-9
-# Pauli expansion enumerates 4**n strings; keep that tractable
-MAX_EXPANSION_QUBITS = 6
 # the most a read that forms Kraus operators or branch rows may hold (three
 # times its result, ``_check_read``): 4 GiB reads the branch rows of
 # dephasing on each of 12 qubits and the ``kraus`` of
@@ -559,12 +558,11 @@ def build_cluster_noise(
 
 
 def pauli_weight_table(n: int) -> np.ndarray:
-    """Support size (count of non-identity letters) for every base-4 index."""
-    weights = np.zeros(4**n, dtype=int)
-    idx = np.arange(4**n)
-    for q in range(n):
-        digit = (idx // 4 ** (n - 1 - q)) % 4
-        weights += (digit != 0).astype(int)
+    """Support size (count of non-identity letters) for every base-4 index:
+    each qubit appends a base-4 digit, which adds 1 unless it is I."""
+    weights = np.zeros(1, dtype=int)
+    for _ in range(n):
+        weights = (weights[:, None] + (np.arange(4) != 0)).reshape(-1)
     return weights
 
 
@@ -594,13 +592,11 @@ def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
     strings with digits I=0, X=1, Y=2, Z=3 and qubit 0 as the most
     significant digit, matching the register bit order: on two qubits "XZ"
     is entry 4*1 + 3. Tables on disjoint positions are read as they are;
-    any other channel expands each of its ``kraus``.
+    any other channel expands each of its ``kraus``, read under the size
+    rule before the 4^n vector exists, and holds them plus a few 4^n
+    arrays (cluster noise on 12 qubits: about 16 s at 1.59 GB peak RSS).
     """
     n = channel.n
-    if n > MAX_EXPANSION_QUBITS:
-        raise SizeLimitError(
-            f"Pauli expansion supports up to {MAX_EXPANSION_QUBITS} qubits, got {n}"
-        )
     tables = _disjoint_tables(channel)
     if tables is not None:
         # a table is its own twirl: each product string's weight goes to its
@@ -608,8 +604,10 @@ def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
         x, z, w = _product_strings(tables, n)
         q = np.bincount(_spread(z, n) << 1 | _spread(x ^ z, n), w, 4**n)
     else:
+        # the read is refused under the size rule before the 4^n vector exists
+        kraus = channel.kraus
         q = np.zeros(4**n)
-        for op in channel.kraus:
+        for op in kraus:
             q += np.abs(_pauli_coefficients(op, n)) ** 2
     q.flags.writeable = False
     return q

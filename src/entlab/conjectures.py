@@ -31,9 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channels import QuantumChannel
-from .errors import SizeLimitError
 from .measures import (
-    MAX_TOTAL_QUBITS,
     _noisy_output,
     _set_excess,
     assisted_mutual_information,
@@ -43,6 +41,7 @@ from .measures import (
 )
 from .optim import check_search_budget, max_avg_pure_decomposition
 from .states import DensityMatrix, PureState, check_state, partial_trace, validate_subset
+from .states import check_register_size
 
 VACUOUS_ATOL = 1e-9
 # per-term totals inherit the defect optimizer's accuracy, not machine epsilon
@@ -316,16 +315,16 @@ def censorship_scan(
 
     ``truncation`` and ``include_full`` go to ``total_defect`` as given;
     "never", the default here, keeps totals comparable across sizes. A size
-    above MAX_TOTAL_QUBITS raises SizeLimitError before any state is built.
+    above the register cap (``check_register_size``) raises SizeLimitError
+    before any state is built.
     Each total is exact when the family builds stabilizer states that
     carry their generators (``ghz``, ``plus_all``, ``cluster_state``) and
     a sum of max-entropy dual solves otherwise; ``methods`` says which.
     """
     truncation = operator.index(truncation)
     size_list = sorted(operator.index(n) for n in sizes)
-    if size_list and size_list[-1] > MAX_TOTAL_QUBITS:
-        n = size_list[-1]
-        raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
+    if size_list:
+        check_register_size(size_list[-1])
     totals = [total_defect(family(n), truncation, include_full) for n in size_list]
     values = [float(t.value) for t in totals]
     exponent = fit_growth_exponent(size_list, values)

@@ -67,7 +67,6 @@ from .states import (
 from .zoo import plus_all
 
 MAX_SET_SIZE = 4
-MAX_TOTAL_QUBITS = 8
 # total_defect's full-register term: never, up to MAX_SET_SIZE qubits, always
 INCLUDE_FULL = ("never", "auto", "always")
 
@@ -379,18 +378,19 @@ def total_defect(
     Only proper subsets are enumerated; the full register is added as one
     extra term when ``include_full`` is "always", or when it is "auto" and
     the register has at most MAX_SET_SIZE qubits (INCLUDE_FULL). Requires
-    a pure input on at most MAX_TOTAL_QUBITS qubits (a DensityMatrix's
-    purity is checked; a PureState is pure by construction); singletons
-    never contribute. A PureState with stabilizer generators gets every
-    term exactly, as ``max_entropy_defect`` does, and no solver runs. Any
-    other input is solved on each subset's ``partial_trace``: subsets with
+    a pure input (a DensityMatrix's purity is checked; a PureState is pure
+    by construction) of any size up to the register cap; singletons never
+    contribute. A PureState with stabilizer generators gets every term
+    exactly, as ``max_entropy_defect`` does, and no solver runs. Any other
+    input is solved on each subset's ``partial_trace``: subsets with
     bitwise equal marginals share one solve, and ``optimizer_iterations``
     counts the solves that ran. ``diagnostics["method"]`` names the path.
+    A DensityMatrix's marginals come from its dense matrix, up to 0.1 s
+    each at n = 12: truncation 3 on ``ghz(12).density_matrix()`` took 27 s,
+    on its amplitudes as a PureState 0.02 s.
     """
     check_state(state)
     n = state.n
-    if n > MAX_TOTAL_QUBITS:
-        raise SizeLimitError(f"register of {n} qubits exceeds the cap of {MAX_TOTAL_QUBITS}")
     if n < 2:
         raise ValueError("need at least two qubits")
     if isinstance(state, DensityMatrix) and not state.is_pure():

@@ -244,7 +244,8 @@ class DensityMatrix:
         return 2**self.n
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr rho^2, the squared Frobenius norm of the Hermitian matrix."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def is_pure(self, atol: float = 1e-8) -> bool:
         return self.purity() >= 1.0 - atol

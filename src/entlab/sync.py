@@ -149,8 +149,7 @@ class WeightDistribution:
 def weight_distribution(channel: QuantumChannel) -> WeightDistribution:
     """Support-size histogram of the channel's Pauli-twirl probabilities."""
     q = pauli_expansion(channel)
-    probs = np.zeros(channel.n + 1)
-    np.add.at(probs, pauli_weight_table(channel.n), q)
+    probs = np.bincount(pauli_weight_table(channel.n), q, channel.n + 1)
     probs.flags.writeable = False
     return WeightDistribution(channel.n, probs)
 

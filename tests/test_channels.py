@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from entlab import DensityMatrix, channels
 from entlab.channels import (
-    MAX_EXPANSION_QUBITS,
     MAX_KRAUS_BYTES,
     QuantumChannel,
     apply,
@@ -639,9 +638,16 @@ def test_pauli_weight_table():
 
 
 def test_pauli_expansion_cap_raises_before_allocating():
-    """Over the cap, the error comes before the 4^n weight array exists."""
-    n = MAX_EXPANSION_QUBITS + 1
-    channel = identity_channel(n)
+    """A channel that is not tables on disjoint positions is expanded from
+    its ``kraus``, read first: amplitude damping on each of 9 qubits has
+    512 Kraus products, a read over the size rule, so the error comes
+    before the 4^n weight array exists."""
+    n, gamma = 9, 0.3
+    damping = QuantumChannel(
+        (np.diag([1.0, np.sqrt(1 - gamma)]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]))
+    )
+    channel = combine([(damping, (q,)) for q in range(n)])
+    assert 3 * 2**n * 4**n * 16 > MAX_KRAUS_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
@@ -840,9 +846,7 @@ def test_pauli_expansion_unit_flip():
     assert abs(q[0]) < 1e-12  # II
 
 
-@pytest.mark.parametrize(
-    "channel", [ch for ch in BUILT_CHANNELS if ch.n <= MAX_EXPANSION_QUBITS]
-)
+@pytest.mark.parametrize("channel", BUILT_CHANNELS)
 def test_pauli_expansion_is_a_read_only_distribution(channel):
     q = pauli_expansion(channel)
     assert q.shape == (4**channel.n,)

@@ -448,10 +448,19 @@ def test_censorship_scan_cluster_line_small():
     assert np.abs(np.array(never.values) - [0.0, 3.0, 6.0]).max() < 5e-3
 
 
+def test_censorship_scan_cluster_line_to_the_register_cap():
+    """Proper-subset totals of the line cluster from 2 to 12 qubits at
+    truncation 3: exact GF(2) ranks, growing by one a qubit past n = 6."""
+    fam = lambda n: cluster_state(n, line_edges(n))
+    report = censorship_scan(fam, range(2, 13), truncation=3, include_full="never")
+    assert report.values == [0.0, 3.0, 6.0, 8.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    assert set(report.methods) == {"stabilizer"}
+
+
 def test_censorship_scan_refuses_sizes_over_the_cap_before_building():
     built = []
-    with pytest.raises(SizeLimitError, match="register of 9 qubits exceeds the cap of 8"):
-        censorship_scan(lambda n: built.append(n) or ghz(n), [3, 9])
+    with pytest.raises(SizeLimitError, match="register of 13 qubits exceeds the cap of 12"):
+        censorship_scan(lambda n: built.append(n) or ghz(n), [3, 13])
     assert built == []
 
 

@@ -1,6 +1,7 @@
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -593,9 +594,24 @@ def test_total_defect_takes_one_include_full_spelling(include_full):
 
 
 def test_total_defect_register_cap():
+    """total_defect runs to the register cap of 12 qubits, above which no
+    state can be built; a mixed input of any size fails the purity check."""
     big = DensityMatrix(9, np.eye(512, dtype=complex) / 512)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="input must be pure"):
         total_defect(big)
+    res = total_defect(ghz(12), 3)
+    assert (res.value, res.diagnostics) == (66.0, {"method": "stabilizer"})
+    with pytest.raises(SizeLimitError, match="register of 13 qubits exceeds the cap of 12"):
+        ghz(13)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_ghz_totals_past_eight_qubits(n):
+    """Every pair of ghz(n) holds one bit and no triple adds any, so the
+    truncation-3 total is C(n, 2) exactly."""
+    res = total_defect(ghz(n), 3)
+    assert res.value == comb(n, 2)
+    assert res.included_sizes == [2, 3]
 
 
 def ring_edges(n: int) -> list:
@@ -681,8 +697,8 @@ def test_set_quantities_refuse_other_inputs():
 
 
 def test_stabilizer_defect_keeps_the_caps():
-    with pytest.raises(SizeLimitError):
-        total_defect(ghz(9))
+    res = total_defect(ghz(9))
+    assert (res.value, res.diagnostics) == (36.0, {"method": "stabilizer"})
     with pytest.raises(SizeLimitError):
         max_entropy_defect(ghz(6), range(5))
     res = max_entropy_defect(ghz(5), (0, 1, 2))

@@ -374,6 +374,16 @@ def test_purity_flags(rng):
     assert abs(mixed.purity() - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 2, None])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_purity_is_the_trace_of_the_square(rng, n, rank):
+    """tr rho^2 read as the squared Frobenius norm equals the trace of the
+    matrix product on random pure (rank 1) and mixed states."""
+    rho = DensityMatrix(n, random_density(rng, n, rank))
+    assert abs(rho.purity() - np.trace(rho.matrix @ rho.matrix).real) < 1e-12
+    assert rho.is_pure() == (rank == 1)
+
+
 def test_stabilizer_generators_are_checked_when_first_read():
     """Attaching generators only copies them; reading ``stabilizer_rows``
     checks shape, independence and that each row fixes the amplitudes."""

@@ -102,12 +102,12 @@ def test_triple_moment_amplification():
 
 
 def test_weight_distribution_binomial(rng):
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 10):
         p = float(rng.uniform(0.05, 0.6))
         ch = combine([(build_depolarizing(p), (q,)) for q in range(n)], n=n)
         dist = weight_distribution(ch)
         want = binom.pmf(np.arange(n + 1), n, p)
-        assert np.abs(dist.probabilities - want).max() < 1e-9
+        assert np.abs(dist.probabilities - want).max() < 1e-12
         assert abs(dist.mean_weight() - n * p) < 1e-9
 
 
@@ -135,6 +135,18 @@ def test_weight_distribution_pairwise_model():
     want = model.pi * binom.pmf(np.arange(n + 1), n, model.h)
     want[0] += 1 - model.pi
     assert np.abs(dist.probabilities - want).max() < 1e-9
+
+
+def test_weight_distribution_pairwise_bursts_on_ten_qubits():
+    """Synchronized Z bursts on 10 qubits: with probability pi = p1^2/p2
+    every qubit is hit independently with probability h = p2/p1, so the
+    weight law is (1 - pi) delta_0 + pi Bin(10, h)."""
+    n, p1, p2 = 10, 0.1, 0.02
+    pi, h = p1**2 / p2, p2 / p1
+    dist = weight_distribution(build_pairwise_correlated(n, p1, p2, "Z")).probabilities
+    want = pi * binom.pmf(np.arange(n + 1), n, h)
+    want[0] += 1 - pi
+    assert np.abs(dist - want).max() < 1e-12
 
 
 def test_repetition_majority_error_exact():
