@@ -21,11 +21,11 @@ The reads:
   a stack, a table by a gather of its strings' rows: on a pure input it
   gives the measures' branch rows, on the identity the dense ``kraus``;
 - tables on disjoint positions give ``kraus`` as one scatter of their
-  product strings, and ``pauli_expansion`` from their weights alone
-  (of any other channel, from its ``kraus`` and a few 4^n arrays);
-- ``_flip_law`` reads a channel of tables on |+>^m, where its output is
-  the classical mixture of the strings' Z/Y flip patterns: one law of
-  2^m probabilities, with no operator formed.
+  product strings;
+- ``_pauli_law`` XOR-convolves the stages' own Pauli laws, with no
+  operator formed: the twirl that ``pauli_expansion`` returns (read from
+  ``kraus`` only when two stacks share a qubit), and for tables the law
+  of the strings' Z/Y flip patterns, which is their output on |+>^m.
 The reads that form operators or rows share one size rule,
 MAX_KRAUS_BYTES (``_check_read``).
 """
@@ -241,25 +241,18 @@ def _lift(masks: np.ndarray, pos: tuple, n: int) -> np.ndarray:
     return out
 
 
-def _product_strings(stages: tuple, n: int, weigh=np.positive) -> tuple:
-    """The product strings of tables on disjoint positions of 0..n-1, stage
-    0's index outermost: their n-qubit x and z masks, and the products of
-    their factors' weigh(w) (w itself by default) in stage order."""
+def _table_kraus(stages: tuple, n: int) -> np.ndarray:
+    """The Kraus stack of tables on disjoint positions of 0..n-1: one
+    scatter of their product strings, stage 0's index outermost, each
+    scaled by the product of its factors' sqrt(w) in stage order."""
+    _check_read(prod(len(table) for table, _ in stages), n, 2**n)
     x = z = np.zeros(1, dtype=np.intp)
     scale = np.ones(1)
     for table, pos in stages:
         x = (x[:, None] | _lift(table["x"], pos, n)).reshape(-1)
         z = (z[:, None] | _lift(table["z"], pos, n)).reshape(-1)
-        scale = (scale[:, None] * weigh(table["w"])).reshape(-1)
-    return x, z, scale
-
-
-def _table_kraus(stages: tuple, n: int) -> np.ndarray:
-    """The Kraus stack of tables on disjoint positions of 0..n-1: one
-    scatter of the product strings, each scaled by the product of its
-    factors' sqrt(w)."""
-    _check_read(prod(len(table) for table, _ in stages), n, 2**n)
-    return _pauli_strings(n, *_product_strings(stages, n, np.sqrt))
+        scale = (scale[:, None] * np.sqrt(table["w"])).reshape(-1)
+    return _pauli_strings(n, x, z, scale)
 
 
 def _dense_kraus(channel: QuantumChannel) -> np.ndarray:
@@ -274,22 +267,6 @@ def _dense_kraus(channel: QuantumChannel) -> np.ndarray:
     full = _run_stages(stages, channel.n) if tables is None else _table_kraus(tables, channel.n)
     full.flags.writeable = False
     return full
-
-
-def _flip_law(stages: tuple, n: int) -> np.ndarray | None:
-    """The law p of the Z/Y flip pattern that stages, all tables, leave on
-    |+>^n, or None if a stage is not a table. X fixes |+> and Z and Y flip
-    it to |->, so the output is sum_f p(f) H^n|f><f|H^n, f an n-bit mask
-    (qubit q on bit n-1-q): each stage's z-pattern law is lifted to n bits
-    and the stages are XOR-convolved in stage order."""
-    if not _tables(stages):
-        return None
-    index = np.arange(2**n)
-    p = (index == 0).astype(float)
-    for i, (table, pos) in enumerate(stages):
-        law = np.bincount(_lift(table["z"], pos, n), weights=table["w"], minlength=2**n)
-        p = law if i == 0 else sum(law[f] * p[index ^ f] for f in np.flatnonzero(law))
-    return p
 
 
 def identity_channel(n: int) -> QuantumChannel:
@@ -580,9 +557,49 @@ def _pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(-1) / 2**n
 
 
-def _spread(masks: np.ndarray, k: int) -> np.ndarray:
-    """k-bit masks with bit b moved to bit 2b."""
-    return sum((masks >> b & 1) << 2 * b for b in range(k))
+def _stage_law(ops, k: int, twirl: bool) -> np.ndarray:
+    """A stage's own law on its k positions, local qubit 0 most significant:
+    a table's weights binned by string (by z mask alone unless ``twirl``),
+    or the twirl sum_K |Tr(P K)|^2 / 4^k of a stack or a ``kraus`` tuple."""
+    if not twirl:
+        return np.bincount(ops["z"], ops["w"], 2**k)
+    if getattr(ops, "dtype", None) == PAULI_TABLE:
+        # digit 2 z + (x xor z) per qubit, I, X, Y, Z = 0..3: z's bits to the even places
+        interleave = (*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+        digits = _lift(ops["z"] << k | ops["x"] ^ ops["z"], interleave, 2 * k)
+        return np.bincount(digits, ops["w"], 4**k)
+    return sum(np.abs(_pauli_coefficients(op, k)) ** 2 for op in ops)
+
+
+def _pauli_law(stages: tuple, qubits: Iterable[int], twirl: bool) -> np.ndarray:
+    """The law of the Pauli string that ``stages`` draw on ``qubits``, the
+    first most significant: the 4^n twirl if ``twirl`` (digits I, X, Y, Z =
+    0..3), else the 2^n law of Z/Y flips that tables leave on |+>^n. Stage
+    laws XOR-convolve in order (digit XOR is the product up to phase): new
+    positions join p by a broadcast product, touched ones take a gather of
+    p per point of the law, ascending. With ``twirl`` this is the twirl
+    when no two stacks share a position: Pauli channels commute with it."""
+    where, bits = {q: i for i, q in enumerate(qubits)}, 2 if twirl else 1
+    p, order = np.ones(1), []  # p's digits: the touched positions, first touched first
+    for ops, pos in stages:
+        pos = [where[q] for q in pos]
+        law, new = _stage_law(ops, len(pos), twirl), [q for q in pos if q not in order]
+        if new:  # at digit 0 if the stage also reads touched ones, for the gather to fill
+            part = law if len(new) == len(pos) else np.arange(2 ** (bits * len(new))) == 0
+            p, order = (np.multiply.outer(p, part).reshape(-1) if order else part), order + new
+        if len(new) < len(pos):
+            index, points, out = np.arange(len(p)), np.flatnonzero(law), np.zeros(len(p))
+            axes = tuple(bits * order.index(q) + h for q in pos for h in range(bits))
+            for f, g in zip(points, _lift(points, axes, bits * len(order))):
+                out += law[f] * p[index ^ g]
+            p = out
+    if order == list(range(len(where))):
+        return p
+    full = np.zeros((2**bits,) * len(where))
+    touched = tuple(slice(None) if q in order else 0 for q in range(len(where)))
+    axes = sorted(range(len(order)), key=order.__getitem__)
+    full[touched] = p.reshape((2**bits,) * len(order)).transpose(axes)
+    return full.reshape(-1)
 
 
 def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
@@ -591,23 +608,16 @@ def pauli_expansion(channel: QuantumChannel) -> np.ndarray:
     Returns the read-only vector of all 4^n probabilities, indexed by base-4
     strings with digits I=0, X=1, Y=2, Z=3 and qubit 0 as the most
     significant digit, matching the register bit order: on two qubits "XZ"
-    is entry 4*1 + 3. Tables on disjoint positions are read as they are;
-    any other channel expands each of its ``kraus``, read under the size
-    rule before the 4^n vector exists, and holds them plus a few 4^n
-    arrays (cluster noise on 12 qubits: about 16 s at 1.59 GB peak RSS).
+    is entry 4*1 + 3. The stages' own laws are convolved (``_pauli_law``),
+    a stack's from each of its operators (cluster noise on 12 qubits:
+    about 7 s at 1.58 GB peak RSS), unless two stacks share a qubit: the
+    twirl of their product is not the product of their twirls, so the
+    channel's ``kraus``, read first under the size rule, is the one stage.
     """
-    n = channel.n
-    tables = _disjoint_tables(channel)
-    if tables is not None:
-        # a table is its own twirl: each product string's weight goes to its
-        # index, whose digit per qubit is 2 z + (x xor z)
-        x, z, w = _product_strings(tables, n)
-        q = np.bincount(_spread(z, n) << 1 | _spread(x ^ z, n), w, 4**n)
-    else:
-        # the read is refused under the size rule before the 4^n vector exists
-        kraus = channel.kraus
-        q = np.zeros(4**n)
-        for op in kraus:
-            q += np.abs(_pauli_coefficients(op, n)) ** 2
+    stacked = [q for ops, pos in channel.stages if ops.dtype != PAULI_TABLE for q in pos]
+    stages = channel.stages
+    if len(set(stacked)) < len(stacked):
+        stages = ((channel.kraus, channel.qubits),)
+    q = _pauli_law(stages, channel.qubits, twirl=True)
     q.flags.writeable = False
     return q

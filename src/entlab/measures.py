@@ -4,7 +4,7 @@ Channel quantities feed a pure input, the uniform superposition |+>^n
 unless given, through a channel and score the output, with no 2^n x 2^n
 output formed. A channel of Pauli tables on the default |+>^n leaves the
 classical mixture of its strings' Z/Y flip patterns, read as one law p
-of 2^n probabilities (``channels._flip_law``; the |+>^n case of the
+of 2^n probabilities (``channels._pauli_law``; the |+>^n case of the
 stabilizer entropy rule of Fattal et al., quant-ph/0406168). Any other
 channel, or an explicit input, gives the branches K_k psi, kept as k
 rows of length 2^n; S(out) comes from their k x k Gram matrix when that
@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_fit, _flip_law, _run_stages, _span
+from .channels import QuantumChannel, _check_fit, _pauli_law, _run_stages, _span, _tables
 from .errors import SizeLimitError
 from .optim import (
     DEFAULT_MAX_ITER,
@@ -125,9 +125,8 @@ def _noisy_output(
     (``_run_stages``), in the order of ``channel.kraus``."""
     if input_state is None:
         m = max(n, _span(channel))
-        law = _flip_law(channel.stages, m)
-        if law is not None:
-            return _Law(law, m)
+        if _tables(channel.stages):
+            return _Law(_pauli_law(channel.stages, range(m), twirl=False), m)
         input_state = plus_all(m)
     m = input_state.n
     _check_fit(channel, m)

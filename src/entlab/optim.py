@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import _pauli_strings
+from .channels import _lift, _pauli_strings
 from .errors import ConvergenceError, InfeasibleMarginalsError, SizeLimitError
 from .states import (
     _MINUS_I_POWERS,
@@ -198,8 +198,7 @@ def _pauli_basis(m: int, keys: tuple) -> _PauliBasis:
     for k in keys:
         s = len(k)
         # local bit s-1-j of a key string is bit m-1-k[j] of the register
-        spread = [sum(1 << (m - 1 - k[j]) for j in range(s) if local >> (s - 1 - j) & 1)
-                  for local in range(2**s)]
+        spread = _lift(np.arange(2**s), k, m).tolist()
         at, local = [], []
         for x in range(2**s):
             for z in range(2**s):

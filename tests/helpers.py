@@ -295,6 +295,47 @@ def reference_pauli_basis(m: int, keys) -> tuple:
     return np.array([reference_pauli_from_masks(m, *full) for full in strings]), locals_
 
 
+def _lift_masks(masks: np.ndarray, pos, n: int) -> np.ndarray:
+    """A stage's masks (bit k-1-j for its j-th position) as n-qubit masks."""
+    out = np.zeros_like(masks)
+    for j, q in enumerate(pos):
+        out |= (masks >> (len(pos) - 1 - j) & 1) << (n - 1 - q)
+    return out
+
+
+def reference_flip_law(stages, n: int) -> np.ndarray:
+    """The Z/Y flip-pattern law of table stages on |+>^n as it was first
+    read: stage 0's z masks lifted to n bits and binned, then every later
+    stage's lifted law XOR-convolved in by one gather per support point, in
+    ascending order of the point."""
+    index = np.arange(2**n)
+    p = (index == 0).astype(float)
+    for i, (table, pos) in enumerate(stages):
+        law = np.bincount(_lift_masks(table["z"], pos, n), weights=table["w"], minlength=2**n)
+        p = law if i == 0 else sum(law[f] * p[index ^ f] for f in np.flatnonzero(law))
+    return p
+
+
+def reference_table_twirl(channel) -> np.ndarray:
+    """The twirl of tables on disjoint positions as it was first read: each
+    product string's weight, the product of its factors' weights in stage
+    order, binned at its base-4 index, whose digit per qubit is
+    2 z + (x xor z) (bit b of a mask moved to bit 2b)."""
+    n, where = channel.n, {q: i for i, q in enumerate(channel.qubits)}
+    x = z = np.zeros(1, dtype=np.intp)
+    w = np.ones(1)
+    for table, pos in channel.stages:
+        pos = [where[q] for q in pos]
+        x = (x[:, None] | _lift_masks(table["x"], pos, n)).reshape(-1)
+        z = (z[:, None] | _lift_masks(table["z"], pos, n)).reshape(-1)
+        w = (w[:, None] * table["w"]).reshape(-1)
+
+    def spread(masks):
+        return sum((masks >> b & 1) << 2 * b for b in range(n))
+
+    return np.bincount(spread(z) << 1 | spread(x ^ z), w, 4**n)
+
+
 def h2(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -45,9 +46,11 @@ from helpers import (
     reference_correlated_flip_kraus,
     reference_dephasing_kraus,
     reference_depolarizing_kraus,
+    reference_flip_law,
     reference_haar_unitary,
     reference_pairwise_kraus,
     reference_pauli_basis,
+    reference_table_twirl,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -637,17 +640,22 @@ def test_pauli_weight_table():
     assert abs(q[0] - 1.0) < 1e-12  # II
 
 
-def test_pauli_expansion_cap_raises_before_allocating():
-    """A channel that is not tables on disjoint positions is expanded from
-    its ``kraus``, read first: amplitude damping on each of 9 qubits has
-    512 Kraus products, a read over the size rule, so the error comes
-    before the 4^n weight array exists."""
-    n, gamma = 9, 0.3
-    damping = QuantumChannel(
+def _damping(gamma):
+    """Amplitude damping of strength gamma, a two-operator Kraus stack."""
+    return QuantumChannel(
         (np.diag([1.0, np.sqrt(1 - gamma)]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]))
     )
-    channel = combine([(damping, (q,)) for q in range(n)])
-    assert 3 * 2**n * 4**n * 16 > MAX_KRAUS_BYTES
+
+
+def test_pauli_expansion_cap_raises_before_allocating():
+    """Two stacks that share a qubit are expanded from the channel's
+    ``kraus``, read first: one more damping on qubit 0 after damping on
+    each of 9 qubits makes 1,024 Kraus products, a read over the size rule,
+    so the error comes before the 4^n weight array exists."""
+    n, gamma = 9, 0.3
+    product_channel = combine([(_damping(gamma), (q,)) for q in range(n)])
+    channel = compose(_damping(gamma), product_channel)
+    assert 3 * 2 ** (n + 1) * 4**n * 16 > MAX_KRAUS_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
@@ -656,6 +664,18 @@ def test_pauli_expansion_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 4**n  # less than that float64 array alone
+
+
+def test_damping_product_twirl_is_the_tensor_power_of_one_qubit():
+    """Damping on each of 9 qubits is expanded stage by stage, with no
+    ``kraus`` read: its twirl is the 9th tensor power of one qubit's,
+    ((1 + s)^2 / 4, gamma / 4, gamma / 4, (1 - s)^2 / 4) on I, X, Y, Z with
+    s = sqrt(1 - gamma), to 1e-15."""
+    n, gamma = 9, 0.3
+    s = np.sqrt(1 - gamma)
+    one = np.array([(1 + s) ** 2 / 4, gamma / 4, gamma / 4, (1 - s) ** 2 / 4])
+    got = pauli_expansion(combine([(_damping(gamma), (q,)) for q in range(n)]))
+    assert np.abs(got - reduce(np.kron, [one] * n)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -807,16 +827,88 @@ def test_table_kraus_is_one_scatter_of_the_product_strings(channel, monkeypatch)
         assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-15
 
 
-@pytest.mark.parametrize("channel", _table_products())
+def _overlapping_parts():
+    """Tables that share positions, a table that adds a new position to an
+    old one, and stacks on distinct qubits placed between and across
+    tables, in and out of position order."""
+    dephased, flip = build_dephasing(0.3, qubit=1), build_correlated_flip(0.2, "XY")
+    damped = QuantumChannel(_damping(0.3).stages[0][0], qubits=(2,))
+    rotated = QuantumChannel([haar_unitary(2, np.random.default_rng(3))], qubits=(0,))
+    cluster = build_cluster_noise(2, [(0, 1)], 0.4, seed=2)
+    return [
+        compose(build_depolarizing(0.1), combine([(build_depolarizing(0.1), (q,)) for q in range(3)])),
+        compose(flip, build_pairwise_correlated(2, 0.1, 0.04, "Z")),
+        compose(combine([(flip, (0, 2))]), dephased),
+        compose(dephased, compose(combine([(flip, (1, 2))]), damped)),
+        compose(build_depolarizing(0.2, 2), compose(rotated, compose(combine([(flip, (0, 2))]), damped))),
+        compose(combine([(cluster, (0, 3))]), combine([(flip, (1, 3)), (build_dephasing(0.2), (0,))])),
+    ]
+
+
+@pytest.mark.parametrize("channel", _table_products() + _overlapping_parts())
 def test_table_twirl_matches_the_dense_expansion(channel, monkeypatch):
-    """A table is its own twirl: the expansion of tables on disjoint
-    positions equals the expansion of their dense operators to 1e-15 and
-    forms no operator."""
+    """A Pauli channel commutes with the twirl and the twirl of a product
+    is the product of the twirls, so the expansion of tables, overlapping
+    or not, and of stacks on distinct qubits between them equals the
+    expansion of their dense operators to 1e-15 and forms no operator."""
     want = pauli_expansion(_dense_stages(channel))
     monkeypatch.setattr(QuantumChannel, "kraus", property(lambda ch: pytest.fail("kraus formed")))
     got = pauli_expansion(channel)
     assert np.abs(got - want).max() <= 1e-15
     assert not got.flags.writeable
+
+
+def _composed_wide_tables():
+    """A second wide table over a first, and a one-qubit table over both."""
+    first = build_pairwise_correlated(12, 0.2, 0.05, "Y")
+    second = compose(build_pairwise_correlated(12, 0.1, 0.02, "Z"), first)
+    return [second, compose(build_dephasing(0.2, 5), second)]
+
+
+@pytest.mark.parametrize(
+    "channel",
+    _table_products() + [ch for ch in BUILT_CHANNELS if channels._tables(ch.stages)] + _composed_wide_tables(),
+)
+def test_pauli_law_is_bitwise_the_first_readers_on_tables(channel):
+    """The flip law equals the first reader's gathers byte for byte, and
+    the twirl of tables on disjoint positions its scatter of product
+    strings."""
+    m = channel.qubits[-1] + 1
+    law = channels._pauli_law(channel.stages, range(m), twirl=False)
+    assert law.tobytes() == reference_flip_law(channel.stages, m).tobytes()
+    if channels._disjoint_tables(channel) is not None:
+        assert pauli_expansion(channel).tobytes() == reference_table_twirl(channel).tobytes()
+
+
+_ROTATION = QuantumChannel([np.cos(np.pi / 8) * I2 - 1j * np.sin(np.pi / 8) * X])
+
+
+@pytest.mark.parametrize(
+    "channel, shared",
+    [
+        (compose(_ROTATION, _ROTATION), True),
+        (compose(_damping(0.3), combine([(_damping(0.3), (q,)) for q in range(3)])), True),
+        (combine([(_ROTATION, (0,)), (_ROTATION, (1,))]), False),
+        (compose(_ROTATION, build_depolarizing(0.2)), False),
+        (_overlapping_parts()[4], False),
+    ],
+    ids=["rotations", "damping-on-a-damped-qubit", "rotations-on-two", "rotation-on-a-table", "interleaved"],
+)
+def test_pauli_expansion_reads_kraus_only_for_stacks_on_a_shared_qubit(channel, shared, monkeypatch):
+    reads, kraus = [], QuantumChannel.kraus
+    monkeypatch.setattr(QuantumChannel, "kraus", property(lambda ch: reads.append(ch) or kraus.fget(ch)))
+    pauli_expansion(channel)
+    assert len(reads) == shared
+
+
+def test_coherent_stacks_on_one_qubit_are_twirled_whole():
+    """Two pi/8 rotations about X make a pi/4 rotation, whose twirl is
+    (1/2, 1/2) on I and X; the product of the two stages' twirls would give
+    (3/4, 1/4), so the ``kraus`` read carries weight here."""
+    channel = compose(_ROTATION, _ROTATION)
+    assert np.abs(pauli_expansion(channel) - [0.5, 0.5, 0.0, 0.0]).max() <= 1e-15
+    stage_rule = channels._pauli_law(channel.stages, channel.qubits, twirl=True)
+    assert np.abs(stage_rule - [0.75, 0.25, 0.0, 0.0]).max() <= 1e-15
 
 
 def test_pauli_builders_allocate_no_stack_at_twelve_qubits():

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from entlab import DensityMatrix, PureState, measures
 from entlab.channels import (
     QuantumChannel,
+    _pauli_law,
     _pauli_mixture,
     apply,
     build_correlated_flip,
@@ -22,6 +23,7 @@ from entlab.channels import (
     compose,
     embed,
     identity_channel,
+    pauli_expansion,
 )
 from entlab.errors import SizeLimitError
 from entlab.optim import DEFAULT_TOL
@@ -52,6 +54,8 @@ from helpers import (
     random_density,
     random_kraus,
     random_pure,
+    reference_flip_law,
+    reference_table_twirl,
 )
 
 
@@ -270,6 +274,25 @@ def test_flip_law_reads_match_the_branch_rows(case):
     if 2 <= len(subset) <= MAX_SET_SIZE:
         want = excess_leak_set(channel, subset, input_state=plus).value
         assert abs(excess_leak_set(channel, subset).value - want) <= DEFAULT_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(placed_parts(tables=True))
+def test_pauli_law_is_bitwise_the_first_readers(case):
+    """Random Pauli tables placed by combine and compose: the flip law
+    equals the first reader's gathers byte for byte, and when the tables
+    sit on disjoint positions with no string repeated inside a table, the
+    twirl equals the first reader's product-string scatter byte for byte.
+    A repeat is binned once per table here and once per product string
+    there, so with repeats the two round apart, within 1e-15."""
+    _, channel, psi, _ = case
+    law = _pauli_law(channel.stages, range(psi.n), twirl=False)
+    assert law.tobytes() == reference_flip_law(channel.stages, psi.n).tobytes()
+    used = [q for _, pos in channel.stages for q in pos]
+    distinct = all(len(set(zip(t["x"], t["z"]))) == len(t) for t, _ in channel.stages)
+    if len(set(used)) == len(used):
+        got, want = pauli_expansion(channel), reference_table_twirl(channel)
+        assert got.tobytes() == want.tobytes() if distinct else np.abs(got - want).max() <= 1e-15
 
 
 def test_flip_law_closed_forms_at_twelve_qubits():
