@@ -16,7 +16,8 @@ sub-marginals determine. ``max_entropy_defect`` and ``total_defect`` take
 one of two paths, which their diagnostics name as ``method``:
 - "stabilizer": a PureState that carries stabilizer generators (``ghz``,
   ``plus_all`` and every ``cluster_state``) gets each defect exactly from
-  two GF(2) ranks, with no density matrix, partial trace or solve;
+  one table of GF(2) subgroups, each subset's eliminated once per call
+  (``_stabilizer_dims``), with no density matrix, partial trace or solve;
 - "max_entropy": any other input, a PureState's marginals read from its
   amplitudes, gets each defect as a max-entropy dual value, a certified
   upper bound. A pair's two single-qubit marginals are disjoint, so its
@@ -251,14 +252,25 @@ def max_entropy_defect(
     rho|_subset, minus S(rho|_subset).
 
     On a PureState with stabilizer generators the value is exact (see
-    ``_stabilizer_defect``) and ``tol`` and ``max_iter`` go unused.
+    ``_stabilizer_dims``) and ``tol`` and ``max_iter`` go unused.
     Otherwise the maximum is the solver's dual value on the subset's
     ``partial_trace``, a certified upper bound, so the value never sits
     below the true defect; for pairs it is the mutual information. A subset
     above MAX_SET_SIZE raises SizeLimitError, a non-state TypeError.
     """
     check_state(state)
-    return _subset_defect(state, _set_subset(subset, state.n), {}, tol, max_iter)
+    keep = _set_subset(subset, state.n)
+    rows = getattr(state, "stabilizer_rows", None)
+    if rows is None:
+        return _subset_defect(state, keep, {}, tol, max_iter)
+    dim_s, dim_g = _stabilizer_dims(rows, state.n, [keep])[keep]
+    m = len(keep)
+    return DefectResult(
+        value=float(dim_s - dim_g),
+        constrained_entropy=float(m - dim_g),
+        subset_entropy=float(m - dim_s),
+        diagnostics={"method": "stabilizer"},
+    )
 
 
 def _set_subset(subset: Iterable[int], n: int) -> tuple:
@@ -275,13 +287,9 @@ def _set_subset(subset: Iterable[int], n: int) -> tuple:
 def _subset_defect(
     state: PureState | DensityMatrix, keep: tuple, solved: dict, tol: float, max_iter: int
 ) -> DefectResult:
-    """``max_entropy_defect`` of ``state`` on ``keep``: exact from the
-    stabilizer rows when the state has them, else solved on the subset's
-    ``partial_trace``. A defect depends only on that marginal, so each
-    distinct one is solved once, memoised in ``solved`` by its bytes."""
-    rows = getattr(state, "stabilizer_rows", None)
-    if rows is not None:
-        return _stabilizer_defect(rows, state.n, keep)
+    """``max_entropy_defect`` of ``state`` on ``keep``, solved on the
+    subset's ``partial_trace``. A defect depends only on that marginal, so
+    each distinct one is solved once, memoised in ``solved`` by its bytes."""
     restricted = partial_trace(state, keep)
     key = restricted.matrix.tobytes()
     if key not in solved:
@@ -289,30 +297,32 @@ def _subset_defect(
     return solved[key]
 
 
-def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
-    return sum((1 << q) | (1 << (n + q)) for q in qubits)
+def _stabilizer_dims(rows: list[int], n: int, subsets: list[tuple]) -> dict[tuple, tuple]:
+    """(dim S_A, dim G) for each subset A in ``subsets`` of the n-qubit
+    stabilizer state with generator ``rows``, in the order given.
 
-
-def _stabilizer_defect(rows: list[int], n: int, keep: tuple) -> DefectResult:
-    """``max_entropy_defect`` of the stabilizer state with generator ``rows``.
-
-    Let S_A be the stabilizers supported on A = ``keep``. Then S(rho_A) =
-    |A| - dim S_A (Fattal et al., quant-ph/0406168). The S_B of the
+    S_A is the group of stabilizers supported on A, so S(rho_A) = |A| -
+    dim S_A (Fattal et al., quant-ph/0406168). The S_B of the
     (|A|-1)-subsets B generate a group G; the uniform state on G's code
     space has rho_A's marginals on every B and lies in the closure of the
     exponential family of those marginals, so it is the maximizer, with
-    entropy |A| - dim G. The defect is dim S_A - dim G. S_B is the
-    part of S_A that acts as the identity on the qubit B leaves out.
+    entropy |A| - dim G, and the defect is dim S_A - dim G. Each group is
+    eliminated once per call, with a pair's singletons on demand, and G's
+    dimension is the rank of the union of its faces' groups.
     """
-    m = len(keep)
-    s_a = gf2_kernel(rows, ~_qubit_mask(n, keep))
-    dim_g = gf2_rank([row for q in keep for row in gf2_kernel(s_a, _qubit_mask(n, (q,)))])
-    return DefectResult(
-        value=float(len(s_a) - dim_g),
-        constrained_entropy=float(m - dim_g),
-        subset_entropy=float(m - len(s_a)),
-        diagnostics={"method": "stabilizer"},
-    )
+    masks = [(1 << q) | (1 << (n + q)) for q in range(n)]
+    groups: dict[tuple, list[int]] = {}
+
+    def group(keep: tuple) -> list[int]:
+        if keep not in groups:
+            groups[keep] = gf2_kernel(rows, ~sum(masks[q] for q in keep))
+        return groups[keep]
+
+    dims = {}
+    for keep in subsets:
+        faces = combinations(keep, len(keep) - 1)
+        dims[keep] = (len(group(keep)), gf2_rank([row for face in faces for row in group(face)]))
+    return dims
 
 
 def _restricted_defect(restricted: DensityMatrix, tol: float, max_iter: int) -> DefectResult:
@@ -380,10 +390,12 @@ def total_defect(
     a pure input (a DensityMatrix's purity is checked; a PureState is pure
     by construction) of any size up to the register cap; singletons never
     contribute. A PureState with stabilizer generators gets every term
-    exactly, as ``max_entropy_defect`` does, and no solver runs. Any other
-    input is solved on each subset's ``partial_trace``: subsets with
-    bitwise equal marginals share one solve, and ``optimizer_iterations``
-    counts the solves that ran. ``diagnostics["method"]`` names the path.
+    exactly from one table of its subsets' groups, by the rule
+    ``max_entropy_defect`` reads, and no solver runs. Any other input is
+    solved on each subset's ``partial_trace``: subsets with bitwise equal
+    marginals share one solve, and ``optimizer_iterations`` sums the
+    Newton iterations of the solves that ran. ``diagnostics["method"]``
+    names the path.
     A DensityMatrix's marginals come from its dense matrix, up to 0.1 s
     each at n = 12: truncation 3 on ``ghz(12).density_matrix()`` took 27 s,
     on its amplitudes as a PureState 0.02 s.
@@ -408,14 +420,17 @@ def total_defect(
     subsets = [subset for size in sizes for subset in combinations(full, size)]
     if with_full:
         subsets.append(full)
-    solved: dict[bytes, DefectResult] = {}
-    terms = {
-        subset: _subset_defect(state, subset, solved, DEFAULT_TOL, DEFAULT_MAX_ITER).value
-        for subset in subsets
-    }
-    if getattr(state, "stabilizer_rows", None) is not None:
+    rows = getattr(state, "stabilizer_rows", None)
+    if rows is not None:
+        dims = _stabilizer_dims(rows, n, subsets)
+        terms = {subset: float(dim_s - dim_g) for subset, (dim_s, dim_g) in dims.items()}
         diagnostics = {"method": "stabilizer"}
     else:
+        solved: dict[bytes, DefectResult] = {}
+        terms = {
+            subset: _subset_defect(state, subset, solved, DEFAULT_TOL, DEFAULT_MAX_ITER).value
+            for subset in subsets
+        }
         diagnostics = {
             "method": "max_entropy",
             "optimizer_iterations": sum(r.diagnostics["iterations"] for r in solved.values()),

@@ -126,7 +126,7 @@ def _checked_stabilizer_rows(n: int, amps: np.ndarray, generators: np.ndarray) -
     x and z, so |<psi|g|psi>| is that of the sum over r of conj(psi_r)
     (-i)^power psi_col: one (n, 2^n) gather for all rows.
     """
-    if generators.shape != (n, 2 * n) or not np.isin(generators, (0, 1)).all():
+    if generators.shape != (n, 2 * n) or not ((generators == 0) | (generators == 1)).all():
         raise ValueError(f"stabilizer generators must be a 0/1 matrix of shape ({n}, {2 * n})")
     gens = generators.astype(np.int64)
     rows = (gens << np.arange(2 * n)).sum(axis=1).tolist()

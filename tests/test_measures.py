@@ -40,7 +40,13 @@ from entlab.measures import (
     mutual_information,
     total_defect,
 )
-from entlab.states import entropy_of_subset, partial_trace, pure_marginal, von_neumann_entropy
+from entlab.states import (
+    entropy_of_subset,
+    gf2_kernel,
+    partial_trace,
+    pure_marginal,
+    von_neumann_entropy,
+)
 from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
 from helpers import (
     BUILT_CHANNELS,
@@ -681,8 +687,33 @@ def test_cluster_totals_match_the_solver(edges, n, truncation):
 )
 @example(graph=(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]), truncation=4)
 def test_random_graph_totals_match_the_solver(graph, truncation):
+    """total_defect and max_entropy_defect read one rule: every term of the
+    total is max_entropy_defect's value on its subset, whose constrained
+    and subset entropies agree with the solver's on the same amplitudes."""
     n, edges = graph
-    assert_exact_within_solver_bound(cluster_state(n, edges), truncation)
+    state = cluster_state(n, edges)
+    assert_exact_within_solver_bound(state, truncation)
+    dense = PureState(n, state.amplitudes)
+    for subset, value in total_defect(state, truncation).terms.items():
+        exact, solved = max_entropy_defect(state, subset), max_entropy_defect(dense, subset)
+        assert exact.value == value == exact.constrained_entropy - exact.subset_entropy
+        assert -1e-12 <= solved.constrained_entropy - exact.constrained_entropy <= 1e-5, subset
+        assert abs(solved.subset_entropy - exact.subset_entropy) <= 1e-9, subset
+
+
+def test_stabilizer_totals_eliminate_each_group_once(monkeypatch):
+    """total_defect(ghz(7), 3) eliminates the group of each of its 7
+    singletons, 21 pairs and 35 triples once, not again inside every
+    subset that holds it as a face (203 eliminations)."""
+    outsides = []
+
+    def counted(rows, outside):
+        outsides.append(outside)
+        return gf2_kernel(rows, outside)
+
+    monkeypatch.setattr(measures, "gf2_kernel", counted)
+    assert total_defect(ghz(7), 3).value == 21.0
+    assert len(outsides) == len(set(outsides)) == comb(7, 1) + comb(7, 2) + comb(7, 3)
 
 
 def test_stabilizer_defect_reads_no_density_matrix(monkeypatch):
