@@ -434,8 +434,9 @@ def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
     probabilities of a burst mixture; ValueError otherwise.
 
     Feasible iff p1^2 <= p2 <= p1 within [0, 1], both bounds to a relative
-    1e-12: at small p1 an absolute slack would admit a burst weight p1^2/p2
-    or flip probability p2/p1 far above 1, and no longer trace preserving.
+    1e-12: at small p1 an absolute slack would admit moments whose burst
+    weight p1^2/p2 or flip probability p2/p1 lies far above 1, which
+    ``_burst_mixture``'s clip would then hide rather than fit.
     """
     p1, p2 = float(p1), float(p2)
     if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
@@ -445,27 +446,35 @@ def check_burst_moments(p1: float, p2: float) -> tuple[float, float]:
     return p1, p2
 
 
+def _burst_mixture(p1: float, p2: float) -> tuple[float, float]:
+    """The burst mixture's (pi, h) for checked moments (p1, p2): h = min(p2 / p1, 1)
+    and pi = min(p1 / h, 1), clipped to stay probabilities at the feasibility
+    edges; (0, 0) at p1 = 0, and pi = 1 where p2 / p1 underflows to 0."""
+    p1, p2 = check_burst_moments(p1, p2)
+    if p1 == 0.0:
+        return 0.0, 0.0
+    h = min(p2 / p1, 1.0)
+    return (min(p1 / h, 1.0) if h > 0.0 else 1.0), h
+
+
 def build_pairwise_correlated(n: int, p1: float, p2: float, basis: str = "X") -> QuantumChannel:
     """Correlated flips with prescribed one- and two-point hit probabilities.
 
-    A burst occurs with probability pi = p1^2 / p2; within a burst every
-    qubit independently flips with probability h = p2 / p1. The per-qubit
-    hit probability is then p1 and the joint hit probability of any pair is
-    p2. Feasible iff p1^2 <= p2 <= p1. The table's strings are the
-    identity, then the flip string of every mask of flipped qubits in
-    order 0..2^n-1, none of weight 0; its 2^n + 1 Kraus operators are
+    The table is the hit-pattern law of ``sync.fit_mixture``'s burst model:
+    a burst occurs with probability pi = min(p1 / h, 1), and within a burst
+    every qubit independently flips with probability h = min(p2 / p1, 1).
+    The per-qubit hit probability is then p1 and the joint hit probability
+    of any pair is p2. Feasible iff p1^2 <= p2 <= p1. The table's strings
+    are the identity, then the flip string of every mask of flipped qubits
+    in order 0..2^n-1, with zero weights dropped; its Kraus operators are
     formed only when ``kraus`` is read, under the size rule of a read.
     """
     n = check_register_size(n)
     if n < 1:
         raise ValueError("register must be non-empty")
-    p1, p2 = check_burst_moments(p1, p2)
+    pi, h = _burst_mixture(p1, p2)
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"flip basis must be X, Y or Z, got {basis!r}")
-    if p1 == 0.0 or p2 == 0.0:
-        return _pauli_mixture(n, [0], [0], [1.0])
-    h = p2 / p1
-    pi = p1 * p1 / p2
     # a mask's burst weight pi prod_q (h or 1 - h), multiplied qubit by qubit
     masks = np.arange(2**n)
     burst = np.full(2**n, pi)

@@ -85,46 +85,45 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den
 
 
-_TERM_KINDS = {
-    1: "mutual_information",
-    2: "assisted_mutual_information",
-    3: "max_entropy_defect",
-    4: "decomposed_defect",
-}
-# relations whose term is searched for, hence a best-found lower bound
-_SEARCHED = (2, 4)
 _value_and_diagnostics = operator.attrgetter("value", "diagnostics")
 
 
 def _verdict(
     relation: int,
+    state: PureState | DensityMatrix,
     channel: QuantumChannel,
-    n: int,
-    qubits: tuple,
+    qubits: Iterable[int],
     level: float,
-    term: Callable[[], tuple[float, dict]],
+    restarts: int,
+    sweeps: int,
+    seed: int,
 ) -> RelationVerdict:
-    """Relation ``relation`` at ``level`` for a term given as (value, diagnostics).
+    """Relation ``relation`` at ``level``, its term read from ``_RELATIONS``.
 
-    The excess and the leaks come from the channel's output on |+>^m, m the
-    larger of the state's size n and the channel's span, before ``term`` is
-    called, so an excess that cannot be computed fails before a
+    The search budget, the state and the subset are checked first. The
+    excess and the leaks come from the channel's output on |+>^m, m the
+    larger of the state's size and the channel's span, before the term is
+    computed, so an excess that cannot be computed fails before a
     decomposition search starts. The leaks and the excess read the output
     as the measures of the same names do; a pair excess reuses the two
     leaks, so a pair verdict reads three marginal entropies.
     """
-    out = _noisy_output(channel, n=n)
+    check_search_budget(restarts, sweeps)
+    check_state(state)
+    qubits = validate_subset(qubits, state.n)
+    term_kind, searched, term = _RELATIONS[relation]
+    out = _noisy_output(channel, n=state.n)
     leaks = {q: out.entropy((q,)) for q in qubits}
     if relation <= 2:
         reference_leak = float(np.mean(list(leaks.values())))
         # S(a) + S(b) - S(ab) as excess_leak forms it, from the leaks above
         a, b = qubits
         excess = leaks[a] + leaks[b] - out.entropy(qubits)
-        term_value, diagnostics = term()
+        term_value, diagnostics = term(state, qubits, restarts, sweeps, seed)
     else:
         reference_leak = float(min(leaks.values()))
         excess, excess_diagnostics = _value_and_diagnostics(_set_excess(out, qubits))
-        term_value, term_diagnostics = term()
+        term_value, term_diagnostics = term(state, qubits, restarts, sweeps, seed)
         diagnostics = {"excess": excess_diagnostics, "term": term_diagnostics}
     if excess < VACUOUS_ATOL and (term_value < VACUOUS_ATOL or reference_leak < VACUOUS_ATOL):
         verdict = "vacuous"
@@ -132,14 +131,13 @@ def _verdict(
         verdict = "satisfied"
     else:
         verdict = "violated"
-    searched = relation in _SEARCHED
     return RelationVerdict(
         relation=relation,
         qubits=qubits,
         level=level,
         excess=float(excess),
         term=float(term_value),
-        term_kind=_TERM_KINDS[relation],
+        term_kind=term_kind,
         leaks=leaks,
         reference_leak=reference_leak,
         k_hat=_ratio(excess, term_value),
@@ -159,11 +157,7 @@ def eval_relation1(
     level: float = 1.0,
 ) -> RelationVerdict:
     """Pair relation with the plain mutual information on the right."""
-    check_state(state)
-    pair = validate_subset((a, b), state.n)
-    return _verdict(
-        1, channel, state.n, pair, level, lambda: (mutual_information(state, *pair), {})
-    )
+    return _verdict(1, state, channel, (a, b), level, 1, 1, 0)
 
 
 def eval_relation2(
@@ -181,13 +175,7 @@ def eval_relation2(
     The right-hand term is a certified lower bound, so a satisfied verdict
     is conditional; a violated one is definitive.
     """
-    check_search_budget(restarts, sweeps)
-    check_state(state)
-    pair = validate_subset((a, b), state.n)
-    return _verdict(
-        2, channel, state.n, pair, level,
-        lambda: _assisted_term(state, pair, restarts, sweeps, seed),
-    )
+    return _verdict(2, state, channel, (a, b), level, restarts, sweeps, seed)
 
 
 def _assisted_term(state, pair: tuple, restarts: int, sweeps: int, seed: int) -> tuple[float, dict]:
@@ -244,20 +232,25 @@ def eval_relation34(
     The reference leak is the minimum single-qubit leak over the subset.
     The subset's size is checked with the excess, before the term.
     """
-    check_search_budget(restarts, sweeps)
-    check_state(state)
-    keep = validate_subset(subset, state.n)
-    if mode == "marginal":
-        return _verdict(
-            3, channel, state.n, keep, level,
-            lambda: _value_and_diagnostics(max_entropy_defect(state, keep)),
-        )
-    if mode == "decomposed":
-        return _verdict(
-            4, channel, state.n, keep, level,
-            lambda: _decomposed_defect(state, keep, restarts, sweeps, seed),
-        )
-    raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
+    relation = {"marginal": 3, "decomposed": 4}.get(mode)
+    if relation is None:
+        raise ValueError(f"mode must be 'marginal' or 'decomposed', got {mode!r}")
+    return _verdict(relation, state, channel, subset, level, restarts, sweeps, seed)
+
+
+# each relation's term kind, whether its term is searched for (hence a
+# best-found lower bound), and its term on (state, qubits, restarts,
+# sweeps, seed) as (value, diagnostics)
+_RELATIONS: dict[int, tuple[str, bool, Callable[..., tuple[float, dict]]]] = {
+    1: ("mutual_information", False, lambda state, pair, *_: (mutual_information(state, *pair), {})),
+    2: ("assisted_mutual_information", True, _assisted_term),
+    3: (
+        "max_entropy_defect",
+        False,
+        lambda state, keep, *_: _value_and_diagnostics(max_entropy_defect(state, keep)),
+    ),
+    4: ("decomposed_defect", True, _decomposed_defect),
+}
 
 
 @dataclass

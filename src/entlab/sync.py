@@ -15,7 +15,7 @@ from math import lgamma, log, log1p
 
 import numpy as np
 
-from .channels import QuantumChannel, check_burst_moments, pauli_expansion, pauli_weight_table
+from .channels import QuantumChannel, _burst_mixture, pauli_expansion, pauli_weight_table
 from .states import check_probability
 from .zoo import bitflip_code_encode
 
@@ -49,12 +49,7 @@ def fit_mixture(p1: float, p2: float) -> ClassicalMixtureModel:
     Feasible iff p1^2 <= p2 <= p1; equality p2 = p1^2 is the independent
     case, p2 = p1 the fully synchronized one.
     """
-    p1, p2 = check_burst_moments(p1, p2)
-    if p1 == 0.0:
-        return ClassicalMixtureModel(0.0, 0.0)
-    h = min(p2 / p1, 1.0)
-    pi = min(p1 / h, 1.0) if h > 0.0 else 1.0
-    return ClassicalMixtureModel(pi, h)
+    return ClassicalMixtureModel(*_burst_mixture(p1, p2))
 
 
 def _log_binom_pmf(n: int, k: np.ndarray, p: float) -> np.ndarray:

@@ -172,8 +172,8 @@ def kron_pairwise_kraus(n: int, p1: float, p2: float, basis: str) -> list:
     """Kraus operators of ``build_pairwise_correlated`` built as it first
     was: a kron chain per flip pattern, with the pattern's weight
     multiplied qubit by qubit. Its operators must match them exactly."""
-    h = p2 / p1
-    pi = p1 * p1 / p2
+    h = min(p2 / p1, 1.0)
+    pi = min(p1 / h, 1.0)
     weighted = [(1.0 - pi, np.eye(2**n, dtype=complex))]
     for pattern in itertools.product((0, 1), repeat=n):
         w = pi
@@ -222,8 +222,8 @@ def reference_pairwise_kraus(n: int, p1: float, p2: float, basis: str) -> list:
     eye = np.eye(2**n, dtype=complex)
     if p1 == 0.0 or p2 == 0.0:
         return [eye]
-    h = p2 / p1
-    pi = p1 * p1 / p2
+    h = min(p2 / p1, 1.0)
+    pi = min(p1 / h, 1.0)
     x_on, z_on = basis in "XY", basis in "YZ"
     weighted = [(1.0 - pi, eye)]
     for mask in range(2**n):

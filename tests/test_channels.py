@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 from functools import reduce
@@ -311,6 +312,34 @@ def test_pairwise_correlated_matches_the_per_operator_builder(basis, n):
     for p1, p2 in ((0.1, 0.04), (0.3, 0.3), (0.2, 0.2**2), (0.5, 0.25), (0.0, 0.0)):
         got = build_pairwise_correlated(n, p1, p2, basis).kraus
         _assert_same_operators(got, reference_pairwise_kraus(n, p1, p2, basis))
+
+
+@pytest.mark.parametrize("p1", [0.3, 1e-20, 1e-151])
+def test_pairwise_correlated_is_the_fitted_burst_law(p1):
+    """The table is fit_mixture's (pi, h) hit-pattern law, bit for bit, at
+    every p2 check_burst_moments accepts at its edges: the identity with
+    1 - pi, then each mask with pi prod_q (h or 1 - h), zero weights
+    dropped. At the greatest accepted p2 the burst hits every qubit, so the
+    table is the correlated flip of the full string; at both edges the
+    weights sum to 1."""
+    least, _, greatest = edges = _moment_edges(p1)
+    for p2 in edges + (p1, p1 * p1):
+        model = fit_mixture(p1, p2)
+        for n, basis in product(range(1, 7), "XYZ"):
+            [(table, _)] = build_pairwise_correlated(n, p1, p2, basis).stages
+            weights = [1.0 - model.pi]
+            for mask in range(2**n):
+                w = model.pi
+                for q in range(n):
+                    w *= model.h if mask >> (n - 1 - q) & 1 else 1.0 - model.h
+                weights.append(w)
+            want = np.array([w for w in weights if w > 0.0])
+            assert table["w"].tobytes() == want.tobytes(), (n, p2, basis)
+            if p2 == greatest:
+                [(flip, _)] = build_correlated_flip(p1, basis * n).stages
+                assert table.tobytes() == flip.tobytes(), (n, basis)
+            if p2 in (least, greatest):
+                assert abs(math.fsum(table["w"]) - 1.0) <= 1e-15, (n, p2, basis)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,9 @@ import pytest
 
 import entlab
 from entlab import cli
+from entlab.channels import build_cluster_noise
+from entlab.measures import information_leak
+from entlab.zoo import line_edges
 from helpers import CLI_ENV
 
 
@@ -488,3 +492,46 @@ def test_total_defect_echoes_the_truncation_it_ran_at(capsys):
                 range(2, echoes[-1] + 1)
             )
     assert echoes == [4, 3, None]
+
+
+def _leak_report(capsys, channel, qubits, *flags):
+    code = cli.main([*flags, "measure", "--name", "leak", "--qubits", qubits,
+                     "--channel", json.dumps(channel)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)
+
+
+def test_compose_spec_chains_its_stages(capsys):
+    """A unitary after dephasing leaves the one-qubit leak at H2(0.1); the
+    unseeded stage draws its seed under its own owner name."""
+    channel = {"family": "compose", "stages": [
+        {"family": "dephasing", "epsilon": 0.2},
+        {"family": "random_unitary", "n": 1, "epsilon": 0.5},
+    ]}
+    report = _leak_report(capsys, channel, "0", "--seed", "4")
+    assert report["results"][0]["value"] == 0.468995593589
+    assert report["diagnostics"]["seed_labels"] == ["channel.stages[1].random_unitary:0"]
+
+
+def test_compose_spec_without_stages_is_config_error(capsys):
+    code = cli.main(["measure", "--name", "leak", "--qubits", "0",
+                     "--channel", json.dumps({"family": "compose", "stages": []})])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "config error [channel.stages]" in err
+
+
+@pytest.mark.parametrize("edges", [None, [[0, 2], [1, 2]]], ids=["line", "given"])
+def test_cluster_spec_is_the_seeded_builder(edges, capsys):
+    """An unseeded cluster spec builds build_cluster_noise at the seed that
+    sha256("<root>:channel.cluster:0") derives, on a line without edges."""
+    channel = {"family": "cluster", "n": 3, "epsilon": 0.6}
+    if edges is not None:
+        channel["edges"] = edges
+    report = _leak_report(capsys, channel, "0,2", "--seed", "3")
+    seed = int.from_bytes(hashlib.sha256(b"3:channel.cluster:0").digest()[:8], "big")
+    built = build_cluster_noise(3, line_edges(3) if edges is None else edges, 0.6, seed)
+    assert report["results"][0]["value"] == float(f"{information_leak(built, (0, 2)):.12g}")
+    assert report["diagnostics"]["seed_labels"] == ["channel.cluster:0"]

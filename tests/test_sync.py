@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -147,6 +149,42 @@ def test_weight_distribution_pairwise_bursts_on_ten_qubits():
     want = pi * binom.pmf(np.arange(n + 1), n, h)
     want[0] += 1 - pi
     assert np.abs(dist - want).max() < 1e-12
+
+
+# (p1, p2) of burst laws whose weight bins and tails are read to 1e-15; at
+# p2 = p1^2 and at the least p2 accepted with p1 = 0.3 the burst hits are
+# independent-like (h = p1), so a bin at n = 12 sums up to 924 strings of
+# weight near 1e-3 and binomial_tail's log-space sum of a tail near 1
+# rounds by about 1e-15 on its own: those are read to 5e-15
+_BURST_LAWS = [
+    ((0.1, 0.02), 1e-15),
+    ((1e-3, 2e-5), 1e-15),
+    ((0.3, 0.3), 1e-15),
+    ((0.3, 0.3000000000003), 1e-15),  # the greatest p2 accepted with 0.3
+    ((0.0, 0.0), 1e-15),
+    ((0.1, 0.01), 5e-15),
+    ((0.3, 0.09), 5e-15),
+    ((0.3, 0.08999999999990999), 5e-15),  # the least p2 accepted with 0.3
+]
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_pairwise_weight_law_is_the_mixture_model(n):
+    """The channel is the classical burst model: its weight law is
+    (1 - pi) delta_0 + pi Bin(n, h) with fit_mixture's (pi, h), and its
+    mass above t is the model's tail_probability, inside the feasible
+    moments and at both of their edges. The weights are the same for
+    every flip basis (test_channels checks them bit for bit), so Y flips,
+    which set both mask bits, stand for all three."""
+    for (p1, p2), tol in _BURST_LAWS:
+        model = fit_mixture(p1, p2)
+        got = weight_distribution(build_pairwise_correlated(n, p1, p2, "Y")).probabilities
+        pi, h = model.pi, model.h
+        want = [pi * math.comb(n, k) * h**k * (1 - h) ** (n - k) for k in range(n + 1)]
+        want[0] += 1.0 - pi
+        assert np.abs(got - want).max() <= tol, (p1, p2)
+        for t in range(n + 1):
+            assert abs(math.fsum(got[t + 1 :]) - tail_probability(model, n, t)) <= tol, (p1, p2, t)
 
 
 def test_repetition_majority_error_exact():
