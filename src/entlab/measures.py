@@ -9,7 +9,7 @@ stabilizer entropy rule of Fattal et al., quant-ph/0406168). Any other
 channel, or an explicit input, gives the branches K_k psi, kept as k
 rows of length 2^n; S(out) comes from their k x k Gram matrix when that
 is the smaller side. Each quantity is written once against the two reads
-both give, ``entropy(keep)`` and ``marginal(keep)``.
+both give, ``entropy(keep)`` and ``marginal(keep)``, of a validated ``keep``.
 
 Set quantities score how far a joint state sits above what its
 sub-marginals determine. ``max_entropy_defect`` and ``total_defect`` take
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Iterable
 
@@ -52,8 +53,8 @@ from .optim import (
 from .states import (
     DensityMatrix,
     PureState,
+    _branch_entropy,
     _hermitize,
-    branch_entropy,
     check_probability,
     check_state,
     entropy_of_subset,
@@ -86,8 +87,8 @@ class _Rows:
     def __init__(self, rows: np.ndarray, n: int):
         self.rows, self.n = rows, n
 
-    def entropy(self, keep: Iterable[int]) -> float:
-        return branch_entropy(self.rows, self.n, keep)
+    def entropy(self, keep: tuple) -> float:
+        return _branch_entropy(self.rows, self.n, keep)
 
     def marginal(self, keep: Iterable[int]) -> DensityMatrix:
         return pure_marginal(self.rows, self.n, keep)
@@ -99,16 +100,15 @@ class _Law:
     def __init__(self, p: np.ndarray, n: int):
         self.p, self.n = p, n
 
-    def _pattern(self, keep: Iterable[int]) -> np.ndarray:
+    def _pattern(self, keep: tuple) -> np.ndarray:
         """p's marginal on ``keep``, kept qubits in register order."""
-        keep = validate_subset(keep, self.n, allow_empty=True)
         drop = tuple(q for q in range(self.n) if q not in keep)
         return self.p.reshape((2,) * self.n).sum(axis=drop).reshape(-1)
 
-    def entropy(self, keep: Iterable[int]) -> float:
+    def entropy(self, keep: tuple) -> float:
         return spectrum_entropy(self._pattern(keep))
 
-    def marginal(self, keep: Iterable[int]) -> DensityMatrix:
+    def marginal(self, keep: tuple) -> DensityMatrix:
         """H diag(p_A) H: entry (a, b) is the Walsh transform of p_A at a
         xor b over 2^|A|, so the matrix is real and exactly symmetric."""
         p = self._pattern(keep)
@@ -141,7 +141,8 @@ def information_leak(
 
     The input is |+>^n unless ``input_state`` overrides it.
     """
-    return _noisy_output(channel, input_state).entropy(subset)
+    out = _noisy_output(channel, input_state)
+    return out.entropy(validate_subset(subset, out.n, allow_empty=True))
 
 
 def environment_information(
@@ -163,9 +164,10 @@ def environment_information(
 def mutual_information(state: PureState | DensityMatrix, a: int, b: int) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab) for two register positions."""
     pair = validate_subset((a, b), state.n)
-    s_a = entropy_of_subset(state, pair[:1])
-    s_b = entropy_of_subset(state, pair[1:])
-    return s_a + s_b - entropy_of_subset(state, pair)
+    entropy = partial(entropy_of_subset, state)
+    if isinstance(state, PureState):  # the pair is checked: no validate_subset again
+        entropy = partial(_branch_entropy, state.amplitudes, state.n)
+    return entropy(pair[:1]) + entropy(pair[1:]) - entropy(pair)
 
 
 def excess_leak(

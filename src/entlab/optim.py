@@ -354,14 +354,16 @@ def max_entropy_with_marginals(
     after ``max_iter`` Newton steps. Every feasible state has entropy at
     most f(c) at any c (Gibbs' variational principle), so the reported
     entropy, f / ln 2 in bits at the last iterate, is a certified upper
-    bound. When the keys are pairwise disjoint no step runs (0
-    iterations): the maximizer is the product of the targets and the
-    maximally mixed state on the qubits no key holds (subadditivity), and
-    its entropy, the sum of the targets' entropies plus one bit per such
-    qubit, is exact. Raises ConvergenceError (carrying the final residual)
-    if the worst marginal mismatch still exceeds ``tol``, and
-    SizeLimitError if the Pauli basis would exceed MAX_PAULI_STACK_BYTES,
-    on either path.
+    bound, though not always a tight one: on the pair marginals of triple
+    (0, 2, 3) of ``random_circuit_state(4, 2, 1)``, Newton steps doubled
+    while f falls reach an f 1.4e-4 bits lower. When the keys are pairwise
+    disjoint no step runs (0 iterations): the maximizer is the product of
+    the targets and the maximally mixed state on the qubits no key holds
+    (subadditivity), and its entropy, the sum of the targets' entropies
+    plus one bit per such qubit, is exact. Raises ConvergenceError
+    (carrying the final residual) if the worst marginal mismatch still
+    exceeds ``tol``, and SizeLimitError if the Pauli basis would exceed
+    MAX_PAULI_STACK_BYTES, on either path.
     """
     m = constraints.num_qubits
     keys = tuple(sorted(constraints.targets))
@@ -479,7 +481,8 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
 def _marginal_mass(top, bot, off_sq):
     """2 * tr M * S(M / tr M) of 2x2 Hermitian M >= 0 with diagonal (top, bot)
     and |M_01|^2 = off_sq: the objective mass of a member whose first-qubit
-    Gram is M. The spectrum is closed form, so no LAPACK call is made."""
+    Gram is M. The spectrum is the closed form of ``states._qubit_spectrum``,
+    batched over the search's grid candidates, so no LAPACK call is made."""
     # the trace and both eigenvalues, through one x log2 x
     parts = np.empty((3,) + top.shape)
     trace = np.add(top, bot, out=parts[0])

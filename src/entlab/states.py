@@ -7,6 +7,7 @@ most significant bit), and entropies are reported in bits.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -197,9 +198,10 @@ def _check_unit_trace(mat: np.ndarray) -> None:
         raise ValueError(f"trace must be 1, got {tr}")
 
 
-def _checked_spectrum(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix; PositivityError below -PSD_ATOL."""
-    lam = np.linalg.eigvalsh(mat)
+def _checked_spectrum(mat: np.ndarray, closed_form: bool = False) -> np.ndarray | list[float]:
+    """Ascending eigenvalues of a Hermitian matrix, a 2x2 one's by
+    ``_qubit_spectrum`` if ``closed_form``; PositivityError below -PSD_ATOL."""
+    lam = _qubit_spectrum(mat) if closed_form and len(mat) == 2 else np.linalg.eigvalsh(mat)
     lo = float(lam[0])
     if lo < -PSD_ATOL:
         raise PositivityError(f"eigenvalue {lo} below -{PSD_ATOL}")
@@ -338,13 +340,29 @@ def branch_entropy(rows: np.ndarray, n: int, keep: Iterable[int]) -> float:
 
     With M as in ``pure_marginal``, M^dagger M is the state of the other
     qubits together with the branch index k and has the same nonzero
-    spectrum as M M^dagger; the smaller of the two is diagonalized, after
-    the unit-trace and positivity checks a DensityMatrix would run.
+    spectrum as M M^dagger; the smaller of the two is read after the
+    unit-trace and positivity checks a DensityMatrix would run, a 2x2 one
+    (one qubit) by its closed-form spectrum and a larger one by eigvalsh.
     """
-    m = _split_rows(rows, n, validate_subset(keep, n, allow_empty=True))
+    return _branch_entropy(rows, n, validate_subset(keep, n, allow_empty=True))
+
+
+def _branch_entropy(rows: np.ndarray, n: int, keep: tuple) -> float:
+    """``branch_entropy`` on a ``keep`` already validated and sorted."""
+    m = _split_rows(rows, n, keep)
     gram = _hermitize(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
     _check_unit_trace(gram)
-    return spectrum_entropy(_checked_spectrum(gram))
+    return spectrum_entropy(_checked_spectrum(gram, closed_form=True))
+
+
+def _qubit_spectrum(gram: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of a unit-trace Hermitian [[a, b], [b*, d]]:
+    lam+ = (a + d + sqrt((a - d)^2 + 4|b|^2)) / 2 and lam- = det / lam+, which
+    keeps its relative accuracy where a difference would cancel; a diagonal's exactly."""
+    (a, b), (_, d) = gram.tolist()
+    a, d, b2 = a.real, d.real, abs(b) ** 2
+    hi = (a + d + math.sqrt((a - d) ** 2 + 4.0 * b2)) / 2.0
+    return [(a * d - b2) / hi, hi] if b2 else sorted((a, d))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -356,12 +374,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return spectrum_entropy(lam)
 
 
-def spectrum_entropy(p: np.ndarray) -> float:
-    """-sum(p * log2(p)) in bits over entries above the clip floor, at least 0."""
-    p = p[p > EIGENVALUE_CLIP]
-    if p.size == 0:
-        return 0.0
-    return float(max(0.0, -np.sum(p * np.log2(p))))
+def spectrum_entropy(p: np.ndarray | list[float]) -> float:
+    """-sum(p * log2(p)) in bits over entries above the clip floor, at least 0:
+    over Python floats for up to four entries (a one- or two-qubit spectrum or
+    flip law), summed in order as numpy sums a short array, by numpy above."""
+    if len(p) > 4:
+        p = p[p > EIGENVALUE_CLIP]
+        return float(max(0.0, -np.sum(p * np.log2(p))))
+    s = 0.0
+    for x in p.tolist() if isinstance(p, np.ndarray) else p:
+        if x > EIGENVALUE_CLIP:
+            s -= x * math.log2(x)
+    return max(0.0, s)
 
 
 def entropy_of_subset(state: "PureState | DensityMatrix", keep: Iterable[int]) -> float:

@@ -17,6 +17,8 @@ from entlab.channels import (
 from entlab.errors import PositivityError, SizeLimitError
 from entlab.measures import binary_entropy
 from entlab.states import (
+    EIGENVALUE_CLIP,
+    _checked_spectrum,
     _hermitize,
     branch_entropy,
     check_register_size,
@@ -26,6 +28,7 @@ from entlab.states import (
     partial_trace,
     pure_marginal,
     purify,
+    spectrum_entropy,
     tensor,
     trace_distance,
     validate_subset,
@@ -249,6 +252,80 @@ def test_branch_entropy_reads_the_smaller_side(rng):
         branch_entropy(1.001 * _unit_rows(rng, 2, 8), 8, range(8))
     with pytest.raises(ValueError, match="does not match register size"):
         branch_entropy(_unit_rows(rng, 2, 3), 2, (0,))
+
+
+# smallest eigenvalues of 2x2 Grams: rank 1, I/2, and either side of the
+# clip floor. A rotated Gram's eigenvalues carry about 1e-16 of absolute
+# error in eigvalsh and in the closed form alike, so one within that of the
+# floor may fall on either side of it in either; it is drawn exactly at the
+# floor only on the diagonal, where both are exact.
+_SMALL_EIGENVALUES = [0.0, 1e-13, 0.5 * EIGENVALUE_CLIP, 0.99 * EIGENVALUE_CLIP,
+                      1.01 * EIGENVALUE_CLIP, 2 * EIGENVALUE_CLIP, 1e-9, 0.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.sampled_from(_SMALL_EIGENVALUES + [EIGENVALUE_CLIP]), st.floats(0.0, 0.5)),
+    st.floats(0.0, np.pi),
+    st.floats(0.0, 2 * np.pi),
+    st.booleans(),
+)
+def test_one_qubit_closed_form_matches_eigvalsh(small, theta, phi, diagonal):
+    """The closed-form spectrum of a unit-trace 2x2 PSD Gram gives the
+    entropy of its eigvalsh spectrum to 1e-14, a diagonal one's exactly."""
+    assume(diagonal or abs(small - EIGENVALUE_CLIP) > 1e-3 * EIGENVALUE_CLIP)
+    u = np.eye(2) if diagonal else np.array(
+        [[np.cos(theta / 2), -np.exp(-1j * phi) * np.sin(theta / 2)],
+         [np.exp(1j * phi) * np.sin(theta / 2), np.cos(theta / 2)]]
+    )
+    gram = _hermitize((u * [small, 1.0 - small]) @ u.conj().T)
+    closed = _checked_spectrum(gram, closed_form=True)
+    lam = _checked_spectrum(gram)
+    assert closed == sorted(closed) and np.abs(np.array(closed) - lam).max() < 1e-15
+    got, want = spectrum_entropy(closed), spectrum_entropy(lam)
+    if diagonal:
+        assert closed == lam.tolist() and got == want
+    assert abs(got - want) < 1e-14
+
+
+def test_one_qubit_branch_entropy_keeps_its_checks(rng):
+    """A one-qubit read of the rows keeps the unit-trace check at 1e-10,
+    and the closed form the positivity check at -PSD_ATOL: a unit-trace
+    Gram made from rows is positive, so that check is run on the matrix."""
+    rows = _unit_rows(rng, 2, 3)
+    assert abs(branch_entropy(rows, 3, (1,)) - entropy_oracle(
+        partial_trace_oracle(sum(np.outer(v, v.conj()) for v in rows), 3, (1,)))) < 1e-12
+    branch_entropy(np.sqrt(1 + 5e-11) * rows, 3, (1,))
+    with pytest.raises(ValueError, match="trace must be 1"):
+        branch_entropy(np.sqrt(1 + 2e-10) * rows, 3, (1,))
+    with pytest.raises(ValueError, match="trace must be 1"):
+        branch_entropy(np.sqrt(1 - 2e-10) * rows, 3, (0,))
+    for closed_form in (True, False):
+        _checked_spectrum(np.diag([1.0 + 5e-10, -5e-10]), closed_form)
+        with pytest.raises(PositivityError, match=r"^eigenvalue -1e-08 below -1e-09$"):
+            _checked_spectrum(np.diag([1.0 + 1e-8, -1e-8]), closed_form)
+        with pytest.raises(PositivityError, match="below -1e-09"):
+            _checked_spectrum(np.array([[0.5, 0.6], [0.6, 0.5]]), closed_form)
+
+
+_SHANNON_ENTRIES = [0.0, 1.0, EIGENVALUE_CLIP, np.nextafter(EIGENVALUE_CLIP, 1.0),
+                    np.nextafter(EIGENVALUE_CLIP, 0.0), 2 * EIGENVALUE_CLIP, 1.0 + 1e-12]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(_SHANNON_ENTRIES), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4))
+def test_short_spectrum_entropy_matches_numpy(entries):
+    """Up to four entries are summed over Python floats: the same value as
+    numpy's path to 1e-15 (it reads them padded with zeros past four, which
+    the clip drops), the clip floor itself excluded, and never below 0."""
+    p = np.array(entries)
+    got = spectrum_entropy(p)
+    want = spectrum_entropy(np.concatenate([p, np.zeros(5 - len(p))]))
+    assert abs(got - want) < 1e-15 and got == spectrum_entropy(entries)
+    assert got >= 0.0 and np.copysign(1.0, got) == 1.0
+    if all(x <= EIGENVALUE_CLIP or x == 1.0 for x in entries):
+        assert got == 0.0
 
 
 def test_partial_trace_nested_consistency(rng):
