@@ -355,14 +355,24 @@ MEASURES = {
 }
 
 
-def measure_results(params: dict, seeds: SeedStream) -> list:
-    name = params["name"]
-    needs, call = MEASURES[name]
-    if name == "total-defect" and params["truncate"] is None:
-        # total_defect's default, set here so that the report echoes it
-        params["truncate"] = MAX_SET_SIZE
-    state = build_state(params["state"], seeds) if params["state"] else None
-    channel = build_channel(params["channel"], seeds) if params["channel"] else None
+# relation id -> (needs and library call, as in MEASURES; state and channel are required)
+RELATIONS = {
+    1: (("pair",), lambda s, c, q, p, seeds: eval_relation1(s, c, *q, p["level"])),
+    2: (("pair",), lambda s, c, q, p, seeds: eval_relation2(
+        s, c, *q, p["level"], seed=seeds.derive("relation.2"), **_search_budget(p)
+    )),
+    3: (("several",), lambda s, c, q, p, seeds: eval_relation34(s, c, q, p["level"])),
+    4: (("several",), lambda s, c, q, p, seeds: eval_relation34(
+        s, c, q, p["level"], "decomposed", seed=seeds.derive("relation.4"), **_search_budget(p)
+    )),
+}
+
+
+def _evaluate(label: str, entry: tuple, params: dict, seeds: SeedStream) -> tuple:
+    """(result, qubits) of a MEASURES or RELATIONS ``entry``, its needs checked first."""
+    needs, call = entry
+    state = None if params["state"] is None else build_state(params["state"], seeds)
+    channel = None if params["channel"] is None else build_channel(params["channel"], seeds)
     qubits = _parse_qubits(params["qubits"])
     # input -> (whether it is given, the field that names it, what is needed)
     inputs = {
@@ -370,39 +380,26 @@ def measure_results(params: dict, seeds: SeedStream) -> list:
         "state": (state is not None, "state", "a state spec"),
         "pair": (qubits is not None and len(qubits) == 2, "qubits", "exactly two qubits"),
         "set": (bool(qubits), "qubits", "a qubit set"),
+        "several": (qubits is not None and len(qubits) >= 2, "qubits", "two or more qubits"),
     }
     for need in needs:
         given, field, what = inputs[need]
         if not given:
-            raise ConfigError(f"measure '{name}' needs {what}", field=field)
-    return [_measure_entry(name, call(state, channel, qubits, params, seeds), qubits)]
+            raise ConfigError(f"{label} needs {what}", field=field)
+    return call(state, channel, qubits, params, seeds), qubits
+
+
+def measure_results(params: dict, seeds: SeedStream) -> list:
+    name = params["name"]
+    if name == "total-defect" and params["truncate"] is None:
+        # total_defect's default, set here so that the report echoes it
+        params["truncate"] = MAX_SET_SIZE
+    result, qubits = _evaluate(f"measure '{name}'", MEASURES[name], params, seeds)
+    return [_measure_entry(name, result, qubits)]
 
 
 def relation_results(params: dict, seeds: SeedStream) -> list:
-    rid = params["id"]
-    state = build_state(params["state"], seeds)
-    channel = build_channel(params["channel"], seeds)
-    qubits = _parse_qubits(params["qubits"])
-    level = params["level"]
-    budget = _search_budget(params)
-
-    if rid in (1, 2) and len(qubits) != 2:
-        raise ConfigError("relations 1 and 2 need exactly two qubits", field="qubits")
-    if rid in (3, 4) and len(qubits) < 2:
-        raise ConfigError("relations 3 and 4 need a qubit set", field="qubits")
-    if rid == 1:
-        verdict = eval_relation1(state, channel, *qubits, level)
-    elif rid == 2:
-        verdict = eval_relation2(
-            state, channel, *qubits, level, seed=seeds.derive("relation.2"), **budget
-        )
-    elif rid == 3:
-        verdict = eval_relation34(state, channel, qubits, level, mode="marginal")
-    else:
-        seed = seeds.derive("relation.4")
-        verdict = eval_relation34(
-            state, channel, qubits, level, mode="decomposed", seed=seed, **budget
-        )
+    verdict, _ = _evaluate(f"relation {params['id']}", RELATIONS[params["id"]], params, seeds)
     return [verdict.to_dict()]
 
 
@@ -556,7 +553,7 @@ SUBCOMMANDS = {
         Param("sweeps", _integer, help="search sweeps for assisted", minimum=0),
     )),
     "relation": Subcommand(relation_results, "check one relation at a level", (
-        Param("id", _integer, required=True, choices=(1, 2, 3, 4)),
+        Param("id", _integer, required=True, choices=tuple(RELATIONS)),
         Param("level", float, default=1.0),
         Param("state", load_spec, required=True, help="state spec (inline JSON or a path)"),
         Param("channel", load_spec, required=True, help="channel spec (inline JSON or a path)"),

@@ -13,7 +13,7 @@ from entlab import cli
 from entlab.channels import build_cluster_noise
 from entlab.measures import information_leak
 from entlab.zoo import line_edges
-from helpers import CLI_ENV
+from helpers import CLI_ENV, h2
 
 
 def run_cli(*args, expect=0):
@@ -535,3 +535,86 @@ def test_cluster_spec_is_the_seeded_builder(edges, capsys):
     built = build_cluster_noise(3, line_edges(3) if edges is None else edges, 0.6, seed)
     assert report["results"][0]["value"] == float(f"{information_leak(built, (0, 2)):.12g}")
     assert report["diagnostics"]["seed_labels"] == ["channel.cluster:0"]
+
+
+@pytest.mark.parametrize(
+    "rid, qubits, needs",
+    [
+        (1, "0", "exactly two qubits"),
+        (2, "0,1,2", "exactly two qubits"),
+        (3, "0", "two or more qubits"),
+        (4, "", "two or more qubits"),
+    ],
+)
+def test_relation_without_its_qubits_names_the_field(rid, qubits, needs, capsys):
+    """A relation reads its inputs through the measures' reader, so a
+    qubit list of the wrong size is a config error naming `qubits`."""
+    code = cli.main(["relation", "--id", str(rid), "--state", '{"family": "ghz", "n": 3}',
+                     "--channel", _FLIP_ZZ, "--qubits", qubits])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"config error [qubits]: relation {rid} needs {needs}"]
+
+
+def test_bitflip_code_amplitude_of_three_entries_is_config_error(capsys):
+    state = json.dumps({"family": "bitflip_code", "logical": [1, [0, 1, 2]]})
+    code = cli.main(["measure", "--name", "set-defect", "--state", state, "--qubits", "0,1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error [state.logical]: ")
+    assert "amplitude [0, 1, 2] should be a number or [re, im]" in err
+
+
+def test_channel_spec_file_reads_as_the_inline_spec(tmp_path, capsys):
+    """A spec read from a file gives the inline spec's report byte for
+    byte; a file that is not JSON is a config error naming `channel`."""
+    path = tmp_path / "flip.json"
+    path.write_text(_FLIP_ZZ, encoding="utf-8")
+    reports = []
+    for channel in (_FLIP_ZZ, str(path)):
+        code = cli.main(["measure", "--name", "excess-leak", "--channel", channel,
+                         "--qubits", "0,1"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    path.write_text("{nope", encoding="utf-8")
+    code = cli.main(["measure", "--name", "leak", "--channel", str(path), "--qubits", "0"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error [channel]: bad JSON in channel file: ")
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"bare {name} in the report")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_infinite_k_hat_renders_as_a_string(fmt, capsys):
+    """Relation 1 on |+>|+> under a ZZ flip: the term is 0 and the excess
+    H2(0.2), so k_hat is infinite and renders as the string "inf", never
+    as a bare Infinity that strict JSON readers refuse."""
+    code = cli.main(["relation", "--id", "1", "--state", '{"family": "plus_all", "n": 2}',
+                     "--channel", _FLIP_ZZ, "--qubits", "0,1", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    if fmt == "json":
+        result = json.loads(out, parse_constant=_refuse_constant)["results"][0]
+    else:
+        (result,) = csv.DictReader(io.StringIO(out))
+    assert float(result["term"]) == 0.0
+    assert float(result["excess_leak"]) == float(f"{h2(0.2):.12g}")
+    assert (result["k_hat"], result["k_hat_per_leak"]) == ("inf", "inf")
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "--name", "leak", "--channel", _DEPHASING, "--qubits", "0"],
+    ["relation", "--id", "1", "--channel", _FLIP_ZZ, "--qubits", "0,1"],
+], ids=["measure", "relation"])
+def test_an_empty_state_spec_is_built_and_refused(command, capsys):
+    """Every spec that is given is built, so an empty one is refused by the
+    spec reader, not taken for a missing input or ignored."""
+    code = cli.main([*command, "--state", "{}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["config error [state.family]: 'family' is required"]

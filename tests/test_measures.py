@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entlab import DensityMatrix, PureState, measures
+from entlab import DensityMatrix, PureState, measures, states
 from entlab.channels import (
     QuantumChannel,
     _pauli_law,
@@ -47,7 +47,15 @@ from entlab.states import (
     pure_marginal,
     von_neumann_entropy,
 )
-from entlab.zoo import bell, cluster_state, ghz, line_edges, plus_all
+from entlab.zoo import (
+    bell,
+    cluster_state,
+    dicke_state,
+    ghz,
+    line_edges,
+    plus_all,
+    random_circuit_state,
+)
 from helpers import (
     BUILT_CHANNELS,
     entropy_oracle,
@@ -632,6 +640,34 @@ def test_total_defect_register_cap():
     assert (res.value, res.diagnostics) == (66.0, {"method": "stabilizer"})
     with pytest.raises(SizeLimitError, match="register of 13 qubits exceeds the cap of 12"):
         ghz(13)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [*(random_circuit_state(n, 3, 1) for n in range(4, 9)), dicke_state(6, 3)],
+    ids=[*(f"random-circuit-{n}" for n in range(4, 9)), "dicke-6-3"],
+)
+def test_pure_density_matrix_total_is_its_amplitudes_total(state, monkeypatch):
+    """A pure DensityMatrix is read as its amplitudes, one column of the
+    matrix: its total matches the PureState's without reducing the n-qubit
+    matrix (the solves still reduce their own marginals densely)."""
+    rho = state.density_matrix()
+    dense = states.marginal_matrix
+
+    def refuse_full(mat, n, keep):
+        assert mat is not rho.matrix, "the input's dense matrix was reduced"
+        return dense(mat, n, keep)
+
+    monkeypatch.setattr(states, "marginal_matrix", refuse_full)
+    got = total_defect(rho, 3)
+    monkeypatch.undo()
+    want = total_defect(PureState(state.n, state.amplitudes), 3)
+    assert got.diagnostics["method"] == want.diagnostics["method"] == "max_entropy"
+    assert got.terms.keys() == want.terms.keys()
+    assert abs(got.value - want.value) <= DEFAULT_TOL
+    mixed = DensityMatrix(state.n, 0.5 * rho.matrix + 0.5 * np.eye(rho.dim) / rho.dim)
+    with pytest.raises(ValueError, match="input must be pure"):
+        total_defect(mixed, 3)
 
 
 @pytest.mark.parametrize("n", range(9, 13))

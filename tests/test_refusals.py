@@ -14,7 +14,7 @@ from entlab.channels import (
 )
 from entlab.conjectures import _classify_growth
 from entlab.errors import SizeLimitError
-from entlab.measures import total_defect
+from entlab.measures import environment_information, total_defect
 from entlab.optim import MarginalConstraintSet
 from entlab.states import (
     DensityMatrix,
@@ -70,6 +70,21 @@ TWO_QUBITS = plus_all(2).density_matrix()
             "ambient register must have at least one qubit",
         ),
         (lambda: MarginalConstraintSet(2, {}), ValueError, "constraint set is empty"),
+        (
+            lambda: MarginalConstraintSet(2, {(0, 1): ONE_QUBIT}),
+            ValueError,
+            r"target on \(0, 1\) has 1 qubits, expected 2",
+        ),
+        (
+            lambda: environment_information(build_dephasing(0.1), []),
+            ValueError,
+            "qubit subset must be non-empty",
+        ),
+        (
+            lambda: DensityMatrix(2, np.eye(2) / 2),
+            ValueError,
+            r"expected a 4x4 matrix for 2 qubits, got \(2, 2\)",
+        ),
     ],
 )
 def test_refusals(call, error, message):
